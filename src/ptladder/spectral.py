@@ -223,9 +223,23 @@ def _grid_eigvals(build, grid: np.ndarray, workers: int) -> list[np.ndarray]:
 
 
 def _family_for(spec: LatticeSpec, k: float | None) -> Callable[[float], np.ndarray]:
-    if k is None:
-        return lambda g: build_real_space_hamiltonian(spec.with_gamma(g))
-    return lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)
+    if k is not None:
+        return lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)
+    # gamma enters the on-site diagonal only, so the matrix is built once
+    # and each call writes the upper/lower on-site values of spec at g
+    # (the same complex scalars the builder writes, so the result is
+    # bit-identical to a fresh build).
+    base = build_real_space_hamiltonian(spec)
+    n = base.shape[0]
+
+    def build(g: float) -> np.ndarray:
+        at_g = spec.with_gamma(g)
+        ham = base.copy()
+        ham.flat[:: 2 * (n + 1)] = at_g.onsite_upper
+        ham.flat[n + 1 :: 2 * (n + 1)] = at_g.onsite_lower
+        return ham
+
+    return build
 
 
 def sweep_spectrum(
@@ -377,13 +391,13 @@ def locate_exceptional_points(
                 (grid[j], counts[j], values[j], grid[j + 1], counts[j + 1], values[j + 1])
             )
 
-    transitions: list[tuple[float, float, int, int]] = []
+    transitions = []
     while work:
         a, ca, va, b, cb, vb = work.pop()
         if ca == cb:
             continue
         if b - a <= bracket_tol or _flipped_pair_gap(va, vb, im_tol) <= ep_tol:
-            transitions.append((a, b, ca, cb))
+            transitions.append((a, ca, va, b, cb, vb))
             continue
         m = 0.5 * (a + b)
         vm = _eigvals_sorted(build(m))
@@ -394,8 +408,8 @@ def locate_exceptional_points(
             work.append((m, cm, vm, b, cb, vb))
 
     points = []
-    for a, b, ca, cb in transitions:
-        points.extend(_resolve_transition(build, a, b, ca, cb, im_tol))
+    for transition in transitions:
+        points.extend(_resolve_transition(build, *transition, im_tol))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
 
     if not return_diagnostics:
@@ -442,17 +456,24 @@ def _min_distinct_gap(values: np.ndarray) -> float:
     return float(gaps.min()) if gaps.size else math.inf
 
 
-def _resolve_transition(build, a: float, b: float, ca: int, cb: int, im_tol: float):
+def _resolve_transition(
+    build,
+    a: float,
+    ca: int,
+    vals_a: np.ndarray,
+    b: float,
+    cb: int,
+    vals_b: np.ndarray,
+    im_tol: float,
+):
     """Turn one refined bracket into ExceptionalPoint records.
 
-    Eigenvalues at the two bracket ends are matched pairwise; indices
-    whose real/complex character flips across the bracket identify the
-    coalescing pairs.  The broken-side members are grouped into
-    conjugate pairs, one record per pair.
+    Eigenvalues at the two bracket ends (as the bisection computed them)
+    are matched pairwise; indices whose real/complex character flips
+    across the bracket identify the coalescing pairs.  The broken-side
+    members are grouped into conjugate pairs, one record per pair.
     """
     gamma_star = 0.5 * (a + b)
-    vals_a = _eigvals_sorted(build(a))
-    vals_b = _eigvals_sorted(build(b))
     perm, _, _ = _match_step(vals_a, vals_b, 0.0)
     vals_b_matched = vals_b[perm]
 
@@ -553,13 +574,26 @@ def locate_zero_energy_eps(
 
     Spectra with the E -> -conj(E) symmetry (bipartite ladders with
     balanced gain/loss) coalesce symmetric real pairs exactly at E = 0.
-    This scans the minimum eigenvalue magnitude over the range, refines
-    each local dip by golden section, and keeps only dips that reach
-    ``energy_tol`` with a real-to-complex character flip of the minimal
-    eigenvalue across the dip.  Ordinary band crossings (a real
-    eigenvalue passing through zero and staying real) are discarded, so
-    this is much cheaper and more selective than a full broken-count
-    search when only the zero-energy EPs matter.
+    At delta = 0 these ladders are PT-symmetric, so the spectrum is also
+    closed under conjugation and det H, the product of the eigenvalues,
+    is real.  A real pair (E, -E) contributes -E**2 < 0 to it and the
+    pair (iy, -iy) it turns into contributes +y**2 > 0, so a zero-energy
+    coalescence is a sign change of det H.  This scans the sign of
+    ``Re det H`` on ``scan_steps`` intervals (one LU factorisation per
+    grid point via ``slogdet``) and bisects every sign change on that
+    sign down to adjacent doubles.  Grid points where det H vanishes
+    exactly carry no sign and are skipped.
+
+    Two filters then remain.  ``min |E|`` at gamma* must reach
+    ``energy_tol``: for families without the E -> -conj(E) symmetry
+    det H is complex, and its real part can change sign far from any
+    zero (``diag(exp(i*g), 1)`` at g = pi/2), which this rejects.  And
+    the eigenvalue closest to zero must flip between real and complex
+    character across gamma* +- 1e-7, so an ordinary band crossing (a
+    real eigenvalue passing through zero and staying real) is discarded.
+    Zeros of det H that do not change its sign, and pairs of sign
+    changes inside one scan step, are invisible at the chosen
+    resolution; pass a finer ``scan_steps`` to resolve them.
     """
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
@@ -569,18 +603,18 @@ def locate_zero_energy_eps(
     build = spec if callable(spec) else _family_for(spec, None)
 
     grid = np.linspace(lo, hi, scan_steps + 1)
-    spectra = [_eigvals_sorted(build(g)) for g in grid]
-    min_abs = np.array([float(np.min(np.abs(v))) for v in spectra])
+    signs = [_det_sign(build(g)) for g in grid]
+    nonzero = [j for j, sign in enumerate(signs) if sign != 0]
 
     points = []
-    for j in range(1, scan_steps):
-        if not (min_abs[j] <= min_abs[j - 1] and min_abs[j] <= min_abs[j + 1]):
+    for i, j in zip(nonzero, nonzero[1:]):
+        if signs[i] == signs[j]:
             continue
-        gamma_star, reached = _refine_abs_minimum(build, grid[j - 1], grid[j + 1])
-        if reached > energy_tol:
+        gamma_star = _bisect_det_sign(build, grid[i], signs[i], grid[j])
+        if abs(_minimal_eigenvalue(build, gamma_star)) > energy_tol:
             continue
-        # gamma_star is refined to ~1e-10, so a 1e-7 probe lands cleanly
-        # on either side of the coalescence
+        # gamma_star is refined to adjacent doubles, so a 1e-7 probe lands
+        # cleanly on either side of the coalescence
         probe = 1e-7
         before = _minimal_eigenvalue(build, gamma_star - probe)
         after = _minimal_eigenvalue(build, gamma_star + probe)
@@ -607,7 +641,6 @@ def locate_zero_energy_eps(
                 n_broken_change=2 if kind is EpKind.MERGE else -2,
             )
         )
-    points.sort(key=lambda p: p.gamma_star)
     return points
 
 
@@ -616,30 +649,25 @@ def _minimal_eigenvalue(build, gamma: float) -> complex:
     return complex(vals[np.argmin(np.abs(vals))])
 
 
-def _refine_abs_minimum(build, a: float, b: float, iters: int = 60) -> tuple[float, float]:
-    # min|E| has a square-root cusp at a coalescence, so the residual at
-    # the midpoint shrinks only like sqrt of the bracket; run the section
-    # search down to float resolution and keep the best point seen.
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    f = lambda g: float(np.min(np.abs(_eigvals_sorted(build(g)))))
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_g, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(iters):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
+def _det_sign(matrix: np.ndarray) -> float:
+    """Sign of Re det, 0 where the determinant vanishes exactly."""
+    sign, _ = np.linalg.slogdet(matrix)
+    return float(np.sign(sign.real))
+
+
+def _bisect_det_sign(build, a: float, sign_a: float, b: float) -> float:
+    """Bisect a sign change of Re det on [a, b] down to adjacent doubles."""
+    while True:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            return m
+        sign_m = _det_sign(build(m))
+        if sign_m == 0:
+            return m
+        if sign_m == sign_a:
+            a = m
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        if f1 < best_f:
-            best_g, best_f = x1, f1
-        if f2 < best_f:
-            best_g, best_f = x2, f2
-    return best_g, best_f
+            b = m
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from ptladder import (
     sweep_matrix_family,
     sweep_spectrum,
 )
+from ptladder.spectral import _family_for
 
 
 def char_poly_eigs(h):
@@ -92,6 +93,14 @@ def test_sweep_branches_are_permutations_of_fresh_spectra():
     for j, g in enumerate(grid):
         fresh = eigendecompose(build_real_space_hamiltonian(spec.with_gamma(g))).eigenvalues
         np.testing.assert_array_equal(np.sort_complex(sweep.branches[:, j]), fresh)
+
+
+@pytest.mark.parametrize("topology", list(BoundaryTopology))
+def test_family_matches_fresh_builds(topology):
+    spec = LatticeSpec(n_cells=6, delta=0.3, gamma=0.8, topology=topology)
+    build = _family_for(spec, None)
+    for g in (-1.7, -0.25, 0.0, 0.4, 2.3):
+        np.testing.assert_array_equal(build(g), build_real_space_hamiltonian(spec.with_gamma(g)))
 
 
 def test_sweep_continuity_residual_is_bounded_by_ep_kink():
@@ -301,6 +310,30 @@ def test_broken_windows_deduplicates_simultaneous_cluster():
     assert len(wins) == 1 and wins[0].open_ended
 
 
+def numpy_twisted_ladder(n_cells, gamma):
+    """Twisted ladder with d = t = 1 from numpy alone: +-i*gamma/2 on the
+    legs, rungs in every cell, and crossed legs between cells N/2 and
+    N/2 + 1 (1-based)."""
+    h = np.diag(np.tile([0.5j * gamma, -0.5j * gamma], n_cells))
+    for c in range(n_cells):
+        h[2 * c, 2 * c + 1] = h[2 * c + 1, 2 * c] = -1.0
+    for c in range(n_cells - 1):
+        a, b = 2 * c, 2 * c + 1
+        if c == n_cells // 2 - 1:
+            bonds = ((a, b + 2), (b, a + 2))
+        else:
+            bonds = ((a, a + 2), (b, b + 2))
+        for i, j in bonds:
+            h[i, j] = h[j, i] = -1.0
+    return h
+
+
+def twisted_det_signs(n_cells, gammas):
+    return np.array(
+        [np.sign(np.linalg.slogdet(numpy_twisted_ladder(n_cells, g))[0].real) for g in gammas]
+    )
+
+
 def test_zero_energy_ep_on_dimer_family():
     points = locate_zero_energy_eps(pt_dimer, (1.5, 2.5), scan_steps=60)
     assert len(points) == 1
@@ -325,4 +358,36 @@ def test_zero_energy_eps_twisted_versus_straight_ladder():
     for p in found:
         assert 0.05 < p.gamma_star < 1.95
         assert abs(p.energy_star) < 1e-6
+        below, above = twisted_det_signs(20, [p.gamma_star - 1e-7, p.gamma_star + 1e-7])
+        assert below * above < 0
+    signs = twisted_det_signs(20, np.linspace(0.05, 1.95, 20001))
+    signs = signs[signs != 0]
+    assert len(found) == np.count_nonzero(signs[1:] != signs[:-1])
     assert locate_zero_energy_eps(straight, (0.05, 1.95), scan_steps=200) == []
+
+
+def test_zero_energy_scan_needs_a_zero_not_just_a_real_part_sign_change():
+    family = lambda g: np.diag([np.exp(1j * g), 1.0])
+    assert np.cos(1.0) > 0 > np.cos(2.0)  # Re det H = cos(g) flips at pi/2
+    assert locate_zero_energy_eps(family, (1.0, 2.0), scan_steps=60) == []
+
+
+def test_zero_energy_scan_rejects_a_coalescence_away_from_zero():
+    # a PT dimer shifted to E = 0.5 merges at g = 2, where the phase of a
+    # third level turns Re det H through zero while |det H| = 0.25
+    def family(g):
+        h = np.zeros((3, 3), dtype=complex)
+        h[:2, :2] = pt_dimer(g) + 0.5 * np.eye(2)
+        h[2, 2] = 1j * np.exp(1j * (g - 2.0))
+        return h
+
+    assert locate_zero_energy_eps(family, (1.9, 2.1), scan_steps=21) == []
+
+
+def test_zero_energy_scan_skips_the_zero_mode_at_gamma_zero():
+    twisted = LatticeSpec(n_cells=20, topology=BoundaryTopology.TWISTED_OPEN)
+    assert np.linalg.slogdet(numpy_twisted_ladder(20, 0.0))[0] == 0
+    from_zero = locate_zero_energy_eps(twisted, (0.0, 1.95), scan_steps=200)
+    inside = locate_zero_energy_eps(twisted, (0.05, 1.95), scan_steps=200)
+    assert len(from_zero) == len(inside)
+    assert all(p.gamma_star > 0.05 for p in from_zero)
