@@ -26,9 +26,7 @@ __all__ = [
     "BoundaryTopology",
     "LatticeSpec",
     "UnitCellBlocks",
-    "BlochPoint",
     "unit_cell_blocks",
-    "bloch_point",
     "build_bloch_hamiltonian",
     "bloch_eigenvalues",
     "build_real_space_hamiltonian",
@@ -145,35 +143,16 @@ def unit_cell_blocks(spec: LatticeSpec) -> UnitCellBlocks:
     return UnitCellBlocks(h0=h0, h1=h1, h1_twist=h1_twist)
 
 
-@dataclass(frozen=True)
-class BlochPoint:
-    """Momentum-space sample of the translation invariant (circular) ladder.
-
-    ``h_vec`` holds the (sigma_x, sigma_z) components ``(-d, delta/2 + i*gamma/2)``
-    and ``h0_scalar`` the identity component ``-2*t*cos(k)``.  The factor 2
-    keeps the scalar part consistent with the dispersion produced by the
-    real-space hopping, where each cell touches two neighbours.
-    """
-
-    k: float
-    h_vec: tuple[complex, complex]
-    h0_scalar: complex
-
-
-def bloch_point(spec: LatticeSpec, k: float) -> BlochPoint:
-    return BlochPoint(
-        k=float(k),
-        h_vec=(-spec.intra_hop, spec.onsite_upper),
-        h0_scalar=-2.0 * spec.inter_hop * math.cos(k),
-    )
-
-
 def build_bloch_hamiltonian(spec: LatticeSpec, k: float) -> np.ndarray:
-    """2x2 Bloch Hamiltonian of the circular ladder at momentum ``k``."""
-    pt = bloch_point(spec, k)
-    hx, hz = pt.h_vec
+    """2x2 Bloch Hamiltonian of the circular ladder at momentum ``k``.
+
+    The identity part ``-2*t*cos(k)`` carries a factor 2 because each cell
+    touches two neighbours in the real-space hopping.
+    """
+    h0_scalar = -2.0 * spec.inter_hop * math.cos(k)
+    hx, hz = -spec.intra_hop, spec.onsite_upper
     return np.array(
-        [[pt.h0_scalar + hz, hx], [hx, pt.h0_scalar - hz]], dtype=complex
+        [[h0_scalar + hz, hx], [hx, h0_scalar - hz]], dtype=complex
     )
 
 

@@ -17,17 +17,21 @@ with ``G = (-coupling_upper, -coupling_lower)^T`` and the lead momentum
 ``e^{+iq} = -E/v0 + i sqrt(1 - (E/v0)^2)``.  The twisted topology swaps
 the bond between cells N/2 and N/2 + 1 for its crossed version.
 
-The production solver is a 2x2 block Thomas elimination with the two
-border unknowns folded into enlarged first and last blocks; a pivot
-whose 1-norm condition estimate exceeds 1e12 triggers a dense
-partial-pivoting fallback, and every solution is residual-checked.  A
-lane-vectorised variant of the same elimination powers transmission
-maps, re-solving flagged lanes through the scalar path.
+Rows 0 and 2N + 1 give ``r = -1 - (2/v0) G_in^T psi_1`` and
+``t = -(2/v0) G_out^T psi_N``.  Substituting them leaves an N-cell
+block-tridiagonal system with 2x2 blocks: the leads become self-energies
+``-(2/v0) e^{iq} G G^T`` on the first and last cell, and the incident
+wave a source ``(e^{iq} - e^{-iq}) G_in`` on the first cell.  One lane
+kernel solves it by block-Thomas elimination for many (E, gamma) pairs at
+once; a single solve is one lane, a map column one lane per energy and a
+zero-energy trace one lane per gamma.  A pivot that is singular or whose
+1-norm condition estimate exceeds ``COND_LIMIT`` flags its lane, and a
+flagged lane is re-solved by dense partial-pivoting LU on the whole
+bordered system.  ``solve_scattering`` residual-checks every answer.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -135,6 +139,8 @@ class ScatteringSystem:
     energy: float
     momentum: complex  # e^{+iq}
     n_cells: int
+    spec: LatticeSpec
+    leads: LeadSpec
 
     @property
     def dimension(self) -> int:
@@ -191,7 +197,13 @@ def assemble_scattering_system(
     a[dim - 1, dim - 1] = 0.5 * leads.v0
 
     return ScatteringSystem(
-        matrix=a, rhs=b, energy=float(energy), momentum=eiq, n_cells=n
+        matrix=a,
+        rhs=b,
+        energy=float(energy),
+        momentum=eiq,
+        n_cells=n,
+        spec=spec,
+        leads=leads,
     )
 
 
@@ -222,81 +234,71 @@ class ScatteringResult:
         )
 
 
-class _IllConditionedPivot(Exception):
-    def __init__(self, block_index: int, cond: float):
-        self.block_index = block_index
-        self.cond = cond
-        super().__init__(f"pivot block {block_index} condition estimate {cond:.3e}")
+def _batch_norm1(blocks: np.ndarray) -> np.ndarray:
+    return np.abs(blocks).sum(axis=1).max(axis=1)
 
 
-def _norm1(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=0).max())
-
-
-def _block_sizes(n_cells: int) -> list[int]:
-    if n_cells == 1:
-        return [4]
-    return [3] + [2] * (n_cells - 2) + [3]
-
-
-def _split_system(system: ScatteringSystem):
-    """View the bordered matrix as a block-tridiagonal chain.
-
-    The reflection unknown is folded into the first block and the
-    transmission unknown into the last, giving block sizes
-    (3, 2, ..., 2, 3).
-    """
-    sizes = _block_sizes(system.n_cells)
-    edges = np.concatenate(([0], np.cumsum(sizes)))
-    a = system.matrix
-    diag = [a[edges[i] : edges[i + 1], edges[i] : edges[i + 1]] for i in range(len(sizes))]
-    sup = [
-        a[edges[i] : edges[i + 1], edges[i + 1] : edges[i + 2]]
-        for i in range(len(sizes) - 1)
-    ]
-    sub = [
-        a[edges[i + 1] : edges[i + 2], edges[i] : edges[i + 1]]
-        for i in range(len(sizes) - 1)
-    ]
-    rhs = [system.rhs[edges[i] : edges[i + 1]] for i in range(len(sizes))]
-    return diag, sup, sub, rhs
-
-
-def _solve_block_thomas(system: ScatteringSystem) -> np.ndarray:
-    diag, sup, sub, rhs = _split_system(system)
-    nb = len(diag)
-    carried = diag[0]
-    carried_rhs = rhs[0]
-    t_blocks: list[np.ndarray] = []
-    g_blocks: list[np.ndarray] = []
-    for i in range(nb):
-        inv = _checked_inverse(carried, i)
-        if i == nb - 1:
-            g_blocks.append(inv @ carried_rhs)
-            break
-        t_i = inv @ sup[i]
-        g_i = inv @ carried_rhs
-        t_blocks.append(t_i)
-        g_blocks.append(g_i)
-        carried = diag[i + 1] - sub[i] @ t_i
-        carried_rhs = rhs[i + 1] - sub[i] @ g_i
-
-    x_blocks = [None] * nb
-    x_blocks[nb - 1] = g_blocks[nb - 1]
-    for i in range(nb - 2, -1, -1):
-        x_blocks[i] = g_blocks[i] - t_blocks[i] @ x_blocks[i + 1]
-    return np.concatenate(x_blocks)
-
-
-def _checked_inverse(block: np.ndarray, index: int) -> np.ndarray:
-    try:
-        inv = np.linalg.inv(block)
-    except np.linalg.LinAlgError as exc:
-        raise _IllConditionedPivot(index, math.inf) from exc
-    cond = _norm1(block) * _norm1(inv)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise _IllConditionedPivot(index, cond)
+def _batch_inverse(blocks: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    size = blocks.shape[-1]
+    dets = np.linalg.det(blocks)
+    singular = ~np.isfinite(dets) | (np.abs(dets) < 1e-300)
+    bad |= singular
+    safe = np.where(bad[:, None, None], np.eye(size, dtype=complex), blocks)
+    inv = np.linalg.inv(safe)
+    cond = _batch_norm1(blocks) * _batch_norm1(inv)
+    bad |= ~np.isfinite(cond) | (cond > COND_LIMIT)
     return inv
+
+
+def _eliminate(
+    spec: LatticeSpec, leads: LeadSpec, energies, gammas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(r, t, psi, pivot)`` on lanes of ``spec.with_gamma(gamma)`` at energy E.
+
+    ``energies`` and ``gammas`` broadcast to one (E, gamma) pair per lane.
+    ``psi[lane, cell]`` holds the cell amplitudes and ``pivot[lane]`` the
+    first cell whose pivot failed the guard, or -1; a flagged lane carries
+    unusable values.  Lanes outside the lead band are flagged at cell 0.
+    """
+    energies, gammas = np.broadcast_arrays(
+        *np.atleast_1d(np.asarray(energies, dtype=float), np.asarray(gammas, dtype=float))
+    )
+    energies, gammas = energies.ravel(), gammas.ravel()
+    x = energies / leads.v0
+    eiq = np.where(np.abs(x) < 1.0, -x + 1j * np.sqrt(np.abs(1.0 - x * x)), np.nan)
+    scale = 2.0 / leads.v0
+
+    # On-site block of spec.with_gamma(gamma), minus E.
+    upper = 0.5 * spec.delta + 0.5j * gammas
+    h0e = np.empty((energies.size, 2, 2), dtype=complex)
+    h0e[:, 0, 0] = upper - energies
+    h0e[:, 1, 1] = -upper - energies
+    h0e[:, 0, 1] = h0e[:, 1, 0] = -spec.intra_hop
+
+    def self_energy(g: np.ndarray) -> np.ndarray:
+        return -scale * eiq[:, None, None] * np.outer(g, g)
+
+    bad = np.zeros(energies.size, dtype=bool)
+    pivot = np.full(energies.size, -1)
+    carried = h0e + self_energy(leads.g_in)
+    source = (eiq - np.conj(eiq))[:, None, None] * leads.g_in[:, None]
+    sweep = []
+    for i, hop in enumerate(_bond_blocks(spec)):
+        inv = _batch_inverse(carried, bad)
+        pivot[bad & (pivot < 0)] = i
+        sweep.append((inv @ source, inv @ hop))
+        carried = h0e - hop.T @ sweep[-1][1]
+        source = -hop.T @ sweep[-1][0]
+    inv = _batch_inverse(carried + self_energy(leads.g_out), bad)
+    pivot[bad & (pivot < 0)] = spec.n_cells - 1
+
+    psi = [inv @ source]
+    for g_i, t_i in reversed(sweep):
+        psi.append(g_i - t_i @ psi[-1])
+    psi = np.stack(psi[::-1], axis=1)[..., 0]
+    r = -1.0 - scale * (psi[:, 0] @ leads.g_in)
+    t = -scale * (psi[:, -1] @ leads.g_out)
+    return r, t, psi, pivot
 
 
 def _solve_dense(system: ScatteringSystem) -> np.ndarray:
@@ -317,168 +319,66 @@ def _residual_ok(system: ScatteringSystem, x: np.ndarray) -> bool:
 def solve_scattering(system: ScatteringSystem, method: str = "auto") -> ScatteringResult:
     """Solve the bordered system.
 
-    ``method`` is "auto" (block Thomas, dense on ill-conditioned pivot),
-    "banded" (block Thomas, fail instead of falling back) or "dense".
+    ``method`` is "auto" (the lane kernel on one lane, dense when a pivot
+    is flagged or the residual check fails), "banded" (the lane kernel,
+    raising ``SingularSystemError`` with the reason instead of falling
+    back) or "dense" (partial-pivoting LU of the whole system).  Every
+    answer is residual-checked against ``system.matrix``.
     """
     if method not in ("auto", "banded", "dense"):
         raise ValueError(f"unknown method {method!r}")
 
-    x = None
-    pivot_note = ""
-    if method in ("auto", "banded") and system.n_cells >= 2:
-        try:
-            x = _solve_block_thomas(system)
-            if not _residual_ok(system, x):
-                x = None
-                pivot_note = "banded residual above bound"
-        except _IllConditionedPivot as exc:
-            if method == "banded":
-                raise SingularSystemError(
-                    f"banded elimination hit an ill-conditioned pivot "
-                    f"(block {exc.block_index}, cond {exc.cond:.3e}) at "
-                    f"E = {system.energy:.9g}"
-                ) from exc
-            x = None
-            pivot_note = str(exc)
-    if x is None:
+    reason = "direct dense"
+    if method != "dense":
+        r, t, psi, pivot = _eliminate(system.spec, system.leads, system.energy, system.spec.gamma)
+        x = np.concatenate((r, psi[0].ravel(), t))
+        if pivot[0] >= 0:
+            reason = f"ill-conditioned pivot at cell {pivot[0] + 1} of {system.n_cells}"
+        elif not _residual_ok(system, x):
+            reason = "elimination residual above bound"
+        else:
+            return ScatteringResult.from_solution(x)
         if method == "banded":
             raise SingularSystemError(
-                f"banded solve failed ({pivot_note}) at E = {system.energy:.9g}"
+                f"banded elimination failed at E = {system.energy:.9g}: {reason}"
             )
-        x = _solve_dense(system)
-        if not _residual_ok(system, x):
-            raise SingularSystemError(
-                f"residual above {RESIDUAL_TOL:.0e}*||b|| even after dense "
-                f"fallback at E = {system.energy:.9g} ({pivot_note or 'direct dense'})"
-            )
+    x = _solve_dense(system)
+    if not _residual_ok(system, x):
+        raise SingularSystemError(
+            f"residual above {RESIDUAL_TOL:.0e}*||b|| even after dense "
+            f"fallback at E = {system.energy:.9g} ({reason})"
+        )
     return ScatteringResult.from_solution(x)
 
 
-# ---------------------------------------------------------------------------
-# Lane-vectorised elimination: one gamma column, many energies at once.
+def _lane_probabilities(
+    spec: LatticeSpec, leads: LeadSpec, energies, gammas
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(|t|^2, |r|^2, failed)`` over broadcast (E, gamma) lanes.
 
-
-def _batch_norm1(blocks: np.ndarray) -> np.ndarray:
-    return np.abs(blocks).sum(axis=1).max(axis=1)
-
-
-def _batch_inverse(blocks: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    size = blocks.shape[-1]
-    dets = np.linalg.det(blocks)
-    singular = ~np.isfinite(dets) | (np.abs(dets) < 1e-300)
-    bad |= singular
-    safe = np.where(bad[:, None, None], np.eye(size, dtype=complex), blocks)
-    inv = np.linalg.inv(safe)
-    cond = _batch_norm1(blocks) * _batch_norm1(inv)
-    bad |= ~np.isfinite(cond) | (cond > COND_LIMIT)
-    return inv
-
-
-def _batch_rt(
-    spec: LatticeSpec, leads: LeadSpec, energies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, t, bad_lane) for every energy at fixed gamma.
-
-    Energies outside the lead band are flagged immediately; flagged
-    lanes carry unusable values and must be recomputed (or marked NaN)
-    by the caller.
+    Flagged lanes are re-solved densely; a lane that fails again becomes
+    NaN and is counted in ``failed``.
     """
-    _check_transport_spec(spec)
-    energies = np.asarray(energies, dtype=float)
-    lanes = energies.size
-    blocks = unit_cell_blocks(spec)
-    hops = _bond_blocks(spec)
-    n = spec.n_cells
-    v0 = leads.v0
-
-    x = energies / v0
-    inside = np.abs(x) < 1.0
-    bad = ~inside
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    eiq = np.where(inside, -x + 1j * s, 1.0 + 0j)
-    emiq = np.conj(eiq)
-
-    eye2 = np.eye(2, dtype=complex)
-    h0e = blocks.h0[None, :, :] - energies[:, None, None] * eye2[None, :, :]
-
-    if n == 1:
-        # Single 4x4 bordered block, solved densely lane by lane.
-        r = np.zeros(lanes, dtype=complex)
-        t = np.zeros(lanes, dtype=complex)
-        for j, e in enumerate(energies):
-            if bad[j]:
-                continue
-            try:
-                res = solve_scattering(assemble_scattering_system(spec, leads, e))
-                r[j], t[j] = res.r, res.t
-            except (OutOfBandError, SingularSystemError):
-                bad[j] = True
-        return r, t, bad
-
-    # First block: unknowns (r, a_1, b_1).
-    d0 = np.zeros((lanes, 3, 3), dtype=complex)
-    d0[:, 0, 0] = 0.5 * v0
-    d0[:, 0, 1:3] = leads.g_in
-    d0[:, 1:3, 0] = eiq[:, None] * leads.g_in
-    d0[:, 1:3, 1:3] = h0e
-    rhs0 = np.zeros((lanes, 3), dtype=complex)
-    rhs0[:, 0] = -0.5 * v0
-    rhs0[:, 1:3] = -emiq[:, None] * leads.g_in
-
-    # Last block: unknowns (a_N, b_N, t).
-    dlast = np.zeros((lanes, 3, 3), dtype=complex)
-    dlast[:, 0:2, 0:2] = h0e
-    dlast[:, 0:2, 2] = eiq[:, None] * leads.g_out
-    dlast[:, 2, 0:2] = leads.g_out
-    dlast[:, 2, 2] = 0.5 * v0
-
-    def sup_block(i: int) -> np.ndarray:
-        # Coupling of block i into block i + 1 (lane-independent).
-        hop = hops[i]
-        rows = 3 if i == 0 else 2
-        cols = 3 if i == n - 2 else 2
-        m = np.zeros((rows, cols), dtype=complex)
-        m[rows - 2 :, :2] = hop
-        return m
-
-    def sub_block(i: int) -> np.ndarray:
-        # Coupling of block i + 1 back into block i.
-        hop = hops[i].T
-        rows = 3 if i == n - 2 else 2
-        cols = 3 if i == 0 else 2
-        m = np.zeros((rows, cols), dtype=complex)
-        m[:2, cols - 2 :] = hop
-        return m
-
-    carried = d0
-    carried_rhs = rhs0
-    t_list: list[np.ndarray] = []
-    g_list: list[np.ndarray] = []
-    for i in range(n - 1):
-        inv = _batch_inverse(carried, bad)
-        sup = sup_block(i)
-        t_i = inv @ sup[None, :, :]
-        g_i = (inv @ carried_rhs[:, :, None])[:, :, 0]
-        t_list.append(t_i)
-        g_list.append(g_i)
-        nxt = dlast if i == n - 2 else h0e
-        sub = sub_block(i)
-        carried = nxt - sub[None, :, :] @ t_i
-        # rhs blocks after the first are all zero.
-        carried_rhs = -(sub[None, :, :] @ g_i[:, :, None])[:, :, 0]
-
-    inv = _batch_inverse(carried, bad)
-    x_last = (inv @ carried_rhs[:, :, None])[:, :, 0]
-    x_next = x_last
-    for i in range(n - 2, -1, -1):
-        x_i = g_list[i] - (t_list[i] @ x_next[:, :, None])[:, :, 0]
-        x_next = x_i
-    x_first = x_next
-
-    r = x_first[:, 0]
-    t = x_last[:, 2]
-    bad |= ~np.isfinite(r) | ~np.isfinite(t)
-    return r, t, bad
+    energies, gammas = np.broadcast_arrays(
+        np.asarray(energies, dtype=float), np.asarray(gammas, dtype=float)
+    )
+    r, t, _, pivot = _eliminate(spec, leads, energies, gammas)
+    t_lanes = np.abs(t) ** 2
+    r_lanes = np.abs(r) ** 2
+    bad = (pivot >= 0) | ~np.isfinite(r) | ~np.isfinite(t)
+    failed = 0
+    for lane in np.flatnonzero(bad):
+        e, g = float(energies[lane]), float(gammas[lane])
+        try:
+            system = assemble_scattering_system(spec.with_gamma(g), leads, e)
+            res = solve_scattering(system, method="dense")
+            t_lanes[lane] = res.transmission_prob
+            r_lanes[lane] = res.reflection_prob
+        except (OutOfBandError, SingularSystemError):
+            t_lanes[lane] = np.nan
+            r_lanes[lane] = np.nan
+            failed += 1
+    return t_lanes, r_lanes, failed
 
 
 @dataclass
@@ -498,21 +398,7 @@ class TransmissionMap:
 
 def _map_column(args) -> tuple[int, np.ndarray, np.ndarray, int]:
     spec, leads, energies, j, gamma = args
-    spec_g = spec.with_gamma(gamma)
-    r, t, bad = _batch_rt(spec_g, leads, energies)
-    t_col = np.abs(t) ** 2
-    r_col = np.abs(r) ** 2
-    failed = 0
-    for lane in np.nonzero(bad)[0]:
-        e = float(energies[lane])
-        try:
-            res = solve_scattering(assemble_scattering_system(spec_g, leads, e))
-            t_col[lane] = res.transmission_prob
-            r_col[lane] = res.reflection_prob
-        except (OutOfBandError, SingularSystemError, ValueError):
-            t_col[lane] = np.nan
-            r_col[lane] = np.nan
-            failed += 1
+    t_col, r_col, failed = _lane_probabilities(spec, leads, energies, gamma)
     return j, t_col, r_col, failed
 
 
@@ -565,9 +451,17 @@ def transmission_map(
 def zero_energy_trace(
     spec: LatticeSpec, leads: LeadSpec, gamma_grid
 ) -> list[tuple[float, float]]:
-    """Transmission probability at E = 0 along a gamma grid."""
-    m = transmission_map(spec, leads, [0.0], gamma_grid)
-    return [(float(g), float(t)) for g, t in zip(m.gamma_grid, m.t_values[0])]
+    """Transmission probability at E = 0 along a gamma grid.
+
+    One kernel call with a lane per gamma; the values equal the E = 0
+    row of ``transmission_map`` over the same grid bit for bit.
+    """
+    _check_transport_spec(spec)
+    gammas = np.asarray(list(gamma_grid), dtype=float)
+    if gammas.size == 0:
+        raise ValueError("zero-energy trace needs a non-empty gamma grid")
+    t_lanes, _, _ = _lane_probabilities(spec, leads, 0.0, gammas)
+    return [(float(g), float(t)) for g, t in zip(gammas, t_lanes)]
 
 
 def find_trace_peaks(

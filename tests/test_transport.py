@@ -95,8 +95,10 @@ def test_flux_conservation_hermitian_case():
 
 def test_banded_matches_dense_on_generic_instances():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = int(rng.integers(2, 41))
+    sizes = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        sizes.add(n)
         topology = TWISTED if (rng.random() < 0.5 and n % 2 == 0) else OPEN
         spec = LatticeSpec(n_cells=n, gamma=float(rng.uniform(0, 3)), topology=topology)
         e = float(rng.uniform(-4, 4))
@@ -105,19 +107,24 @@ def test_banded_matches_dense_on_generic_instances():
         dense = solve_scattering(system, method="dense")
         assert abs(banded.t - dense.t) < 1e-9
         assert abs(banded.r - dense.r) < 1e-9
+        assert np.max(np.abs(banded.internal - dense.internal)) < 1e-9
+    assert 1 in sizes  # the single cell carries both self-energies
 
 
 def test_banded_fails_loudly_on_interior_resonance():
-    # at E = 0, gamma = 0 a chain level sits exactly at the pivot energy,
-    # so unpivoted elimination must refuse while auto falls back to dense
-    spec = LatticeSpec(n_cells=100, topology=OPEN)
-    system = assemble_scattering_system(spec, LeadSpec(), 0.0)
-    with pytest.raises(SingularSystemError):
-        solve_scattering(system, method="banded")
-    auto = solve_scattering(system, method="auto")
-    dense = solve_scattering(system, method="dense")
-    assert abs(auto.flux_residual) < 1e-10
-    assert auto.t == dense.t and auto.r == dense.r
+    # at gamma = 0 the dark antisymmetric chain makes a pivot exactly
+    # singular: the second one at E = 0 for N = 100, and the only one at
+    # E = d for N = 1.  Unpivoted elimination must refuse and name the
+    # pivot while auto falls back to dense
+    for n, energy, cell in ((100, 0.0, 2), (1, 1.0, 1)):
+        spec = LatticeSpec(n_cells=n, topology=OPEN)
+        system = assemble_scattering_system(spec, LeadSpec(), energy)
+        with pytest.raises(SingularSystemError, match=f"pivot at cell {cell} of {n}"):
+            solve_scattering(system, method="banded")
+        auto = solve_scattering(system, method="auto")
+        dense = solve_scattering(system, method="dense")
+        assert abs(auto.flux_residual) < 1e-10
+        assert auto.t == dense.t and auto.r == dense.r
 
 
 def test_solve_rejects_unknown_method():
@@ -176,14 +183,22 @@ def test_map_rejects_empty_grids():
 
 
 def test_zero_energy_trace_is_map_row():
-    spec = LatticeSpec(n_cells=6, topology=TWISTED)
+    # the open N = 100 lane at gamma = 0 hits an exactly singular interior
+    # pivot and is re-solved densely inside the trace
     leads = LeadSpec()
-    gammas = np.linspace(0.0, 1.5, 16)
-    trace = zero_energy_trace(spec, leads, gammas)
-    m = transmission_map(spec, leads, [0.0], gammas)
-    assert len(trace) == 16
-    for (g, t), g_ref, t_ref in zip(trace, gammas, m.t_values[0]):
-        assert g == g_ref and t == t_ref
+    cases = (
+        (LatticeSpec(n_cells=6, topology=TWISTED), np.linspace(0.0, 1.5, 16)),
+        (LatticeSpec(n_cells=100, topology=OPEN), np.array([0.0, 0.3])),
+    )
+    for spec, gammas in cases:
+        trace = zero_energy_trace(spec, leads, gammas)
+        m = transmission_map(spec, leads, [0.0], gammas)
+        assert len(trace) == gammas.size
+        for (g, t), g_ref, t_ref in zip(trace, gammas, m.t_values[0]):
+            assert g == g_ref and t == t_ref
+    dense = solve_scattering(assemble_scattering_system(spec, leads, 0.0), method="dense")
+    assert trace[0][1] == dense.transmission_prob
+    assert trace[0][1] == pytest.approx(0.390243902, abs=1e-9)
 
 
 def test_find_trace_peaks_rules():
