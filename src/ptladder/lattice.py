@@ -10,7 +10,10 @@ ladder, and an open ladder with one crossed bond pair in the middle.
 
 All Hamiltonians produced here are complex symmetric (``M == M.T``
 exactly) and, for ``delta == 0``, PT-symmetric with parity acting as the
-leg swap in every cell and time reversal as complex conjugation.
+leg swap in every cell and time reversal as complex conjugation.  For
+every topology and any gamma and delta they also commute with the cell
+mirror ``n -> N+1-n``, which ``sector_blocks`` uses to split H into two
+diagonal blocks of about half the size.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "build_bloch_hamiltonian",
     "bloch_eigenvalues",
     "build_real_space_hamiltonian",
+    "sector_blocks",
     "analytic_cll_spectrum",
     "analytic_mll_spectrum",
 ]
@@ -202,6 +206,51 @@ def build_real_space_hamiltonian(spec: LatticeSpec) -> np.ndarray:
         ham[0:2, 2 * (n - 1) : 2 * n] += closing.T
 
     return ham
+
+
+def _mirror_sites(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Site indices of the left cells, their mirror partners and the middle cell.
+
+    Left cells are 1..floor(N/2) (1-based) and the partner of cell n is
+    N+1-n, so ``right[i]`` is the mirror image of site ``left[i]`` on the
+    same leg.  ``middle`` holds the two sites of the self-mirrored centre
+    cell of an odd N and is empty for even N.
+    """
+    half = n_cells // 2
+    left = np.arange(2 * half)
+    right = 2 * (n_cells - 1 - left // 2) + left % 2
+    middle = np.arange(2 * half, 2 * (n_cells - half))
+    return left, right, middle
+
+
+def _split_mirror_sectors(ham: np.ndarray, n_cells: int) -> tuple[np.ndarray, ...]:
+    left, right, middle = _mirror_sites(n_cells)
+    ll = ham[np.ix_(left, left)]
+    lr = ham[np.ix_(left, right)]
+    even = ll + lr
+    odd = ll - lr
+    if middle.size:
+        # <(n + n')/sqrt2| H |m> = sqrt2 H_nm, because H_n'm = H_nm
+        lm = math.sqrt(2.0) * ham[np.ix_(left, middle)]
+        even = np.block([[even, lm], [lm.T, ham[np.ix_(middle, middle)]]])
+    return tuple(block for block in (even, odd) if block.size)
+
+
+def sector_blocks(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
+    """Diagonal blocks of H in the basis of cell-mirror eigenstates.
+
+    The mirror ``n -> N+1-n`` (each site keeps its leg) commutes with H
+    for all four topologies at any gamma and delta, so H is block
+    diagonal in the basis ``(|n> +- |N+1-n>)/sqrt2``.  With ``L`` the left
+    half of the cells and ``R`` their mirror partners, the mirror-even
+    block is ``H_LL + H_LR`` and the mirror-odd block ``H_LL - H_LR``.
+    For odd N (circular and open ladders) the centre cell is its own
+    image: it joins the even block, with its couplings to ``L`` scaled
+    by sqrt2.  Empty blocks are dropped, so the open N = 1 ladder gives
+    one block.  Both blocks stay complex symmetric, and the eigenvalues
+    of the blocks together are those of H.
+    """
+    return _split_mirror_sectors(build_real_space_hamiltonian(spec), spec.n_cells)
 
 
 def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:

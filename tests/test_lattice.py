@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ptladder import (
     BoundaryTopology,
@@ -15,6 +16,7 @@ from ptladder import (
     bloch_eigenvalues,
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
+    sector_blocks,
     unit_cell_blocks,
 )
 
@@ -245,3 +247,71 @@ def test_with_gamma_only_changes_gamma(gamma):
     other = spec.with_gamma(gamma)
     assert other.gamma == gamma
     assert (other.n_cells, other.delta, other.topology) == (6, 0.4, spec.topology)
+
+
+SECTOR_CASES = (
+    [(BoundaryTopology.OPEN, n) for n in (1, 3, 20, 21)]
+    + [(BoundaryTopology.CIRCULAR, n) for n in (2, 3, 20, 21)]
+    + [(topo, n) for topo in (BoundaryTopology.MOEBIUS, BoundaryTopology.TWISTED_OPEN) for n in (2, 4, 20)]
+)
+
+
+def mirror_permutation(n_cells):
+    """Site index of the mirror image n -> N+1-n of every site, leg kept."""
+    sites = np.arange(2 * n_cells)
+    return 2 * (n_cells - 1 - sites // 2) + sites % 2
+
+
+def mirror_basis(n_cells):
+    """Orthogonal columns (|n> + |N+1-n>)/sqrt2 (and the centre cell), then
+    (|n> - |N+1-n>)/sqrt2, ordered like the rows of sector_blocks."""
+    even, odd = [], []
+    for site in range(2 * (n_cells // 2)):
+        image = mirror_permutation(n_cells)[site]
+        plus, minus = np.zeros(2 * n_cells), np.zeros(2 * n_cells)
+        plus[site] = plus[image] = 1 / SQRT2
+        minus[site], minus[image] = 1 / SQRT2, -1 / SQRT2
+        even.append(plus)
+        odd.append(minus)
+    if n_cells % 2:
+        for site in (n_cells - 1, n_cells):
+            even.append(np.eye(2 * n_cells)[site])
+    return np.array(even + odd).T
+
+
+@pytest.mark.parametrize("topology, n", SECTOR_CASES)
+@pytest.mark.parametrize("gamma", [0.0, 0.45, 1.3, 3.1])
+def test_sector_blocks_reproduce_the_dense_spectrum(topology, n, gamma):
+    spec = LatticeSpec(n_cells=n, delta=0.3, gamma=gamma, topology=topology)
+    h = build_real_space_hamiltonian(spec)
+    perm = mirror_permutation(n)
+    np.testing.assert_array_equal(h[np.ix_(perm, perm)], h)
+
+    blocks = sector_blocks(spec)
+    assert sum(b.shape[0] for b in blocks) == 2 * n
+    assert len(blocks) == (1 if n == 1 else 2)
+    for b in blocks:
+        np.testing.assert_array_equal(b, b.T)
+
+    u = mirror_basis(n)
+    rotated = u.T @ h @ u
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        np.testing.assert_allclose(rotated[start:stop, start:stop], b, rtol=0, atol=1e-14)
+        assert np.abs(rotated[start:stop, stop:]).max(initial=0.0) < 1e-14
+        start = stop
+
+    got = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    want = np.linalg.eigvals(h)
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() < 1e-12 * np.linalg.norm(h)
+
+
+def test_two_cell_ring_sectors_carry_the_doubled_bond():
+    spec = LatticeSpec(n_cells=2, inter_hop=0.7, gamma=0.4)
+    even, odd = sector_blocks(spec)
+    h0 = unit_cell_blocks(spec).h0
+    np.testing.assert_array_equal(even, h0 - 1.4 * np.eye(2))
+    np.testing.assert_array_equal(odd, h0 + 1.4 * np.eye(2))

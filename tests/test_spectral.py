@@ -23,6 +23,7 @@ from ptladder import (
     eigendecompose,
     locate_exceptional_points,
     locate_zero_energy_eps,
+    sector_blocks,
     sweep_matrix_family,
     sweep_spectrum,
 )
@@ -91,16 +92,53 @@ def test_sweep_branches_are_permutations_of_fresh_spectra():
     sweep = sweep_spectrum(spec, grid)
     assert sweep.n_branches == 12
     for j, g in enumerate(grid):
-        fresh = eigendecompose(build_real_space_hamiltonian(spec.with_gamma(g))).eigenvalues
+        blocks = sector_blocks(spec.with_gamma(g))
+        fresh = np.sort_complex(np.concatenate([eigendecompose(b).eigenvalues for b in blocks]))
         np.testing.assert_array_equal(np.sort_complex(sweep.branches[:, j]), fresh)
+        if abs(g - 2.0) > 1e-9:  # the collective EP scatters eigenvalues by sqrt(eps)
+            ham = build_real_space_hamiltonian(spec.with_gamma(g))
+            dense = np.linalg.eigvals(ham)
+            assert pairing_distance(sweep.branches[:, j], dense) < 1e-12 * np.linalg.norm(ham)
 
 
 @pytest.mark.parametrize("topology", list(BoundaryTopology))
 def test_family_matches_fresh_builds(topology):
-    spec = LatticeSpec(n_cells=6, delta=0.3, gamma=0.8, topology=topology)
-    build = _family_for(spec, None)
-    for g in (-1.7, -0.25, 0.0, 0.4, 2.3):
-        np.testing.assert_array_equal(build(g), build_real_space_hamiltonian(spec.with_gamma(g)))
+    # odd N puts a centre cell in the even block; delta = 0 puts -0.0 in
+    # the lower on-site value, and comparing bytes checks signed zeros too
+    sizes = (1, 2, 5, 6) if topology is BoundaryTopology.OPEN else (2, 3, 6)
+    for n_cells in sizes:
+        if n_cells % 2 and topology in (BoundaryTopology.MOEBIUS, BoundaryTopology.TWISTED_OPEN):
+            continue
+        for delta in (0.0, 0.3):
+            spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
+            blocks, matrix = _family_for(spec, None)
+            for g in (-1.7, -0.25, 0.0, 0.4, 2.3):
+                fresh = sector_blocks(spec.with_gamma(g))
+                got = blocks(g)
+                assert isinstance(got, tuple) and len(got) == len(fresh)
+                assert [b.tobytes() for b in got] == [b.tobytes() for b in fresh]
+                want = build_real_space_hamiltonian(spec.with_gamma(g))
+                assert matrix(g).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_cells, topology, gamma_range, steps",
+    [
+        (20, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400),
+        (20, BoundaryTopology.MOEBIUS, (0.02, 0.8), 250),
+        (40, BoundaryTopology.MOEBIUS, (0.01, 0.45), 250),
+    ],
+)
+def test_sector_ep_search_matches_the_dense_callable(n_cells, topology, gamma_range, steps):
+    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+    dense = lambda g: build_real_space_hamiltonian(spec.with_gamma(g))
+    bracket_tol = 1e-10
+    sectors = locate_exceptional_points(spec, gamma_range, steps, bracket_tol=bracket_tol)
+    reference = locate_exceptional_points(dense, gamma_range, steps, bracket_tol=bracket_tol)
+    assert len(sectors) == len(reference) > 0
+    assert [p.kind for p in sectors] == [p.kind for p in reference]
+    for got, want in zip(sectors, reference):
+        assert abs(got.gamma_star - want.gamma_star) <= bracket_tol
 
 
 def test_sweep_continuity_residual_is_bounded_by_ep_kink():
