@@ -9,11 +9,14 @@ circular ring, a Moebius ring (the closing bond pair is crossed), an open
 ladder, and an open ladder with one crossed bond pair in the middle.
 
 All Hamiltonians produced here are complex symmetric (``M == M.T``
-exactly) and, for ``delta == 0``, PT-symmetric with parity acting as the
-leg swap in every cell and time reversal as complex conjugation.  For
-every topology and any gamma and delta they also commute with the cell
-mirror ``n -> N+1-n``, which ``sector_blocks`` uses to split H into two
-diagonal blocks of about half the size.
+exactly).  At ``delta == 0``, and only there, they are also PT-symmetric,
+``conj(H) = P H P``, with parity P the leg swap in every cell and time
+reversal complex conjugation.  A detuning breaks this: ``conj(H)``
+keeps ``+delta/2`` on the upper leg, while ``P H P`` moves it to the
+lower one.  For every topology and any gamma and delta H commutes with
+the cell mirror ``n -> N+1-n``, which ``sector_blocks`` uses to split H
+into two diagonal blocks of about half the size, and at ``delta == 0``
+it writes them in a basis where they are real.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ class UnitCellBlocks:
 
     ``h0`` is the on-cell block, ``h1`` the parallel inter-cell block and
     ``h1_twist`` the crossed inter-cell block used at Moebius closures and
-    at the twisted bond.  All three are complex symmetric.
+    at the twisted bond.  All three are complex symmetric in the site
+    basis; rotated to the real basis of ``sector_blocks`` they are real.
     """
 
     h0: np.ndarray
@@ -181,9 +185,14 @@ def build_real_space_hamiltonian(spec: LatticeSpec) -> np.ndarray:
     inter-cell bond (the neighbour on the left is also the neighbour on
     the right).
     """
-    blocks = unit_cell_blocks(spec)
+    return _assemble(spec, unit_cell_blocks(spec))
+
+
+def _assemble(spec: LatticeSpec, blocks: UnitCellBlocks) -> np.ndarray:
+    # A lower bond block is the transpose of its upper one: H is symmetric
+    # in the site basis, and in the real basis the bond blocks are diagonal.
     n = spec.n_cells
-    ham = np.zeros((2 * n, 2 * n), dtype=complex)
+    ham = np.zeros((2 * n, 2 * n), dtype=blocks.h0.dtype)
 
     for c in range(n):
         ham[2 * c : 2 * c + 2, 2 * c : 2 * c + 2] = blocks.h0
@@ -232,8 +241,33 @@ def _split_mirror_sectors(ham: np.ndarray, n_cells: int) -> tuple[np.ndarray, ..
     if middle.size:
         # <(n + n')/sqrt2| H |m> = sqrt2 H_nm, because H_n'm = H_nm
         lm = math.sqrt(2.0) * ham[np.ix_(left, middle)]
-        even = np.block([[even, lm], [lm.T, ham[np.ix_(middle, middle)]]])
+        ml = math.sqrt(2.0) * ham[np.ix_(middle, left)]
+        even = np.block([[even, lm], [ml, ham[np.ix_(middle, middle)]]])
     return tuple(block for block in (even, odd) if block.size)
+
+
+def _sector_cells(spec: LatticeSpec) -> UnitCellBlocks:
+    """Cell blocks in the basis that ``sector_blocks`` writes.
+
+    At delta = 0 every cell is rotated by ``V = [[1, i], [1, -i]]/sqrt2``.
+    Since ``P conj(V) = V`` for the leg swap P and ``conj(H) = P H P``,
+    ``V^dagger h V`` is real: h0 becomes ``[[-d, -gamma/2], [gamma/2, d]]``,
+    h1 stays ``-t I`` and h1_twist becomes ``-t diag(1, -1)``.  Otherwise
+    the site-basis blocks are returned.
+    """
+    if spec.delta != 0:
+        return unit_cell_blocks(spec)
+    d, t, half = spec.intra_hop, spec.inter_hop, 0.5 * spec.gamma
+    return UnitCellBlocks(
+        h0=np.array([[-d, -half], [half, d]], dtype=float),
+        h1=np.array([[-t, 0.0], [0.0, -t]], dtype=float),
+        h1_twist=np.array([[-t, 0.0], [0.0, t]], dtype=float),
+    )
+
+
+def _sector_matrix(spec: LatticeSpec) -> np.ndarray:
+    """H in the cell basis of ``_sector_cells``, before the mirror split."""
+    return _assemble(spec, _sector_cells(spec))
 
 
 def sector_blocks(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
@@ -247,10 +281,17 @@ def sector_blocks(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
     For odd N (circular and open ladders) the centre cell is its own
     image: it joins the even block, with its couplings to ``L`` scaled
     by sqrt2.  Empty blocks are dropped, so the open N = 1 ladder gives
-    one block.  Both blocks stay complex symmetric, and the eigenvalues
-    of the blocks together are those of H.
+    one block.  The eigenvalues of the blocks together are those of H.
+
+    At delta = 0 each cell of that basis is further rotated by the
+    unitary ``V = [[1, i], [1, -i]]/sqrt2``, which acts inside a cell and
+    so commutes with the mirror.  H is PT-symmetric there, and the
+    blocks in the mirror x V basis are real float64 matrices (no longer
+    symmetric; gamma sits on the in-cell off-diagonals ``-+gamma/2``).
+    For delta != 0 the blocks are complex symmetric, in the mirror basis
+    of the sites.
     """
-    return _split_mirror_sectors(build_real_space_hamiltonian(spec), spec.n_cells)
+    return _split_mirror_sectors(_sector_matrix(spec), spec.n_cells)
 
 
 def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:

@@ -20,9 +20,15 @@ For a :class:`LatticeSpec` every eigenvalue solve runs on the two
 cell-mirror sector blocks of H (``lattice.sector_blocks``) rather than on
 the full 2N x 2N matrix: the mirror commutes with H for all four
 topologies, so the merged, sorted block eigenvalues are the spectrum of
-H.  The two N x N solves take 2 to 3.3 times less time than one
-2N x 2N solve (Moebius N = 20 to 160, one core).
-Eigenvectors and determinants still come from the full H, so the
+H.  At delta = 0, where H is PT-symmetric, the blocks come in a basis
+that makes them real, so LAPACK runs real dgeev on them.  A real
+eigenvalue then has an imaginary part of exactly 0.0, and away from EPs
+the broken count does not depend on ``im_tol``.  Measured on one core
+(Moebius and circular N = 20 to 160, best of 7): the two complex N x N
+solves take 1.4 to 3.7 times less time than one 2N x 2N solve, and the
+two real ones another 2.1 to 3.5 times less.  A detuned spec (delta != 0)
+keeps complex blocks, and a callable family is solved as given.
+Eigenvectors and determinants still come from the full complex H, so the
 ``branch_pair`` indices and the self-orthogonality of an EP refer to it.
 """
 
@@ -40,8 +46,9 @@ from scipy.optimize import linear_sum_assignment
 from .lattice import (
     LatticeSpec,
     _mirror_sites,
+    _sector_cells,
+    _sector_matrix,
     _split_mirror_sectors,
-    build_bloch_hamiltonian,
     build_real_space_hamiltonian,
 )
 
@@ -89,11 +96,16 @@ class Spectrum:
 def eigendecompose(matrix: np.ndarray, want_vectors: bool = False, gamma: float = 0.0) -> Spectrum:
     """Dense non-Hermitian eigendecomposition with a residual guarantee.
 
-    Delegates to LAPACK's shifted-QR solver (zgeev via numpy).  When
-    vectors are requested the residual ``||H v - lam v||`` of every pair
-    is checked against ``1e-8 * ||H||``.
+    Delegates to LAPACK's shifted-QR solver via numpy: dgeev for a
+    float64 matrix, zgeev for anything else (cast to complex128).  The
+    eigenvalues are complex128 either way; from dgeev a real eigenvalue
+    has an imaginary part of exactly 0.0 and a complex one comes with
+    its exact conjugate.  When vectors are requested the residual
+    ``||H v - lam v||`` of every pair is checked against ``1e-8 * ||H||``.
     """
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix)
+    if matrix.dtype != np.float64:
+        matrix = matrix.astype(complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     n = matrix.shape[0]
@@ -110,9 +122,9 @@ def eigendecompose(matrix: np.ndarray, want_vectors: bool = False, gamma: float 
         ) from exc
 
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
+    values = values[order].astype(complex)
     if vectors is not None:
-        vectors = vectors[:, order]
+        vectors = vectors[:, order].astype(complex)
         scale = np.linalg.norm(matrix)
         residual = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
         worst = float(residual.max()) if n else 0.0
@@ -244,38 +256,42 @@ def _grid_eigvals(build, grid: np.ndarray, workers: int) -> list[np.ndarray]:
         return list(pool.map(_eigvals_sorted, mats, chunksize=max(1, grid.size // (4 * workers))))
 
 
-def _family_for(spec: LatticeSpec, k: float | None) -> tuple[Callable, Callable[[float], np.ndarray]]:
+def _family_for(spec: LatticeSpec) -> tuple[Callable, Callable[[float], np.ndarray]]:
     """Builders of the eigenvalue problem and of the full matrix at gamma.
 
     The first returns the mirror-sector blocks of H (``sector_blocks``),
-    whose eigenvalues together are those of H; the second returns H
-    itself, for eigenvectors and determinants.  With ``k`` given both
-    build the 2x2 Bloch block.
+    whose eigenvalues together are those of H: real blocks at delta = 0,
+    complex ones otherwise.  The second returns H itself, for
+    eigenvectors and determinants.
     """
-    if k is not None:
-        bloch = lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)
-        return bloch, bloch
-    # gamma enters the on-site diagonal only, so H and its blocks are built
-    # once and each call writes the on-site values of spec at g: the same
-    # complex scalars the builder writes, plus or minus the mirror partner's
-    # coupling on the left-cell diagonal, exactly as sector_blocks adds them.
-    # Results are bit-identical to fresh builds.
+    # gamma enters the on-cell block h0 only, so H and its blocks are built
+    # once and each call writes h0 of spec at g into every cell: on the
+    # diagonal of H, and into the blocks combined with the mirror partner's
+    # coupling for left cells, exactly as sector_blocks combines them (the
+    # centre cell of an odd N takes h0 as is).  Results are bit-identical
+    # to fresh builds.
     base = build_real_space_hamiltonian(spec)
-    base_blocks = _split_mirror_sectors(base, spec.n_cells)
+    rotated = _sector_matrix(spec)
+    base_blocks = _split_mirror_sectors(rotated, spec.n_cells)
     left, right, _ = _mirror_sites(spec.n_cells)
-    coupling = base[left, right]
+    half = left.size // 2
+    # entry (r, q) of block cell c sits at (2c + r, 2c + q); cell `half` is
+    # the centre cell, present in the even block of an odd N only
+    row, col = np.divmod(np.arange(4), 2)  # h0.ravel() order
+    start = 2 * np.arange(half + 1)[:, None]
+    rows, cols = start + row, start + col
+    coupling = rotated[left[rows[:half]], right[cols[:half]]]
+    flats = [(rows * b.shape[0] + cols)[: b.shape[0] // 2] for b in base_blocks]
     n = base.shape[0]
 
     def blocks(g: float) -> tuple[np.ndarray, ...]:
-        at_g = spec.with_gamma(g)
+        h0 = _sector_cells(spec.with_gamma(g)).h0.ravel()
         out = []
-        for block, combine in zip(base_blocks, (np.add, np.subtract)):
-            diag = np.empty(block.shape[0], dtype=complex)
-            diag[0::2] = at_g.onsite_upper
-            diag[1::2] = at_g.onsite_lower
-            combine(diag[: left.size], coupling, out=diag[: left.size])
+        for block, flat, combine in zip(base_blocks, flats, (np.add, np.subtract)):
             block = block.copy()
-            np.fill_diagonal(block, diag)
+            block.flat[flat[:half]] = combine(h0, coupling)
+            if flat.shape[0] > half:
+                block.flat[flat[half]] = h0
             out.append(block)
         return tuple(out)
 
@@ -293,18 +309,19 @@ def sweep_spectrum(
     spec: LatticeSpec,
     gamma_grid: Sequence[float],
     *,
-    k: float | None = None,
     matching_tol: float = 1e-9,
     workers: int = 1,
 ) -> SweepResult:
     """Eigenvalue branches of a lattice over a gamma grid.
 
-    Without ``k`` each grid point solves the two mirror-sector blocks of
-    the real-space Hamiltonian; with ``k`` given, the sweep runs on the
-    2x2 Bloch block at that momentum instead.
+    Each grid point solves the two mirror-sector blocks of the
+    real-space Hamiltonian (real blocks at delta = 0).  For the Bloch
+    block at one momentum, sweep the callable
+    ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)`` with
+    ``sweep_matrix_family``.
     """
     return sweep_matrix_family(
-        _family_for(spec, k)[0], gamma_grid, matching_tol=matching_tol, workers=workers
+        _family_for(spec)[0], gamma_grid, matching_tol=matching_tol, workers=workers
     )
 
 
@@ -397,7 +414,6 @@ def locate_exceptional_points(
     coarse_steps: int = 400,
     ep_tol: float = 1e-8,
     *,
-    k: float | None = None,
     im_tol: float = 1e-9,
     bracket_tol: float = 1e-10,
     return_diagnostics: bool = False,
@@ -405,9 +421,10 @@ def locate_exceptional_points(
     """Locate exceptional points of a lattice over a gamma range.
 
     ``spec`` may also be a callable mapping gamma to a matrix, for
-    families that are not lattice Hamiltonians.  For a spec, eigenvalues
-    come from its mirror-sector blocks and the EP eigenvectors from the
-    full H.
+    families that are not lattice Hamiltonians (such as the Bloch block
+    ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)``).  For a
+    spec, eigenvalues come from its mirror-sector blocks and the EP
+    eigenvectors from the full H.
 
     Scans ``coarse_steps`` intervals for changes of the broken-eigenvalue
     count, then bisects every bracketing interval until the pair gap
@@ -416,6 +433,10 @@ def locate_exceptional_points(
     bisection as long as they are further than ``bracket_tol`` apart;
     transitions whose broken window lies strictly between two grid points
     are invisible at the chosen resolution.
+
+    A grid or bisection point that lands exactly on an EP splits that
+    transition into two brackets meeting there; they are joined into one
+    bracket around that point (up to ``2 * bracket_tol`` wide).
 
     Returns a list of :class:`ExceptionalPoint` sorted by gamma (several
     entries may share one gamma when a cluster of pairs coalesces
@@ -428,7 +449,7 @@ def locate_exceptional_points(
     if coarse_steps < 1:
         raise ValueError("coarse_steps must be positive")
 
-    blocks, matrix = (spec, spec) if callable(spec) else _family_for(spec, k)
+    blocks, matrix = (spec, spec) if callable(spec) else _family_for(spec)
     grid = np.linspace(lo, hi, coarse_steps + 1)
     values = [_eigvals_sorted(blocks(g)) for g in grid]
     counts = [_broken_count(v, im_tol) for v in values]
@@ -458,7 +479,7 @@ def locate_exceptional_points(
             work.append((m, cm, vm, b, cb, vb))
 
     points = []
-    for transition in transitions:
+    for transition in _join_touching(transitions):
         points.extend(_resolve_transition(matrix, *transition, im_tol))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
 
@@ -467,6 +488,26 @@ def locate_exceptional_points(
 
     diagnostics = _near_degeneracies(blocks, grid, values, counts, ep_tol)
     return points, diagnostics
+
+
+def _join_touching(transitions: list[tuple]) -> list[tuple]:
+    """Join refined brackets that share an end point and change the count
+    in the same direction.
+
+    A grid or bisection point that lands exactly on an EP gets a count
+    set by rounding: a real solve returns each defective pair there as a
+    real pair or as a conjugate pair, split by about sqrt(eps).  One
+    transition is then refined into two brackets that meet at that point.
+    """
+    joined: list[tuple] = []
+    for t in sorted(transitions, key=lambda t: t[0]):
+        if joined:
+            a, ca, va, b, cb, _ = joined[-1]
+            if b == t[0] and (cb - ca) * (t[4] - t[1]) > 0:
+                joined[-1] = (a, ca, va) + t[3:]
+                continue
+        joined.append(t)
+    return joined
 
 
 def _flipped_pair_gap(vals_a: np.ndarray, vals_b: np.ndarray, im_tol: float) -> float:
@@ -647,17 +688,17 @@ def locate_zero_energy_eps(
 
     For a spec, the eigenvalues behind both filters come from the
     mirror-sector blocks, while the det H scan, its bisection and the
-    eigenvectors of each point use the full H.  det H is the product of
-    the sector determinants, but on the twisted N = 20 ladder a grid
-    point measured 34 us with the blocks (writing both block diagonals
-    costs more than writing one) against 30 us with the dense matrix.
+    eigenvectors of each point use the full complex H.  det H is the
+    product of the sector determinants, but on the twisted N = 20 ladder
+    the two real blocks measured no faster per grid point than the dense
+    matrix (39 to 52 us either way, one core), so the scan keeps H.
     """
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
         raise ValueError(f"empty gamma range ({lo}, {hi})")
     if scan_steps < 2:
         raise ValueError("scan_steps must be at least 2")
-    blocks, matrix = (spec, spec) if callable(spec) else _family_for(spec, None)
+    blocks, matrix = (spec, spec) if callable(spec) else _family_for(spec)
 
     grid = np.linspace(lo, hi, scan_steps + 1)
     signs = [_det_sign(matrix(g)) for g in grid]

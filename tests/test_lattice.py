@@ -309,9 +309,54 @@ def test_sector_blocks_reproduce_the_dense_spectrum(topology, n, gamma):
     assert cost[rows, cols].max() < 1e-12 * np.linalg.norm(h)
 
 
-def test_two_cell_ring_sectors_carry_the_doubled_bond():
-    spec = LatticeSpec(n_cells=2, inter_hop=0.7, gamma=0.4)
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_two_cell_ring_sectors_carry_the_doubled_bond(delta):
+    spec = LatticeSpec(n_cells=2, inter_hop=0.7, delta=delta, gamma=0.4)
     even, odd = sector_blocks(spec)
-    h0 = unit_cell_blocks(spec).h0
+    # at delta = 0 the cell sits in the real basis, h0 = [[-d, -gamma/2], [gamma/2, d]]
+    h0 = np.array([[-1.0, -0.2], [0.2, 1.0]]) if delta == 0 else unit_cell_blocks(spec).h0
     np.testing.assert_array_equal(even, h0 - 1.4 * np.eye(2))
     np.testing.assert_array_equal(odd, h0 + 1.4 * np.eye(2))
+
+
+def real_basis(n_cells):
+    """Unitary columns: the mirror basis with every cell rotated by
+    V = [[1, i], [1, -i]]/sqrt2, ordered like the rows of sector_blocks."""
+    v = np.array([[1, 1j], [1, -1j]]) / SQRT2
+    return np.kron(np.eye(n_cells), v) @ mirror_basis(n_cells)
+
+
+@pytest.mark.parametrize("topology, n", SECTOR_CASES)
+@pytest.mark.parametrize("gamma", [0.0, 0.7, 2.0, 2.5])
+def test_sector_blocks_are_real_at_zero_detuning(topology, n, gamma):
+    # gamma = 2.0 is 2d, the collective EP of the open and circular ladders;
+    # 2.5 lies in their broken phase
+    spec = LatticeSpec(n_cells=n, gamma=gamma, topology=topology)
+    h = build_real_space_hamiltonian(spec)
+    blocks = sector_blocks(spec)
+    assert all(b.dtype == np.float64 for b in blocks)
+    assert sum(b.shape[0] for b in blocks) == 2 * n
+
+    w = real_basis(n)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(2 * n), rtol=0, atol=1e-14)
+    rotated = w.conj().T @ h @ w
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        np.testing.assert_allclose(rotated[start:stop, start:stop], b, rtol=0, atol=1e-14)
+        assert np.abs(rotated[start:stop, stop:]).max(initial=0.0) < 1e-14
+        assert np.abs(rotated[stop:, start:stop]).max(initial=0.0) < 1e-14
+        start = stop
+
+    # at gamma = 2d every cell block h0 of the open and circular ladders is
+    # a Jordan block, H is defective, and any solve scatters its
+    # eigenvalues by about sqrt(eps)
+    defective = gamma == 2.0 and topology in (BoundaryTopology.OPEN, BoundaryTopology.CIRCULAR)
+    got = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    want = np.linalg.eigvals(h)
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() < (1e-7 if defective else 1e-12) * np.linalg.norm(h)
+
+    detuned = sector_blocks(LatticeSpec(n_cells=n, delta=0.3, gamma=gamma, topology=topology))
+    assert all(b.dtype == np.complex128 for b in detuned)

@@ -18,6 +18,7 @@ from ptladder import (
     Phase,
     bloch_eigenvalues,
     broken_windows,
+    build_bloch_hamiltonian,
     build_real_space_hamiltonian,
     classify_pt_phase,
     eigendecompose,
@@ -86,6 +87,32 @@ def test_eigendecompose_rejects_nonsquare():
         eigendecompose(np.zeros((3, 4)))
 
 
+def test_eigendecompose_of_a_real_matrix_is_complex_and_exact():
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(25, 25))
+    spec = eigendecompose(h, want_vectors=True)
+    vals = spec.eigenvalues
+    assert vals.dtype == np.complex128 and spec.right_eigenvectors.dtype == np.complex128
+    np.testing.assert_array_equal(vals, vals[np.lexsort((vals.imag, vals.real))])
+    real = np.abs(vals.imag) < 1e-9
+    assert real.any() and (~real).any()
+    assert np.all(vals.imag[real] == 0.0)
+    # the sort puts each conjugate pair next to each other, negative part first
+    upper = vals[~real][1::2]
+    np.testing.assert_array_equal(vals[~real][0::2], np.conj(upper))
+    assert np.all(upper.imag > 0)
+    assert pairing_distance(vals, np.linalg.eigvals(h.astype(complex))) < 1e-12 * np.linalg.norm(h)
+
+
+def test_broken_count_does_not_depend_on_im_tol():
+    # real blocks give real eigenvalues an imaginary part of exactly 0.0
+    spec = LatticeSpec(n_cells=20, topology=BoundaryTopology.MOEBIUS)
+    default = locate_exceptional_points(spec, (0.02, 0.8), 120)
+    exact = locate_exceptional_points(spec, (0.02, 0.8), 120, im_tol=0.0)
+    assert len(default) > 0
+    assert exact == default
+
+
 def test_sweep_branches_are_permutations_of_fresh_spectra():
     spec = LatticeSpec(n_cells=6)
     grid = np.linspace(0.0, 3.0, 61)
@@ -111,7 +138,7 @@ def test_family_matches_fresh_builds(topology):
             continue
         for delta in (0.0, 0.3):
             spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
-            blocks, matrix = _family_for(spec, None)
+            blocks, matrix = _family_for(spec)
             for g in (-1.7, -0.25, 0.0, 0.4, 2.3):
                 fresh = sector_blocks(spec.with_gamma(g))
                 got = blocks(g)
@@ -182,7 +209,7 @@ def test_sweep_flags_genuine_fork_not_persistent_degeneracy():
 def test_bloch_sweep_tracks_two_branches():
     spec = LatticeSpec(n_cells=4)
     grid = np.linspace(0.0, 1.5, 16)
-    sweep = sweep_spectrum(spec, grid, k=0.9)
+    sweep = sweep_matrix_family(lambda g: build_bloch_hamiltonian(spec.with_gamma(g), 0.9), grid)
     assert sweep.n_branches == 2
     plus, minus = bloch_eigenvalues(spec.with_gamma(1.5), 0.9)
     assert pairing_distance(sweep.branches[:, -1], [plus, minus]) < 1e-12
@@ -240,7 +267,8 @@ def test_collective_ep_location_on_ring():
 
 def test_bloch_ep_at_band_center_momentum():
     spec = LatticeSpec(n_cells=4)
-    points = locate_exceptional_points(spec, (1.5, 2.5), coarse_steps=20, k=math.pi / 2)
+    bloch = lambda g: build_bloch_hamiltonian(spec.with_gamma(g), math.pi / 2)
+    points = locate_exceptional_points(bloch, (1.5, 2.5), coarse_steps=20)
     assert len(points) == 1
     assert abs(points[0].gamma_star - 2.0) < 1e-9
     assert abs(points[0].energy_star) < 1e-4
