@@ -32,17 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lattice import (
-    BoundaryTopology,
-    LatticeSpec,
-    build_real_space_hamiltonian,
-)
+from .lattice import BoundaryTopology, LatticeSpec
 from .rotation import SingularAngleError, complex_rotation_angle, mode_weights
 from .spectral import (
     EigensolverError,
-    eigendecompose,
     locate_exceptional_points,
     sweep_spectrum,
+    _eigenpairs,
+    _family_for,
     _match_step,
 )
 from .transport import (
@@ -529,11 +526,12 @@ def _sweep_rows(config: ExperimentConfig):
     columns = ["gamma", "branch", "re_e", "im_e"]
     if config.with_weights:
         columns += ["alpha_sq", "alpha_theta_sq"]
+    family = _family_for(spec) if config.with_weights else None
     rows = []
     for j, g in enumerate(grid):
         weights = None
         if config.with_weights:
-            weights = _weights_for_point(spec, float(g), sweep.branches[:, j])
+            weights = _weights_for_point(spec, family, float(g), sweep.branches[:, j])
         for b in range(sweep.n_branches):
             val = sweep.branches[b, j]
             row = [float(g), b, val.real, val.imag]
@@ -547,9 +545,9 @@ def _sweep_rows(config: ExperimentConfig):
     return columns, rows, summary, 0
 
 
-def _weights_for_point(spec, gamma: float, branch_values: np.ndarray):
+def _weights_for_point(spec, family, gamma: float, branch_values: np.ndarray):
     spec_g = spec.with_gamma(gamma)
-    spectrum = eigendecompose(build_real_space_hamiltonian(spec_g), want_vectors=True, gamma=gamma)
+    spectrum = _eigenpairs(*family, gamma)
     perm, _, _ = _match_step(branch_values, spectrum.eigenvalues, 0.0)
     try:
         angle = complex_rotation_angle(spec.intra_hop, spec.delta, gamma)

@@ -16,7 +16,8 @@ keeps ``+delta/2`` on the upper leg, while ``P H P`` moves it to the
 lower one.  For every topology and any gamma and delta H commutes with
 the cell mirror ``n -> N+1-n``, which ``sector_blocks`` uses to split H
 into two diagonal blocks of about half the size, and at ``delta == 0``
-it writes them in a basis where they are real.
+it writes them in a basis where they are real.  ``sector_bases`` gives
+the site-basis columns of that basis, to lift block eigenvectors to H.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "bloch_eigenvalues",
     "build_real_space_hamiltonian",
     "sector_blocks",
+    "sector_bases",
     "analytic_cll_spectrum",
     "analytic_mll_spectrum",
 ]
@@ -265,11 +267,6 @@ def _sector_cells(spec: LatticeSpec) -> UnitCellBlocks:
     )
 
 
-def _sector_matrix(spec: LatticeSpec) -> np.ndarray:
-    """H in the cell basis of ``_sector_cells``, before the mirror split."""
-    return _assemble(spec, _sector_cells(spec))
-
-
 def sector_blocks(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
     """Diagonal blocks of H in the basis of cell-mirror eigenstates.
 
@@ -291,7 +288,32 @@ def sector_blocks(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
     For delta != 0 the blocks are complex symmetric, in the mirror basis
     of the sites.
     """
-    return _split_mirror_sectors(_sector_matrix(spec), spec.n_cells)
+    return _split_mirror_sectors(_assemble(spec, _sector_cells(spec)), spec.n_cells)
+
+
+def sector_bases(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
+    """Site-basis columns ``W_b`` of each block of ``sector_blocks``.
+
+    ``sector_blocks(spec)[b]`` equals ``W_b^dagger H W_b``, and together
+    the columns form a unitary matrix, so ``W_b u`` is the eigenvector of
+    H for an eigenvector u of block b, with the same norm.  The columns
+    are the mirror combinations ``(|n> +- |N+1-n>)/sqrt2`` (and the
+    centre cell of an odd N), real for delta != 0; at delta = 0 every
+    cell is then rotated by ``V = [[1, i], [1, -i]]/sqrt2``.  Unlike the
+    blocks, the bases do not depend on gamma.
+    """
+    left, right, middle = _mirror_sites(spec.n_cells)
+    pairs = np.arange(left.size)
+    even = np.zeros((spec.n_sites, left.size + middle.size))
+    odd = np.zeros((spec.n_sites, left.size))
+    even[left, pairs] = even[right, pairs] = odd[left, pairs] = 1 / math.sqrt(2.0)
+    odd[right, pairs] = -1 / math.sqrt(2.0)
+    even[middle, left.size + np.arange(middle.size)] = 1.0
+    bases = (even, odd)
+    if spec.delta == 0:
+        v = np.array([[1, 1j], [1, -1j]]) / math.sqrt(2.0)
+        bases = tuple((v @ w.reshape(spec.n_cells, 2, -1)).reshape(w.shape) for w in bases)
+    return tuple(w for w in bases if w.size)
 
 
 def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:

@@ -3,9 +3,17 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from ptladder import BoundaryTopology, OutOfBandError
+from ptladder import (
+    BoundaryTopology,
+    LatticeSpec,
+    OutOfBandError,
+    build_real_space_hamiltonian,
+    complex_rotation_angle,
+    mode_weights,
+)
 from ptladder import cli
 from ptladder.cli import (
     ConfigError,
@@ -352,3 +360,33 @@ def test_presets_run_end_to_end(preset, tmp_path):
         assert len(trace.read_text().splitlines()) == 1 + 3
         manifest = json.loads((tmp_path / f"{preset}.manifest.json").read_text())
         assert [str(out), str(trace)] == manifest["outputs"]
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_weights_match_dense_eigenvectors(preset, tmp_path):
+    # gamma_max = 2.9 keeps the grid off the collective EP at gamma = 2d;
+    # degenerate levels have no unique eigenvector, so only rows whose
+    # eigenvalue is isolated by 1e-6 are compared
+    out = tmp_path / f"{preset}.csv"
+    overrides = ["n_cells=6", "gamma_max=2.9", "gamma_count=4"]
+    argv = [preset, "--out", str(out), "--workers", "1"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    topology = BoundaryTopology.from_name(PRESETS[preset]["topology"])
+    checked = 0
+    for gamma in np.unique(rows[:, 0]):
+        spec = LatticeSpec(n_cells=6, gamma=gamma, topology=topology)
+        values, vectors = np.linalg.eig(build_real_space_hamiltonian(spec))
+        angle = complex_rotation_angle(spec.intra_hop, spec.delta, gamma)
+        for row in rows[rows[:, 0] == gamma]:
+            dist = np.abs(values - complex(row[2], row[3]))
+            nearest = int(np.argmin(dist))
+            if np.partition(dist, 1)[1] < 1e-6:
+                continue
+            w = mode_weights(vectors[:, nearest], spec, angle)
+            assert abs(row[4] - w.alpha_sq) <= 1e-9
+            assert abs(row[5] - w.alpha_theta_sq) <= 1e-9
+            checked += 1
+    assert checked >= 8

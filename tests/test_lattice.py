@@ -16,6 +16,7 @@ from ptladder import (
     bloch_eigenvalues,
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
+    sector_bases,
     sector_blocks,
     unit_cell_blocks,
 )
@@ -360,3 +361,12 @@ def test_sector_blocks_are_real_at_zero_detuning(topology, n, gamma):
 
     detuned = sector_blocks(LatticeSpec(n_cells=n, delta=0.3, gamma=gamma, topology=topology))
     assert all(b.dtype == np.complex128 for b in detuned)
+
+    # sector_bases lifts block eigenvectors: the columns of w, split like
+    # the blocks, and for delta != 0 the real mirror basis
+    for delta, want in ((0.0, w), (0.3, mirror_basis(n))):
+        bases = sector_bases(LatticeSpec(n_cells=n, delta=delta, gamma=gamma, topology=topology))
+        assert [b.shape[1] for b in bases] == [b.shape[0] for b in blocks]
+        got = np.hstack(bases)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.conj().T @ got, np.eye(2 * n), rtol=0, atol=1e-15)

@@ -138,14 +138,12 @@ def test_family_matches_fresh_builds(topology):
             continue
         for delta in (0.0, 0.3):
             spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
-            blocks, matrix = _family_for(spec)
+            blocks, _ = _family_for(spec)
             for g in (-1.7, -0.25, 0.0, 0.4, 2.3):
                 fresh = sector_blocks(spec.with_gamma(g))
                 got = blocks(g)
                 assert isinstance(got, tuple) and len(got) == len(fresh)
                 assert [b.tobytes() for b in got] == [b.tobytes() for b in fresh]
-                want = build_real_space_hamiltonian(spec.with_gamma(g))
-                assert matrix(g).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -166,6 +164,22 @@ def test_sector_ep_search_matches_the_dense_callable(n_cells, topology, gamma_ra
     assert [p.kind for p in sectors] == [p.kind for p in reference]
     for got, want in zip(sectors, reference):
         assert abs(got.gamma_star - want.gamma_star) <= bracket_tol
+        # the ring's collective EP scatters its cluster by about sqrt(eps)
+        assert abs(got.energy_star - want.energy_star) <= 1e-5
+        assert abs(got.self_orthogonality - want.self_orthogonality) <= 1e-5
+
+
+@pytest.mark.parametrize("n_cells, steps", [(20, 200), (40, 400)])
+def test_sector_zero_energy_search_matches_the_dense_callable(n_cells, steps):
+    spec = LatticeSpec(n_cells=n_cells, topology=BoundaryTopology.TWISTED_OPEN)
+    dense = lambda g: build_real_space_hamiltonian(spec.with_gamma(g))
+    sectors = locate_zero_energy_eps(spec, (0.05, 1.95), steps)
+    reference = locate_zero_energy_eps(dense, (0.05, 1.95), steps)
+    assert len(sectors) == len(reference) > 0
+    assert [p.kind for p in sectors] == [p.kind for p in reference]
+    for got, want in zip(sectors, reference):
+        assert abs(got.gamma_star - want.gamma_star) <= 1e-12
+        assert abs(got.energy_star - want.energy_star) <= 1e-9
 
 
 def test_sweep_continuity_residual_is_bounded_by_ep_kink():
