@@ -27,20 +27,19 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .lattice import BoundaryTopology, LatticeSpec
-from .rotation import SingularAngleError, complex_rotation_angle, mode_weights
+from .rotation import SingularAngleError, complex_rotation_angle, rotation_matrix, _weight_columns
 from .spectral import (
     EigensolverError,
     locate_exceptional_points,
     sweep_spectrum,
-    _eigenpairs,
-    _family_for,
-    _match_step,
+    _weighted_sweep,
 )
 from .transport import (
     LeadSpec,
@@ -522,22 +521,22 @@ def _sweep_rows(config: ExperimentConfig):
     spec = config.lattice
     grid = config.gamma_grid.points()
     workers = config.resolved_workers()
-    sweep = sweep_spectrum(spec, grid, workers=workers)
     columns = ["gamma", "branch", "re_e", "im_e"]
+    weights = None
     if config.with_weights:
         columns += ["alpha_sq", "alpha_theta_sq"]
-    family = _family_for(spec) if config.with_weights else None
+        sweep, weights = _weighted_sweep(spec, grid, partial(_point_weights, spec), workers=workers)
+        weights = weights.tolist()
+    else:
+        sweep = sweep_spectrum(spec, grid, workers=workers)
     rows = []
     for j, g in enumerate(grid):
-        weights = None
-        if config.with_weights:
-            weights = _weights_for_point(spec, family, float(g), sweep.branches[:, j])
         for b in range(sweep.n_branches):
             val = sweep.branches[b, j]
-            row = [float(g), b, val.real, val.imag]
-            if config.with_weights:
-                row += list(weights[b])
-            rows.append(tuple(row))
+            row = (float(g), b, val.real, val.imag)
+            if weights is not None:
+                row += tuple(weights[b][j])
+            rows.append(row)
     summary = {
         "continuation_residual": sweep.continuation_residual,
         "ambiguous_steps": len(sweep.ambiguous_steps),
@@ -545,20 +544,14 @@ def _sweep_rows(config: ExperimentConfig):
     return columns, rows, summary, 0
 
 
-def _weights_for_point(spec, family, gamma: float, branch_values: np.ndarray):
-    spec_g = spec.with_gamma(gamma)
-    spectrum = _eigenpairs(*family, gamma)
-    perm, _, _ = _match_step(branch_values, spectrum.eigenvalues, 0.0)
+def _point_weights(spec: LatticeSpec, vectors: np.ndarray, gamma: float) -> np.ndarray:
+    """``alpha_sq`` and ``alpha_theta_sq`` of every eigenvector column at
+    gamma; NaN where no rotation exists (at or within rounding of 2d)."""
     try:
-        angle = complex_rotation_angle(spec.intra_hop, spec.delta, gamma)
-    except (SingularAngleError, ValueError):
-        return [(math.nan, math.nan)] * branch_values.size
-    out = []
-    for b in range(branch_values.size):
-        state = spectrum.right_eigenvectors[:, perm[b]]
-        w = mode_weights(state, spec_g, angle)
-        out.append((w.alpha_sq, w.alpha_theta_sq))
-    return out
+        u = rotation_matrix(complex_rotation_angle(spec.intra_hop, spec.delta, gamma))
+    except ValueError:  # SingularAngleError included
+        return np.full((vectors.shape[1], 2), math.nan)
+    return _weight_columns(vectors, u)[:, [0, 2]]
 
 
 def _ep_rows(config: ExperimentConfig):

@@ -189,27 +189,30 @@ def mode_weights(
         raise ValueError(
             f"state length {psi.size} does not match 2 * n_cells = {spec.n_sites}"
         )
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state must be unit-normalised, got ||psi|| = {norm:.12g}")
+    weights = _weight_columns(psi[:, None], rotation_matrix(theta))
+    return ModeWeights(*(float(w) for w in weights[0]))
 
-    cells = psi.reshape(spec.n_cells, 2)
-    alpha_sq = float(np.sum(np.abs(cells[:, 0]) ** 2))
-    beta_sq = float(np.sum(np.abs(cells[:, 1]) ** 2))
 
-    u = rotation_matrix(theta)
-    rotated = cells @ u.T  # row n is U @ (a_n, b_n)
-    wa = float(np.sum(np.abs(rotated[:, 0]) ** 2))
-    wb = float(np.sum(np.abs(rotated[:, 1]) ** 2))
-    total = wa + wb
-    if total == 0.0:
+def _weight_columns(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``mode_weights`` of every column of a cell-major ``(2N, M)`` array.
+
+    ``u`` is ``rotation_matrix(theta)``.  Returns an ``(M, 4)`` array of
+    ``alpha_sq, beta_sq, alpha_theta_sq, beta_theta_sq`` per column.
+    """
+    norms = np.linalg.norm(states, axis=0)
+    off = np.abs(norms - 1.0)
+    if np.any(off > 1e-9):
+        worst = norms[np.argmax(off)]
+        raise ValueError(f"state must be unit-normalised, got ||psi|| = {worst:.12g}")
+
+    cells = states.reshape(-1, 2, states.shape[1])  # cells[n, leg, column]
+    legs = np.sum(np.abs(cells) ** 2, axis=0)
+    rotated = u @ cells  # U @ (a_n, b_n) per cell and column
+    modes = np.sum(np.abs(rotated) ** 2, axis=0)
+    total = modes.sum(axis=0)
+    if np.any(total == 0.0):
         raise ValueError("state has zero weight in the rotated basis")
-    return ModeWeights(
-        alpha_sq=alpha_sq,
-        beta_sq=beta_sq,
-        alpha_theta_sq=wa / total,
-        beta_theta_sq=wb / total,
-    )
+    return np.column_stack([legs[0], legs[1], modes[0] / total, modes[1] / total])
 
 
 @dataclass(frozen=True)

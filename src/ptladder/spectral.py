@@ -40,10 +40,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .lattice import LatticeSpec, sector_bases, sector_blocks
 
@@ -168,7 +168,12 @@ def _match_step(prev: np.ndarray, cur: np.ndarray, matching_tol: float) -> tuple
     whose values actually differ: ties between numerically identical
     candidates (persistent symmetry degeneracies, e.g. the plus/minus
     momentum pairs of a ring) are harmless relabelings and stay silent.
+
+    scipy is imported here, at the first match, so importing the package
+    (and runs that never match branches) does not load it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(prev[:, None] - cur[None, :])
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty_like(cols)
@@ -201,17 +206,40 @@ def sweep_matrix_family(
     (step halving); if the tie persists the step index is recorded in
     ``ambiguous_steps`` and the assignment kept.
     """
+    grid = _checked_grid(gamma_grid)
+    return _continue_branches(build, grid, _grid_eigvals(build, grid, workers), matching_tol)[0]
+
+
+def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
     grid = np.asarray(list(gamma_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("gamma_grid must contain at least one point")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("gamma_grid must be strictly increasing")
+    return grid
 
-    spectra = _grid_eigvals(build, grid, workers)
 
+def _continue_branches(
+    build: Callable,
+    grid: np.ndarray,
+    spectra: list[np.ndarray],
+    matching_tol: float,
+    carried: list[np.ndarray] | None = None,
+) -> tuple[SweepResult, np.ndarray | None]:
+    """Continue branches through the sorted spectra of every grid point.
+
+    ``carried[j]`` (optional) holds one row per eigenvalue of
+    ``spectra[j]``; its rows are permuted with the values, and returned
+    stacked as ``out[b, j]`` for branch b.  Step-halving midpoints are
+    solved with ``build``, values only.
+    """
     n = spectra[0].size
     branches = np.empty((n, grid.size), dtype=complex)
     branches[:, 0] = spectra[0]
+    out = None
+    if carried is not None:
+        out = np.empty((n, grid.size) + carried[0].shape[1:], dtype=carried[0].dtype)
+        out[:, 0] = carried[0]
     residual = 0.0
     ambiguous_steps: list[int] = []
     for j in range(1, grid.size):
@@ -234,21 +262,49 @@ def sweep_matrix_family(
             else:
                 ambiguous_steps.append(j - 1)
         branches[:, j] = cur[perm]
+        if out is not None:
+            out[:, j] = carried[j][perm]
         residual = max(residual, dist)
-    return SweepResult(
+    sweep = SweepResult(
         gamma_grid=grid,
         branches=branches,
         continuation_residual=residual,
         ambiguous_steps=ambiguous_steps,
     )
+    return sweep, out
 
 
-def _grid_eigvals(build, grid: np.ndarray, workers: int) -> list[np.ndarray]:
-    if workers <= 1 or grid.size < 8:
+def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None) -> list:
+    """Sorted eigenvalues at every grid point, solved in a process pool
+    when ``workers`` > 1 and the grid has 8 or more points.
+
+    With ``weigh``, each point is solved once with eigenvectors instead:
+    ``build`` is a ``_family_for`` builder, the vectors are lifted with
+    ``bases``, and a point gives ``(values, weigh(vectors, gamma))``.
+    Pool workers then get chunks of gammas, with the builder, bases and
+    ``weigh`` sent once per chunk, and no vectors come back.
+    """
+    serial = workers <= 1 or grid.size < 8
+    if weigh is not None:
+        solve = partial(_weighed_points, build, bases, weigh)
+        if serial:
+            return solve(grid)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = pool.map(solve, np.array_split(grid, min(grid.size, 4 * workers)))
+            return [point for chunk in chunks for point in chunk]
+    if serial:
         return [_eigvals_sorted(build(g)) for g in grid]
     mats = [build(g) for g in grid]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_eigvals_sorted, mats, chunksize=max(1, grid.size // (4 * workers))))
+
+
+def _weighed_points(blocks: Callable, bases, weigh: Callable, gammas: np.ndarray) -> list:
+    points = []
+    for g in gammas:
+        pairs = _eigenpairs(blocks, bases, g)
+        points.append((pairs.eigenvalues, weigh(pairs.right_eigenvectors, g)))
+    return points
 
 
 def _family_for(spec: LatticeSpec) -> tuple[Callable, tuple[np.ndarray, ...]]:
@@ -258,15 +314,16 @@ def _family_for(spec: LatticeSpec) -> tuple[Callable, tuple[np.ndarray, ...]]:
     otherwise; their eigenvalues together are those of H, and
     ``sector_bases`` lifts their eigenvectors to the site basis.  gamma
     enters every block linearly, so each call is ``b0 + g * s`` from the
-    blocks at gamma = 0 and 1, bit-identical to a fresh build.
+    blocks at gamma = 0 and 1, bit-identical to a fresh build.  The
+    builder pickles, so pool workers can build blocks themselves.
     """
     b0 = sector_blocks(spec.with_gamma(0.0))
     slope = tuple(b1 - b for b1, b in zip(sector_blocks(spec.with_gamma(1.0)), b0))
+    return partial(_affine_blocks, b0, slope), sector_bases(spec)
 
-    def blocks(g: float) -> tuple[np.ndarray, ...]:
-        return tuple(b + g * s for b, s in zip(b0, slope))
 
-    return blocks, sector_bases(spec)
+def _affine_blocks(b0: tuple, slope: tuple, g: float) -> tuple[np.ndarray, ...]:
+    return tuple(b + g * s for b, s in zip(b0, slope))
 
 
 def _eigenpairs(blocks: Callable, bases: tuple[np.ndarray, ...] | None, gamma: float) -> Spectrum:
@@ -303,6 +360,30 @@ def sweep_spectrum(
     return sweep_matrix_family(
         _family_for(spec)[0], gamma_grid, matching_tol=matching_tol, workers=workers
     )
+
+
+def _weighted_sweep(
+    spec: LatticeSpec,
+    gamma_grid: Sequence[float],
+    weigh: Callable[[np.ndarray, float], np.ndarray],
+    *,
+    matching_tol: float = 1e-9,
+    workers: int = 1,
+) -> tuple[SweepResult, np.ndarray]:
+    """``sweep_spectrum`` that also reduces every point's eigenvectors.
+
+    Each grid point is solved once, with eigenvectors lifted to the site
+    basis of H.  ``weigh(vectors, gamma)`` maps them (column j belongs to
+    the j-th sorted eigenvalue) to one row per eigenvalue, in the pool
+    when there is one, so it must pickle.  Returns the sweep and
+    ``rows[b, j]``, the row of branch b at ``gamma_grid[j]``.
+    """
+    grid = _checked_grid(gamma_grid)
+    blocks, bases = _family_for(spec)
+    points = _grid_eigvals(blocks, grid, workers, weigh=weigh, bases=bases)
+    values = [v for v, _ in points]
+    rows = [r for _, r in points]
+    return _continue_branches(blocks, grid, values, matching_tol, rows)
 
 
 class Phase(Enum):

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from ptladder import (
     complex_rotation_angle,
     mode_weights,
 )
-from ptladder import cli
+from ptladder import cli, spectral
 from ptladder.cli import (
     ConfigError,
     GridSpec,
@@ -390,3 +394,69 @@ def test_weights_match_dense_eigenvectors(preset, tmp_path):
             assert abs(row[5] - w.alpha_theta_sq) <= 1e-9
             checked += 1
     assert checked >= 8
+
+
+def test_weighted_sweep_solves_each_gamma_once(tmp_path, monkeypatch):
+    # two vector solves per grid point (one per sector block) and nothing
+    # else, except values-only solves at step-halving midpoints: a
+    # midpoint solves both blocks and adds two branch matches to the one
+    # of its step
+    solves = {True: 0, False: 0}
+    matches = 0
+    eigendecompose, match_step = spectral.eigendecompose, spectral._match_step
+
+    def counted_solve(matrix, want_vectors=False, gamma=0.0):
+        solves[want_vectors] += 1
+        return eigendecompose(matrix, want_vectors, gamma)
+
+    def counted_match(*args):
+        nonlocal matches
+        matches += 1
+        return match_step(*args)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counted_solve)
+    monkeypatch.setattr(spectral, "_match_step", counted_match)
+    count = 21
+    argv = ["fig4", "--set", "n_cells=6", "--set", f"gamma_count={count}"]
+    assert main(argv + ["--workers", "1", "--out", str(tmp_path / "fig4.csv")]) == 0
+    assert solves[True] == 2 * count
+    assert solves[False] > 0  # this grid has ambiguous steps
+    assert solves[False] == matches - (count - 1)
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_weighted_output_is_identical_across_worker_counts(preset, tmp_path):
+    # 9 points, so the pool engages (it stays serial below 8)
+    def run(workers):
+        out = tmp_path / f"{preset}-w{workers}.csv"
+        argv = [preset, "--set", "n_cells=6", "--set", "gamma_count=9"]
+        assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert run(1) == run(2)
+
+
+@pytest.mark.parametrize("gamma_min", ["1.99999999", "2.0"])
+def test_weights_at_the_exceptional_point_are_nan(gamma_min, tmp_path):
+    # at gamma = 2d no rotation angle exists, and 1e-8 below it the
+    # rotation matrix loses det = 1; both give NaN weights, not a failure
+    out = tmp_path / "fig3.csv"
+    argv = ["fig3", "--set", "n_cells=4", "--set", f"gamma_min={gamma_min}",
+            "--set", "gamma_max=2.5", "--set", "gamma_count=2"]
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    near = rows[rows[:, 0] == float(gamma_min)]
+    assert near.shape == (8, 6)
+    assert np.all(np.isnan(near[:, 4:]))
+    assert np.all(np.isfinite(rows[rows[:, 0] == 2.5]))
+
+
+def test_import_does_not_load_scipy():
+    # scipy loads at the first branch match, not at import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ptladder, ptladder.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"

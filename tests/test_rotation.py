@@ -23,6 +23,7 @@ from ptladder import (
     open_chain_spectrum,
     rotation_matrix,
 )
+from ptladder.rotation import _weight_columns
 
 
 def test_unbroken_angle_frozen_value():
@@ -159,6 +160,24 @@ def test_mode_weights_input_validation():
         mode_weights(np.ones(8), spec, angle)  # not normalised
     with pytest.raises(ValueError):
         mode_weights(np.ones(6) / math.sqrt(6), spec, angle)  # wrong length
+
+
+def test_weight_columns_treat_every_column_on_its_own():
+    # each row of the batch must equal the weights of its column alone,
+    # computed here cell by cell with the rotation applied as U @ (a, b)
+    spec = LatticeSpec(n_cells=20, gamma=0.3, topology=BoundaryTopology.MOEBIUS)
+    u = rotation_matrix(complex_rotation_angle(spec.intra_hop, spec.delta, spec.gamma))
+    _, vectors = _normalized_states(spec)
+    batch = _weight_columns(vectors, u)
+    assert batch.shape == (spec.n_sites, 4)
+    for j in range(spec.n_sites):
+        cells = vectors[:, j].reshape(spec.n_cells, 2)
+        modes = sum(np.abs(u @ c) ** 2 for c in cells)
+        want = [*np.sum(np.abs(cells) ** 2, axis=0), *(modes / modes.sum())]
+        np.testing.assert_allclose(batch[j], want, rtol=0, atol=1e-14)
+    vectors[:, 7] *= 1.5  # one bad column fails the whole batch
+    with pytest.raises(ValueError, match="unit-normalised"):
+        _weight_columns(vectors, u)
 
 
 def test_detangle_is_exact_similarity():
