@@ -4,8 +4,9 @@ The sweep machinery treats the gain/loss rate gamma as the control
 parameter.  Eigenvalue branches are continued through the sweep by
 minimum-total-distance matching between consecutive grid points, PT
 phases are read off the imaginary parts, and exceptional points (EPs)
-are located by bracketing changes of the broken-state count and
-bisecting the bracket down to the requested width.
+are located by bracketing changes of the broken-state count of each
+diagonal block and bisecting the bracket, on that block alone, down to
+the requested width.
 
 Count-change bracketing deliberately combines the two available
 signals: a genuine EP both closes a pairwise gap and flips eigenvalues
@@ -27,7 +28,8 @@ the broken count does not depend on ``im_tol``.  Measured on one core
 (Moebius and circular N = 20 to 160, best of 7): the two complex N x N
 solves take 1.4 to 3.7 times less time than one 2N x 2N solve, and the
 two real ones another 2.1 to 3.5 times less.  A detuned spec (delta != 0)
-keeps complex blocks, and a callable family is solved as given.
+keeps complex blocks, and a callable family is solved as given, as a
+family of one block.
 Eigenvectors are solved per block and lifted to the site basis of H by
 ``lattice.sector_bases``, and det H is the product of the block
 determinants, so no solve builds H itself.  ``branch_pair`` indexes the
@@ -152,12 +154,30 @@ class SweepResult:
         return self.branches.shape[0]
 
 
-def _eigvals_sorted(matrix: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Sorted eigenvalues of one matrix or of a tuple of diagonal blocks."""
-    if not isinstance(matrix, tuple):
-        return eigendecompose(matrix).eigenvalues
-    values = np.concatenate([eigendecompose(block).eigenvalues for block in matrix])
+def _block_eigvals(block: np.ndarray) -> np.ndarray:
+    return eigendecompose(block).eigenvalues
+
+
+def _merged(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The sorted union of the blocks' eigenvalues: the spectrum."""
+    values = np.concatenate(parts)
     return values[np.lexsort((values.imag, values.real))]
+
+
+def _eigvals_sorted(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Sorted eigenvalues of a tuple of diagonal blocks."""
+    return _merged([_block_eigvals(block) for block in blocks])
+
+
+def _as_family(build: Callable) -> Callable[[float], tuple[np.ndarray, ...]]:
+    """``build`` as a family of diagonal blocks: a builder that returns
+    one matrix becomes a family of one block."""
+
+    def family(g: float) -> tuple[np.ndarray, ...]:
+        matrix = build(g)
+        return matrix if isinstance(matrix, tuple) else (matrix,)
+
+    return family
 
 
 def _match_step(prev: np.ndarray, cur: np.ndarray, matching_tol: float) -> tuple[np.ndarray, float, bool]:
@@ -207,7 +227,8 @@ def sweep_matrix_family(
     ``ambiguous_steps`` and the assignment kept.
     """
     grid = _checked_grid(gamma_grid)
-    return _continue_branches(build, grid, _grid_eigvals(build, grid, workers), matching_tol)[0]
+    family = _as_family(build)
+    return _continue_branches(family, grid, _grid_eigvals(family, grid, workers), matching_tol)[0]
 
 
 def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
@@ -329,17 +350,18 @@ def _affine_blocks(b0: tuple, slope: tuple, g: float) -> tuple[np.ndarray, ...]:
 def _eigenpairs(blocks: Callable, bases: tuple[np.ndarray, ...] | None, gamma: float) -> Spectrum:
     """Sorted eigenvalues and site-basis right eigenvectors at gamma.
 
-    ``blocks`` is a callable's matrix when ``bases`` is None, otherwise
-    the sector blocks of ``_family_for``: each block is solved on its
-    own and its unit eigenvectors are lifted to H with its basis.
+    Each block is solved on its own.  With ``bases`` (the sector blocks
+    of ``_family_for``) its unit eigenvectors are lifted to H with its
+    basis; a callable's one block needs no lift.
     """
-    if bases is None:
-        return eigendecompose(blocks(gamma), want_vectors=True, gamma=gamma)
     parts = [eigendecompose(b, want_vectors=True, gamma=gamma) for b in blocks(gamma)]
     values = np.concatenate([p.eigenvalues for p in parts])
-    vectors = np.hstack([w @ p.right_eigenvectors for w, p in zip(bases, parts)])
+    vectors = [p.right_eigenvectors for p in parts]
+    if bases is not None:
+        vectors = [w @ v for w, v in zip(bases, vectors)]
     order = np.lexsort((values.imag, values.real))
-    return Spectrum(eigenvalues=values[order], right_eigenvectors=vectors[:, order], gamma=float(gamma))
+    vectors = np.hstack(vectors)[:, order]
+    return Spectrum(eigenvalues=values[order], right_eigenvectors=vectors, gamma=float(gamma))
 
 
 def sweep_spectrum(
@@ -469,6 +491,55 @@ def _broken_count(values: np.ndarray, im_tol: float) -> int:
     return int(np.count_nonzero(np.abs(values.imag) > im_tol))
 
 
+def _scan_and_bisect(
+    family: Callable[[float], tuple[np.ndarray, ...]],
+    grid: np.ndarray,
+    solve: Callable[[np.ndarray], object],
+    label: Callable[[object], object],
+    settled: Callable[[float, object, float, object], bool] = lambda a, ra, b, rb: False,
+) -> tuple[list[dict], list[tuple[int, float, float]]]:
+    """Bracket every change of each block's label, on that block alone.
+
+    Every block of ``family(g)`` is solved once per grid point with
+    ``solve``; ``label`` maps a result to the block's label there, or to
+    None where it carries none, and such grid points are skipped.  Each
+    interval between consecutive labelled grid points of one block whose
+    labels differ is bisected with one ``solve`` of that block per
+    midpoint, keeping every half whose end labels differ, until
+    ``settled(a, result_a, b, result_b)`` holds or a and b are adjacent
+    doubles.  A midpoint m without a label ends its bracket as (m, m).
+
+    Returns ``(solved, brackets)``: ``solved[k]`` maps every gamma at
+    which block k was solved to its result, and each bracket is
+    ``(k, a, b)``.
+    """
+    scan = [[solve(block) for block in family(g)] for g in grid]
+    solved = [dict(zip(grid, results)) for results in zip(*scan)]
+    work = []
+    for k, results in enumerate(solved):
+        labelled = [(g, lab) for g, r in results.items() if (lab := label(r)) is not None]
+        work += [(k, a, b) for (a, la), (b, lb) in zip(labelled, labelled[1:]) if la != lb]
+
+    brackets = []
+    while work:
+        k, a, b = work.pop()
+        at = solved[k]
+        m = 0.5 * (a + b)
+        if settled(a, at[a], b, at[b]) or not a < m < b:
+            brackets.append((k, a, b))
+            continue
+        at[m] = solve(family(m)[k])
+        label_m = label(at[m])
+        if label_m is None:
+            brackets.append((k, m, m))
+            continue
+        if label_m != label(at[a]):
+            work.append((k, a, m))
+        if label_m != label(at[b]):
+            work.append((k, m, b))
+    return solved, brackets
+
+
 def locate_exceptional_points(
     spec: LatticeSpec | Callable[[float], np.ndarray],
     gamma_range: tuple[float, float],
@@ -483,21 +554,30 @@ def locate_exceptional_points(
 
     ``spec`` may also be a callable mapping gamma to a matrix, for
     families that are not lattice Hamiltonians (such as the Bloch block
-    ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)``).  For a
-    spec, eigenvalues and the EP eigenvectors come from its mirror-sector
-    blocks, the vectors lifted to the site basis of H.
+    ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)``); it is
+    searched as a family of one block.  For a spec, eigenvalues and the
+    EP eigenvectors come from its mirror-sector blocks, the vectors
+    lifted to the site basis of H.
 
-    Scans ``coarse_steps`` intervals for changes of the broken-eigenvalue
-    count, then bisects every bracketing interval until the pair gap
-    drops below ``ep_tol`` or the bracket narrows to ``bracket_tol``.
-    Multiple transitions inside one coarse interval are separated by the
-    bisection as long as they are further than ``bracket_tol`` apart;
-    transitions whose broken window lies strictly between two grid points
-    are invisible at the chosen resolution.
+    Scans ``coarse_steps`` intervals for changes of each block's
+    broken-eigenvalue count.  A transition is found when its own block's
+    count differs across a coarse interval, even where another block's
+    change cancels it in the count of the whole spectrum.  Each such
+    interval is bisected on that block alone, one block solve per
+    midpoint, until the pair gap drops below ``ep_tol`` or the bracket
+    narrows to ``bracket_tol``.  Multiple transitions of one block inside
+    one coarse interval are separated by the bisection as long as they
+    are further than ``bracket_tol`` apart; transitions whose broken
+    window lies strictly between two grid points are invisible at the
+    chosen resolution.
 
-    A grid or bisection point that lands exactly on an EP splits that
-    transition into two brackets meeting there; they are joined into one
-    bracket around that point (up to ``2 * bracket_tol`` wide).
+    Brackets of any blocks that overlap or touch and change the count in
+    the same direction are joined: a transition shared by both blocks
+    (the ring's collective EP) is one bracket, and so is a transition
+    split into two brackets by a grid or bisection point that lands
+    exactly on it (up to ``2 * bracket_tol`` wide).  Each joined bracket
+    is resolved on the whole spectrum at its two ends, so
+    ``n_broken_change``, ``energy_star`` and ``branch_pair`` refer to H.
 
     Returns a list of :class:`ExceptionalPoint` sorted by gamma (several
     entries may share one gamma when a cluster of pairs coalesces
@@ -510,65 +590,58 @@ def locate_exceptional_points(
     if coarse_steps < 1:
         raise ValueError("coarse_steps must be positive")
 
-    blocks, bases = (spec, None) if callable(spec) else _family_for(spec)
+    blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
     grid = np.linspace(lo, hi, coarse_steps + 1)
-    values = [_eigvals_sorted(blocks(g)) for g in grid]
-    counts = [_broken_count(v, im_tol) for v in values]
+    count = partial(_broken_count, im_tol=im_tol)
+    solved, brackets = _scan_and_bisect(
+        blocks,
+        grid,
+        _block_eigvals,
+        count,
+        lambda a, va, b, vb: b - a <= bracket_tol or _flipped_pair_gap(va, vb, im_tol) <= ep_tol,
+    )
 
-    # Bisect every interval whose broken count changes.
-    work = []
-    for j in range(coarse_steps):
-        if counts[j] != counts[j + 1]:
-            work.append(
-                (grid[j], counts[j], values[j], grid[j + 1], counts[j + 1], values[j + 1])
-            )
-
-    transitions = []
-    while work:
-        a, ca, va, b, cb, vb = work.pop()
-        if ca == cb:
-            continue
-        if b - a <= bracket_tol or _flipped_pair_gap(va, vb, im_tol) <= ep_tol:
-            transitions.append((a, ca, va, b, cb, vb))
-            continue
-        m = 0.5 * (a + b)
-        vm = _eigvals_sorted(blocks(m))
-        cm = _broken_count(vm, im_tol)
-        if cm != ca:
-            work.append((a, ca, va, m, cm, vm))
-        if cm != cb:
-            work.append((m, cm, vm, b, cb, vb))
+    def spectrum(g: float) -> np.ndarray:
+        # a bracket end is solved for its own block; the others are solved here
+        for k, at in enumerate(solved):
+            if g not in at:
+                at[g] = _block_eigvals(blocks(g)[k])
+        return _merged([at[g] for at in solved])
 
     points = []
-    for transition in _join_touching(transitions):
-        points.extend(_resolve_transition(blocks, bases, *transition, im_tol))
+    for a, b in _join_brackets(brackets, solved, count):
+        points.extend(_resolve_transition(blocks, bases, a, spectrum(a), b, spectrum(b), im_tol))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
 
     if not return_diagnostics:
         return points
 
-    diagnostics = _near_degeneracies(blocks, grid, values, counts, ep_tol)
+    values = [spectrum(g) for g in grid]
+    diagnostics = _near_degeneracies(blocks, grid, values, [count(v) for v in values], ep_tol)
     return points, diagnostics
 
 
-def _join_touching(transitions: list[tuple]) -> list[tuple]:
-    """Join refined brackets that share an end point and change the count
-    in the same direction.
+def _join_brackets(
+    brackets: list[tuple[int, float, float]], solved: list[dict], count: Callable
+) -> list[tuple[float, float]]:
+    """Join brackets, of any blocks, that overlap or touch and change the
+    count in the same direction.
 
-    A grid or bisection point that lands exactly on an EP gets a count
-    set by rounding: a real solve returns each defective pair there as a
-    real pair or as a conjugate pair, split by about sqrt(eps).  One
-    transition is then refined into two brackets that meet at that point.
+    Both blocks bracket a transition they share, such as the ring's
+    collective EP.  And a grid or bisection point that lands exactly on
+    an EP gets a count set by rounding: a real solve returns each
+    defective pair there as a real pair or as a conjugate pair, split by
+    about sqrt(eps).  One transition is then refined into two brackets
+    that meet at that point.
     """
-    joined: list[tuple] = []
-    for t in sorted(transitions, key=lambda t: t[0]):
-        if joined:
-            a, ca, va, b, cb, _ = joined[-1]
-            if b == t[0] and (cb - ca) * (t[4] - t[1]) > 0:
-                joined[-1] = (a, ca, va) + t[3:]
-                continue
-        joined.append(t)
-    return joined
+    joined: list[tuple[float, float, int]] = []
+    for k, a, b in sorted(brackets, key=lambda t: t[1]):
+        change = count(solved[k][b]) - count(solved[k][a])
+        if joined and a <= joined[-1][1] and change * joined[-1][2] > 0:
+            joined[-1] = (joined[-1][0], max(b, joined[-1][1]), change)
+        else:
+            joined.append((a, b, change))
+    return [(a, b) for a, b, _ in joined]
 
 
 def _match_flips(vals_a: np.ndarray, vals_b: np.ndarray, im_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -619,22 +692,21 @@ def _resolve_transition(
     blocks,
     bases,
     a: float,
-    ca: int,
     vals_a: np.ndarray,
     b: float,
-    cb: int,
     vals_b: np.ndarray,
     im_tol: float,
 ):
     """Turn one refined bracket into ExceptionalPoint records.
 
-    Eigenvalues at the two bracket ends (as the bisection computed them)
-    are matched pairwise; indices whose real/complex character flips
-    across the bracket identify the coalescing pairs.  The broken-side
-    members are grouped into conjugate pairs, one record per pair, with
-    eigenvectors from ``_eigenpairs(blocks, bases, gamma*)``.
+    The spectra at the two bracket ends are matched pairwise; indices
+    whose real/complex character flips across the bracket identify the
+    coalescing pairs.  The broken-side members are grouped into conjugate
+    pairs, one record per pair, with eigenvectors from
+    ``_eigenpairs(blocks, bases, gamma*)``.
     """
     gamma_star = 0.5 * (a + b)
+    ca, cb = _broken_count(vals_a, im_tol), _broken_count(vals_b, im_tol)
     vals_b_matched, flipped = _match_flips(vals_a, vals_b, im_tol)
     kind = EpKind.MERGE if cb > ca else EpKind.SPLIT
     broken_side = vals_b_matched if kind is EpKind.MERGE else vals_a
@@ -734,53 +806,53 @@ def locate_zero_energy_eps(
     closed under conjugation and det H, the product of the eigenvalues,
     is real.  A real pair (E, -E) contributes -E**2 < 0 to it and the
     pair (iy, -iy) it turns into contributes +y**2 > 0, so a zero-energy
-    coalescence is a sign change of det H.  This scans the sign of
-    ``Re det H`` on ``scan_steps`` intervals (one ``slogdet`` LU
-    factorisation per grid point and block) and bisects every sign change on that
-    sign down to adjacent doubles.  Grid points where det H vanishes
-    exactly carry no sign and are skipped.
+    coalescence is a sign change of det H.
 
-    Two filters then remain.  ``min |E|`` at gamma* must reach
-    ``energy_tol``: for families without the E -> -conj(E) symmetry
-    det H is complex, and its real part can change sign far from any
-    zero (``diag(exp(i*g), 1)`` at g = pi/2), which this rejects.  And
-    the eigenvalue closest to zero must flip between real and complex
-    character across gamma* +- 1e-7, so an ordinary band crossing (a
-    real eigenvalue passing through zero and staying real) is discarded.
-    Zeros of det H that do not change its sign, and pairs of sign
-    changes inside one scan step, are invisible at the chosen
-    resolution; pass a finer ``scan_steps`` to resolve them.
+    det H is the product of the determinants of the diagonal blocks (the
+    mirror sectors of a spec, real at delta = 0; a callable is one
+    block), and a zero-energy coalescence is a zero of one of them.  This
+    scans the sign of ``Re det`` of each block on ``scan_steps``
+    intervals (one ``slogdet`` LU factorisation per grid point and
+    block) and bisects every sign change on that block alone, one
+    ``slogdet`` per midpoint, down to adjacent doubles.  A coalescence is
+    found when its own block's det sign differs across a coarse interval,
+    even where another block's sign change in the same interval leaves
+    the sign of det H unchanged.  Grid points where a block's
+    determinant vanishes exactly carry no sign for that block and are
+    skipped.
 
-    For a spec, everything runs on the mirror-sector blocks: det H is the
-    product of their determinants, real at delta = 0, and the eigenvectors
-    of each point are lifted to the site basis of H.  On the twisted
-    N = 100 ladder over (0, 2) at 601 steps this takes 1.9 to 2.3 s,
-    against 4.7 to 6.4 s on the full complex H (one BLAS thread, 2-core
-    box, three alternated runs).
+    Two filters then remain, both on the eigenvalues of that block.
+    ``min |E|`` at gamma* must reach ``energy_tol``: for families without
+    the E -> -conj(E) symmetry the determinant is complex, and its real
+    part can change sign far from any zero (``diag(exp(i*g), 1)`` at
+    g = pi/2), which this rejects.  And the eigenvalue closest to zero
+    must flip between real and complex character across gamma* +- 1e-7,
+    so an ordinary band crossing (a real eigenvalue passing through zero
+    and staying real) is discarded.  Zeros that do not change a block's
+    sign, and pairs of sign changes of one block inside one scan step,
+    are invisible at the chosen resolution; pass a finer ``scan_steps``
+    to resolve them.  The record's eigenvectors are solved on every block
+    and lifted to the site basis of H.
     """
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
         raise ValueError(f"empty gamma range ({lo}, {hi})")
     if scan_steps < 2:
         raise ValueError("scan_steps must be at least 2")
-    blocks, bases = (spec, None) if callable(spec) else _family_for(spec)
-
+    blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
     grid = np.linspace(lo, hi, scan_steps + 1)
-    signs = [_det_sign(blocks(g)) for g in grid]
-    nonzero = [j for j, sign in enumerate(signs) if sign != 0]
+    # an exact zero of a block's determinant carries no sign
+    _, brackets = _scan_and_bisect(blocks, grid, _det_sign, lambda sign: sign or None)
 
     points = []
-    for i, j in zip(nonzero, nonzero[1:]):
-        if signs[i] == signs[j]:
-            continue
-        gamma_star = _bisect_det_sign(blocks, grid[i], signs[i], grid[j])
-        if abs(_minimal_eigenvalue(blocks, gamma_star)) > energy_tol:
+    for gamma_star, k in sorted((0.5 * (a + b), k) for k, a, b in brackets):
+        if abs(_minimal_eigenvalue(blocks(gamma_star)[k])) > energy_tol:
             continue
         # gamma_star is refined to adjacent doubles, so a 1e-7 probe lands
         # cleanly on either side of the coalescence
         probe = 1e-7
-        before = _minimal_eigenvalue(blocks, gamma_star - probe)
-        after = _minimal_eigenvalue(blocks, gamma_star + probe)
+        before = _minimal_eigenvalue(blocks(gamma_star - probe)[k])
+        after = _minimal_eigenvalue(blocks(gamma_star + probe)[k])
         broken_before = abs(before.imag) > im_tol
         broken_after = abs(after.imag) > im_tol
         if broken_before == broken_after:
@@ -807,32 +879,14 @@ def locate_zero_energy_eps(
     return points
 
 
-def _minimal_eigenvalue(build, gamma: float) -> complex:
-    vals = _eigvals_sorted(build(gamma))
+def _minimal_eigenvalue(block: np.ndarray) -> complex:
+    vals = _block_eigvals(block)
     return complex(vals[np.argmin(np.abs(vals))])
 
 
-def _det_sign(matrix: np.ndarray | tuple[np.ndarray, ...]) -> float:
-    """Sign of Re det of one matrix or of a tuple of diagonal blocks, 0
-    where the determinant vanishes exactly."""
-    blocks = matrix if isinstance(matrix, tuple) else (matrix,)
-    sign = np.prod([np.linalg.slogdet(block)[0] for block in blocks])
-    return float(np.sign(sign.real))
-
-
-def _bisect_det_sign(build, a: float, sign_a: float, b: float) -> float:
-    """Bisect a sign change of Re det on [a, b] down to adjacent doubles."""
-    while True:
-        m = 0.5 * (a + b)
-        if not a < m < b:
-            return m
-        sign_m = _det_sign(build(m))
-        if sign_m == 0:
-            return m
-        if sign_m == sign_a:
-            a = m
-        else:
-            b = m
+def _det_sign(block: np.ndarray) -> float:
+    """Sign of Re det of one block, 0 where the determinant vanishes exactly."""
+    return float(np.sign(np.linalg.slogdet(block)[0].real))
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,41 @@ def test_collective_ep_location_on_ring():
     assert abs(windows[0].gamma_lo - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("n_cells", [20, 21])
+def test_ring_ep_records_match_the_closed_form(n_cells):
+    # at gamma = 2d every momentum pair coalesces at E = -2t cos(2 pi m / N);
+    # the +-k partners sit in opposite mirror blocks, so this also checks
+    # that the blocks' brackets join into one transition of the whole H
+    spec = LatticeSpec(n_cells=n_cells)
+    points = locate_exceptional_points(spec, (0.0, 3.0))
+    assert len(points) == n_cells
+    for p in points:
+        assert abs(p.gamma_star - 2.0 * spec.intra_hop) < 1e-9
+        assert p.n_broken_change == 2 * n_cells
+    energies = np.sort_complex(np.array([p.energy_star for p in points]))
+    closed = np.sort_complex(-2.0 * spec.inter_hop * np.cos(2 * np.pi * np.arange(n_cells) / n_cells) + 0j)
+    np.testing.assert_allclose(energies, closed, rtol=0, atol=1e-12)
+
+
+def dense_broken_count(spec, gamma):
+    values = np.linalg.eigvals(build_real_space_hamiltonian(spec.with_gamma(gamma)))
+    return np.count_nonzero(np.abs(values.imag) > 1e-9)
+
+
+def test_transitions_hidden_from_the_whole_spectrum_count_are_found():
+    # Between the grid points 1.006 and 1.255 both mirror blocks change
+    # their broken count ([0, 4] -> [6, 10]).  Bisecting the count of the
+    # whole spectrum puts this split and merge into one bracket, where
+    # they cancel; each block's own count keeps them apart.
+    spec = LatticeSpec(n_cells=20, topology=BoundaryTopology.MOEBIUS)
+    points = locate_exceptional_points(spec, (0.01, 2.5), coarse_steps=10)
+    for gamma, kind, change in ((1.1424794, EpKind.SPLIT, -2), (1.1757714, EpKind.MERGE, 2)):
+        near = [p for p in points if abs(p.gamma_star - gamma) < 1e-6]
+        assert [(p.kind, p.n_broken_change) for p in near] == [(kind, change)]
+        below, above = (dense_broken_count(spec, near[0].gamma_star + off) for off in (-1e-6, 1e-6))
+        assert above - below == change
+
+
 def test_bloch_ep_at_band_center_momentum():
     spec = LatticeSpec(n_cells=4)
     bloch = lambda g: build_bloch_hamiltonian(spec.with_gamma(g), math.pi / 2)
@@ -444,6 +479,21 @@ def test_zero_energy_eps_twisted_versus_straight_ladder():
     signs = signs[signs != 0]
     assert len(found) == np.count_nonzero(signs[1:] != signs[:-1])
     assert locate_zero_energy_eps(straight, (0.05, 1.95), scan_steps=200) == []
+
+
+def test_zero_energy_sign_changes_that_cancel_in_det_h_are_found():
+    # Near gamma = 2 the two mirror blocks of the twisted N = 100 ladder
+    # each change their det sign inside one scan step, so det H keeps its
+    # sign there.  A 20 001-point grid shows 33 sign changes of det H.
+    twisted = LatticeSpec(n_cells=100, topology=BoundaryTopology.TWISTED_OPEN)
+    found = locate_zero_energy_eps(twisted, (0.0, 2.0))
+    assert len(found) == 33
+    stars = np.array([p.gamma_star for p in found])
+    for p in found:
+        below, above = twisted_det_signs(100, [p.gamma_star - 1e-7, p.gamma_star + 1e-7])
+        assert below * above < 0
+    for gamma in (1.98352, 1.98479, 1.99605, 1.99635):
+        assert np.min(np.abs(stars - gamma)) < 1e-5
 
 
 def test_zero_energy_scan_needs_a_zero_not_just_a_real_part_sign_change():
