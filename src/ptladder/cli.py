@@ -101,7 +101,6 @@ class ExperimentConfig:
     with_zero_trace: bool = False
     workers: int = 0  # 0 = use available parallelism
     coarse_steps: int = 400
-    ep_tol: float = 1e-8
 
     def resolved_workers(self) -> int:
         if self.workers > 0:
@@ -139,7 +138,6 @@ _KEY_TABLE: dict[str, tuple[str, type]] = {
     "experiment": ("run", str),
     "workers": ("run", int),
     "coarse_steps": ("run", int),
-    "ep_tol": ("run", float),
 }
 
 _SECTIONS = ("lattice", "leads", "grid", "output", "run")
@@ -265,7 +263,6 @@ def _apply_pairs(config: ExperimentConfig, pairs: list[tuple[str, str, str, str]
         "experiment": config.experiment,
         "workers": config.workers,
         "coarse_steps": config.coarse_steps,
-        "ep_tol": config.ep_tol,
         "path": config.out_path,
         "format": config.out_format,
         "with_weights": config.with_weights,
@@ -329,7 +326,6 @@ def _apply_pairs(config: ExperimentConfig, pairs: list[tuple[str, str, str, str]
         with_zero_trace=bool(scalars["with_zero_trace"]),
         workers=int(scalars["workers"]),
         coarse_steps=int(scalars["coarse_steps"]),
-        ep_tol=float(scalars["ep_tol"]),
     )
 
 
@@ -353,8 +349,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("workers must be >= 0")
     if config.coarse_steps < 1:
         raise ConfigError("coarse_steps must be >= 1")
-    if config.ep_tol <= 0:
-        raise ConfigError("ep_tol must be positive")
     needs_leads = config.experiment in (
         "transmission_map",
         "zero_energy_trace",
@@ -417,7 +411,6 @@ def config_to_text(config: ExperimentConfig) -> str:
         f"experiment = {config.experiment}",
         f"workers = {config.workers}",
         f"coarse_steps = {config.coarse_steps}",
-        f"ep_tol = {config.ep_tol!r}",
         "",
         "[lattice]",
         f"n_cells = {config.lattice.n_cells}",
@@ -559,7 +552,6 @@ def _ep_rows(config: ExperimentConfig):
         config.lattice,
         (config.gamma_grid.lo, config.gamma_grid.hi),
         coarse_steps=config.coarse_steps,
-        ep_tol=config.ep_tol,
     )
     columns = ["gamma_star", "re_e", "im_e", "kind", "pair_lo", "pair_hi", "self_orth"]
     rows = [
@@ -724,8 +716,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.format:
             updates["out_format"] = args.format
         if args.workers is not None:
-            if args.workers < 0:
-                raise ConfigError("workers must be >= 0")
             updates["workers"] = args.workers
         if updates:
             config = dataclasses.replace(config, **updates)

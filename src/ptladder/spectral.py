@@ -215,12 +215,13 @@ def sweep_matrix_family(
     gamma_grid: Sequence[float],
     *,
     matching_tol: float = 1e-9,
-    workers: int = 1,
 ) -> SweepResult:
     """Sweep any gamma-parametrised matrix family with branch continuation.
 
     ``build`` returns either one matrix or a tuple of diagonal blocks of
-    it, whose eigenvalues together are the spectrum at that gamma.
+    it, whose eigenvalues together are the spectrum at that gamma.  The
+    sweep is serial, so ``build`` may be any callable, a lambda included;
+    pooled sweeps of a lattice belong to ``sweep_spectrum``.
 
     On an ambiguous step the interval is re-solved once at its midpoint
     (step halving); if the tie persists the step index is recorded in
@@ -228,7 +229,7 @@ def sweep_matrix_family(
     """
     grid = _checked_grid(gamma_grid)
     family = _as_family(build)
-    return _continue_branches(family, grid, _grid_eigvals(family, grid, workers), matching_tol)[0]
+    return _continue_branches(family, grid, _grid_eigvals(family, grid, 1), matching_tol)[0]
 
 
 def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
@@ -299,31 +300,27 @@ def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None)
     """Sorted eigenvalues at every grid point, solved in a process pool
     when ``workers`` > 1 and the grid has 8 or more points.
 
-    With ``weigh``, each point is solved once with eigenvectors instead:
-    ``build`` is a ``_family_for`` builder, the vectors are lifted with
-    ``bases``, and a point gives ``(values, weigh(vectors, gamma))``.
-    Pool workers then get chunks of gammas, with the builder, bases and
-    ``weigh`` sent once per chunk, and no vectors come back.
+    With ``weigh``, each point is solved once with eigenvectors instead,
+    lifted with ``bases``, and gives ``(values, weigh(vectors, gamma))``.
+    Pool workers get chunks of gammas, with the builder (a picklable
+    ``_family_for`` builder), ``bases`` and ``weigh`` sent once per
+    chunk, and build their own blocks: the parent builds none, and no
+    vectors come back.
     """
-    serial = workers <= 1 or grid.size < 8
-    if weigh is not None:
-        solve = partial(_weighed_points, build, bases, weigh)
-        if serial:
-            return solve(grid)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(solve, np.array_split(grid, min(grid.size, 4 * workers)))
-            return [point for chunk in chunks for point in chunk]
-    if serial:
-        return [_eigvals_sorted(build(g)) for g in grid]
-    mats = [build(g) for g in grid]
+    solve = partial(_solve_points, build, bases, weigh)
+    if workers <= 1 or grid.size < 8:
+        return solve(grid)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eigvals_sorted, mats, chunksize=max(1, grid.size // (4 * workers))))
+        chunks = pool.map(solve, np.array_split(grid, min(grid.size, 4 * workers)))
+        return [point for chunk in chunks for point in chunk]
 
 
-def _weighed_points(blocks: Callable, bases, weigh: Callable, gammas: np.ndarray) -> list:
+def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.ndarray) -> list:
+    if weigh is None:
+        return [_eigvals_sorted(build(g)) for g in gammas]
     points = []
     for g in gammas:
-        pairs = _eigenpairs(blocks, bases, g)
+        pairs = _eigenpairs(build, bases, g)
         points.append((pairs.eigenvalues, weigh(pairs.right_eigenvectors, g)))
     return points
 
@@ -377,11 +374,13 @@ def sweep_spectrum(
     real-space Hamiltonian (real blocks at delta = 0).  For the Bloch
     block at one momentum, sweep the callable
     ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)`` with
-    ``sweep_matrix_family``.
+    ``sweep_matrix_family``.  With ``workers`` > 1 the grid is solved in
+    a process pool whose workers build their own blocks; the result does
+    not depend on ``workers``.
     """
-    return sweep_matrix_family(
-        _family_for(spec)[0], gamma_grid, matching_tol=matching_tol, workers=workers
-    )
+    grid = _checked_grid(gamma_grid)
+    blocks = _family_for(spec)[0]
+    return _continue_branches(blocks, grid, _grid_eigvals(blocks, grid, workers), matching_tol)[0]
 
 
 def _weighted_sweep(
@@ -496,7 +495,7 @@ def _scan_and_bisect(
     grid: np.ndarray,
     solve: Callable[[np.ndarray], object],
     label: Callable[[object], object],
-    settled: Callable[[float, object, float, object], bool] = lambda a, ra, b, rb: False,
+    width: float,
 ) -> tuple[list[dict], list[tuple[int, float, float]]]:
     """Bracket every change of each block's label, on that block alone.
 
@@ -505,9 +504,9 @@ def _scan_and_bisect(
     None where it carries none, and such grid points are skipped.  Each
     interval between consecutive labelled grid points of one block whose
     labels differ is bisected with one ``solve`` of that block per
-    midpoint, keeping every half whose end labels differ, until
-    ``settled(a, result_a, b, result_b)`` holds or a and b are adjacent
-    doubles.  A midpoint m without a label ends its bracket as (m, m).
+    midpoint, keeping every half whose end labels differ, until it is at
+    most ``width`` wide or a and b are adjacent doubles.  A midpoint m
+    without a label ends its bracket as (m, m).
 
     Returns ``(solved, brackets)``: ``solved[k]`` maps every gamma at
     which block k was solved to its result, and each bracket is
@@ -525,7 +524,7 @@ def _scan_and_bisect(
         k, a, b = work.pop()
         at = solved[k]
         m = 0.5 * (a + b)
-        if settled(a, at[a], b, at[b]) or not a < m < b:
+        if b - a <= width or not a < m < b:
             brackets.append((k, a, b))
             continue
         at[m] = solve(family(m)[k])
@@ -544,7 +543,6 @@ def locate_exceptional_points(
     spec: LatticeSpec | Callable[[float], np.ndarray],
     gamma_range: tuple[float, float],
     coarse_steps: int = 400,
-    ep_tol: float = 1e-8,
     *,
     im_tol: float = 1e-9,
     bracket_tol: float = 1e-10,
@@ -564,12 +562,13 @@ def locate_exceptional_points(
     count differs across a coarse interval, even where another block's
     change cancels it in the count of the whole spectrum.  Each such
     interval is bisected on that block alone, one block solve per
-    midpoint, until the pair gap drops below ``ep_tol`` or the bracket
-    narrows to ``bracket_tol``.  Multiple transitions of one block inside
-    one coarse interval are separated by the bisection as long as they
-    are further than ``bracket_tol`` apart; transitions whose broken
-    window lies strictly between two grid points are invisible at the
-    chosen resolution.
+    midpoint, until the bracket narrows to ``bracket_tol``: near an EP
+    the pair gap grows like the square root of the distance to it, so
+    the bracket width, not the gap, bounds the error of ``gamma_star``.
+    Multiple transitions of one block inside one coarse interval are
+    separated by the bisection as long as they are further than
+    ``bracket_tol`` apart; transitions whose broken window lies strictly
+    between two grid points are invisible at the chosen resolution.
 
     Brackets of any blocks that overlap or touch and change the count in
     the same direction are joined: a transition shared by both blocks
@@ -593,13 +592,7 @@ def locate_exceptional_points(
     blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
     grid = np.linspace(lo, hi, coarse_steps + 1)
     count = partial(_broken_count, im_tol=im_tol)
-    solved, brackets = _scan_and_bisect(
-        blocks,
-        grid,
-        _block_eigvals,
-        count,
-        lambda a, va, b, vb: b - a <= bracket_tol or _flipped_pair_gap(va, vb, im_tol) <= ep_tol,
-    )
+    solved, brackets = _scan_and_bisect(blocks, grid, _block_eigvals, count, bracket_tol)
 
     def spectrum(g: float) -> np.ndarray:
         # a bracket end is solved for its own block; the others are solved here
@@ -617,7 +610,7 @@ def locate_exceptional_points(
         return points
 
     values = [spectrum(g) for g in grid]
-    diagnostics = _near_degeneracies(blocks, grid, values, [count(v) for v in values], ep_tol)
+    diagnostics = _near_degeneracies(blocks, grid, values, [count(v) for v in values])
     return points, diagnostics
 
 
@@ -644,38 +637,13 @@ def _join_brackets(
     return [(a, b) for a, b, _ in joined]
 
 
-def _match_flips(vals_a: np.ndarray, vals_b: np.ndarray, im_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``vals_b`` matched to ``vals_a``, and the indices whose broken
-    (complex) character flips between the two."""
-    perm, _, _ = _match_step(vals_a, vals_b, 0.0)
-    vb = vals_b[perm]
-    flip = np.nonzero((np.abs(vals_a.imag) > im_tol) != (np.abs(vb.imag) > im_tol))[0]
-    return vb, flip
-
-
-def _flipped_pair_gap(vals_a: np.ndarray, vals_b: np.ndarray, im_tol: float) -> float:
-    """Distance from coalescence of the eigenvalues changing character.
-
-    Matches the two endpoint spectra, restricts to indices whose broken
-    character flips across the bracket, and returns the larger of the
-    two endpoint gaps (each the worst nearest-partner distance inside
-    the flipped subset).  Exact degeneracies elsewhere in the spectrum,
-    such as the plus/minus momentum pairs of a ring, do not enter.
-    """
-    vb, flip = _match_flips(vals_a, vals_b, im_tol)
-    if flip.size < 2:
-        return math.inf
-    worst = 0.0
-    for side in (vals_a[flip], vb[flip]):
-        diff = np.abs(side[:, None] - side[None, :])
-        np.fill_diagonal(diff, np.inf)
-        worst = max(worst, float(diff.min(axis=1).max()))
-    return worst
-
-
 # Gaps below this are treated as exact symmetry degeneracies and skipped
 # when scanning for avoided-crossing dips.
 DEGENERACY_FLOOR = 1e-12
+
+# A refined gap minimum at or below this is a coalescence or an exact
+# crossing, not reported as a near degeneracy.
+NEAR_DEGENERACY_MIN_GAP = 1e-8
 
 
 def _min_distinct_gap(values: np.ndarray) -> float:
@@ -707,10 +675,12 @@ def _resolve_transition(
     """
     gamma_star = 0.5 * (a + b)
     ca, cb = _broken_count(vals_a, im_tol), _broken_count(vals_b, im_tol)
-    vals_b_matched, flipped = _match_flips(vals_a, vals_b, im_tol)
+    perm, _, _ = _match_step(vals_a, vals_b, 0.0)
+    vals_b_matched = vals_b[perm]
+    flips = (np.abs(vals_a.imag) > im_tol) != (np.abs(vals_b_matched.imag) > im_tol)
+    flipped = [int(i) for i in np.nonzero(flips)[0]]
     kind = EpKind.MERGE if cb > ca else EpKind.SPLIT
     broken_side = vals_b_matched if kind is EpKind.MERGE else vals_a
-    flipped = [int(i) for i in flipped]
 
     # Group flipped indices into conjugate pairs on the broken side.
     pairs: list[tuple[int, int]] = []
@@ -757,7 +727,7 @@ def _resolve_transition(
     return records
 
 
-def _near_degeneracies(build, grid, values, counts, ep_tol) -> list[NearDegeneracy]:
+def _near_degeneracies(build, grid, values, counts) -> list[NearDegeneracy]:
     """Local minima of the minimum distinct-pair gap away from count changes."""
     min_gaps = np.array([_min_distinct_gap(v) for v in values])
     out = []
@@ -766,7 +736,7 @@ def _near_degeneracies(build, grid, values, counts, ep_tol) -> list[NearDegenera
             continue
         if min_gaps[j] < min_gaps[j - 1] and min_gaps[j] < min_gaps[j + 1]:
             g, gap = _refine_gap_minimum(build, grid[j - 1], grid[j + 1])
-            if gap > ep_tol:
+            if gap > NEAR_DEGENERACY_MIN_GAP:
                 out.append(NearDegeneracy(gamma=g, min_gap=gap))
     return out
 
@@ -842,7 +812,7 @@ def locate_zero_energy_eps(
     blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
     grid = np.linspace(lo, hi, scan_steps + 1)
     # an exact zero of a block's determinant carries no sign
-    _, brackets = _scan_and_bisect(blocks, grid, _det_sign, lambda sign: sign or None)
+    _, brackets = _scan_and_bisect(blocks, grid, _det_sign, lambda sign: sign or None, 0.0)
 
     points = []
     for gamma_star, k in sorted((0.5 * (a + b), k) for k, a, b in brackets):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -426,16 +427,13 @@ def transmission_map(
     r_values = np.empty((energies.size, gammas.size))
     jobs = [(spec, leads, energies, j, g) for j, g in enumerate(gammas)]
     n_failed = 0
-    if workers > 1 and gammas.size > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and gammas.size > 1 else None
+    with pool or nullcontext():
+        if pool:
             results = pool.map(_map_column, jobs, chunksize=max(1, gammas.size // (8 * workers)))
-            for j, t_col, r_col, failed in results:
-                t_values[:, j] = t_col
-                r_values[:, j] = r_col
-                n_failed += failed
-    else:
-        for job in jobs:
-            j, t_col, r_col, failed = _map_column(job)
+        else:
+            results = map(_map_column, jobs)
+        for j, t_col, r_col, failed in results:
             t_values[:, j] = t_col
             r_values[:, j] = r_col
             n_failed += failed

@@ -211,6 +211,9 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
     assert main(["spectrum_sweep", "--set", "nope=1"]) == 1
     assert main(["spectrum_sweep", "--workers", "-1"]) == 1
     capsys.readouterr()
+    # removed key: EP brackets end on their width alone
+    assert main(["ep_search", "--set", "ep_tol=1e-8"]) == 1
+    assert "unknown key 'ep_tol'" in capsys.readouterr().err
 
 
 def test_main_numerical_failures_exit_2(tmp_path, capsys, monkeypatch):

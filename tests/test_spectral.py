@@ -1,5 +1,6 @@
 """Spectral machinery tests: eigensolver oracle, sweeps, phases, EPs."""
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from ptladder import (
     sweep_matrix_family,
     sweep_spectrum,
 )
+from ptladder import spectral
 from ptladder.spectral import _family_for
 
 
@@ -152,6 +154,8 @@ def test_family_matches_fresh_builds(topology):
         (20, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400),
         (20, BoundaryTopology.MOEBIUS, (0.02, 0.8), 250),
         (40, BoundaryTopology.MOEBIUS, (0.01, 0.45), 250),
+        # the zero-mode pair breaks from gamma = 0, so its count flips in the first step
+        (20, BoundaryTopology.TWISTED_OPEN, (0.0, 3.0), 400),
     ],
 )
 def test_sector_ep_search_matches_the_dense_callable(n_cells, topology, gamma_range, steps):
@@ -163,6 +167,10 @@ def test_sector_ep_search_matches_the_dense_callable(n_cells, topology, gamma_ra
     assert len(sectors) == len(reference) > 0
     assert [p.kind for p in sectors] == [p.kind for p in reference]
     for got, want in zip(sectors, reference):
+        # a bracket ends on its width alone
+        for p in (got, want):
+            assert p.bracket_hi - p.bracket_lo <= bracket_tol
+            assert p.bracket_lo <= p.gamma_star <= p.bracket_hi
         assert abs(got.gamma_star - want.gamma_star) <= bracket_tol
         # the ring's collective EP scatters its cluster by about sqrt(eps)
         assert abs(got.energy_star - want.energy_star) <= 1e-5
@@ -196,6 +204,32 @@ def test_sweep_workers_do_not_change_results():
     two = sweep_spectrum(spec, grid, workers=2)
     np.testing.assert_array_equal(one.branches, two.branches)
     assert one.ambiguous_steps == two.ambiguous_steps
+
+
+def test_pooled_sweep_builds_no_grid_blocks_in_the_parent(monkeypatch):
+    # Pool workers are forked, so their builds land in their own copies
+    # of ``built``; the parent may build only step-halving midpoints.
+    # ``wraps`` keeps the name, so the patched builder pickles by reference.
+    built = []
+    affine = spectral._affine_blocks
+
+    @functools.wraps(affine)
+    def counted(b0, slope, g):
+        built.append(float(g))
+        return affine(b0, slope, g)
+
+    monkeypatch.setattr(spectral, "_affine_blocks", counted)
+    spec = LatticeSpec(n_cells=4, topology=BoundaryTopology.MOEBIUS)
+    grid = np.linspace(0.0, 2.0, 41)
+    serial = sweep_spectrum(spec, grid, workers=1)
+    assert set(grid) <= set(built)
+
+    built.clear()
+    pooled = sweep_spectrum(spec, grid, workers=2)
+    np.testing.assert_array_equal(pooled.branches, serial.branches)
+    midpoints = set(0.5 * (grid[:-1] + grid[1:]))
+    assert set(built) <= midpoints
+    assert len(built) >= len(pooled.ambiguous_steps)
 
 
 def test_sweep_rejects_bad_grids():
