@@ -28,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -112,35 +113,36 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(lattice=LatticeSpec(n_cells=100), leads=LeadSpec())
 
 
-# key -> (section, python type).  Booleans accept true/false/1/0/yes/no.
-_KEY_TABLE: dict[str, tuple[str, type]] = {
-    "n_cells": ("lattice", int),
-    "intra_hop": ("lattice", float),
-    "inter_hop": ("lattice", float),
-    "delta": ("lattice", float),
-    "gamma": ("lattice", float),
-    "topology": ("lattice", str),
-    "v0": ("leads", float),
-    "coupling_upper_in": ("leads", float),
-    "coupling_lower_in": ("leads", float),
-    "coupling_upper_out": ("leads", float),
-    "coupling_lower_out": ("leads", float),
-    "gamma_min": ("grid", float),
-    "gamma_max": ("grid", float),
-    "gamma_count": ("grid", int),
-    "e_min": ("grid", float),
-    "e_max": ("grid", float),
-    "e_count": ("grid", int),
-    "path": ("output", str),
-    "format": ("output", str),
-    "with_weights": ("output", bool),
-    "with_zero_trace": ("output", bool),
-    "experiment": ("run", str),
-    "workers": ("run", int),
-    "coarse_steps": ("run", int),
+# Every config key, in canonical-text order: key -> (section, dotted
+# attribute path in ExperimentConfig, type).  The [run] keys come first
+# and are written without a section header.
+_KEY_TABLE: dict[str, tuple[str, str, object]] = {
+    "experiment": ("run", "experiment", str),
+    "workers": ("run", "workers", int),
+    "coarse_steps": ("run", "coarse_steps", int),
+    "n_cells": ("lattice", "lattice.n_cells", int),
+    "intra_hop": ("lattice", "lattice.intra_hop", float),
+    "inter_hop": ("lattice", "lattice.inter_hop", float),
+    "delta": ("lattice", "lattice.delta", float),
+    "topology": ("lattice", "lattice.topology", BoundaryTopology),
+    "v0": ("leads", "leads.v0", float),
+    "coupling_upper_in": ("leads", "leads.upper_in", float),
+    "coupling_lower_in": ("leads", "leads.lower_in", float),
+    "coupling_upper_out": ("leads", "leads.upper_out", float),
+    "coupling_lower_out": ("leads", "leads.lower_out", float),
+    "gamma_min": ("grid", "gamma_grid.lo", float),
+    "gamma_max": ("grid", "gamma_grid.hi", float),
+    "gamma_count": ("grid", "gamma_grid.count", int),
+    "e_min": ("grid", "e_grid.lo", float),
+    "e_max": ("grid", "e_grid.hi", float),
+    "e_count": ("grid", "e_grid.count", int),
+    "path": ("output", "out_path", str | None),
+    "format": ("output", "out_format", str),
+    "with_weights": ("output", "with_weights", bool),
+    "with_zero_trace": ("output", "with_zero_trace", bool),
 }
 
-_SECTIONS = ("lattice", "leads", "grid", "output", "run")
+_SECTIONS = {section for section, _, _ in _KEY_TABLE.values()}
 
 PRESETS: dict[str, dict[str, str]] = {
     "fig2-cll": {
@@ -213,18 +215,16 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _coerce(key: str, raw: str, where: str) -> object:
-    _, typ = _KEY_TABLE[key]
-    try:
-        if typ is bool:
-            return _parse_bool(raw)
-        if typ is int:
-            return int(raw.strip())
-        if typ is float:
-            return float(raw.strip())
-        return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {typ.__name__} ({exc})")
+# type -> (parse the stripped text, canonical text of a value).  Booleans
+# accept true/false/1/0/yes/no/on/off; an empty path is unset.
+_CODECS = {
+    int: (int, str),
+    float: (float, repr),
+    str: (str, str),
+    str | None: (lambda text: text or None, str),
+    bool: (_parse_bool, lambda value: str(value).lower()),
+    BoundaryTopology: (BoundaryTopology.from_name, lambda value: value.value),
+}
 
 
 def _scan_lines(text: str) -> dict[tuple[str, str], int]:
@@ -247,86 +247,34 @@ def _scan_lines(text: str) -> dict[tuple[str, str], int]:
 
 
 def _apply_pairs(config: ExperimentConfig, pairs: list[tuple[str, str, str, str]]) -> ExperimentConfig:
-    """Apply (section, key, raw value, diagnostic) tuples onto a config."""
-    lattice = dataclasses.asdict(config.lattice)
-    lattice["topology"] = config.lattice.topology.value
-    leads = dataclasses.asdict(config.leads)
-    grid = {
-        "gamma_min": config.gamma_grid.lo,
-        "gamma_max": config.gamma_grid.hi,
-        "gamma_count": config.gamma_grid.count,
-        "e_min": config.e_grid.lo,
-        "e_max": config.e_grid.hi,
-        "e_count": config.e_grid.count,
-    }
-    scalars = {
-        "experiment": config.experiment,
-        "workers": config.workers,
-        "coarse_steps": config.coarse_steps,
-        "path": config.out_path,
-        "format": config.out_format,
-        "with_weights": config.with_weights,
-        "with_zero_trace": config.with_zero_trace,
-    }
-    lead_key_map = {
-        "v0": "v0",
-        "coupling_upper_in": "upper_in",
-        "coupling_lower_in": "lower_in",
-        "coupling_upper_out": "upper_out",
-        "coupling_lower_out": "lower_out",
-    }
+    """Apply (section, key, raw value, diagnostic) tuples onto a config.
 
+    Every value is coerced first; each nested spec is then rebuilt once
+    from all of its updates, so it is validated only in its final state.
+    """
+    updates: dict[str, dict[str, object]] = {}
     for section, key, raw, where in pairs:
         if key not in _KEY_TABLE:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        home, _ = _KEY_TABLE[key]
+        home, attr, typ = _KEY_TABLE[key]
         if section not in ("run", home):
             raise ConfigError(
                 f"{where}: key {key!r} belongs to section [{home}], found in [{section}]"
             )
-        value = _coerce(key, raw, where)
-        if home == "lattice":
-            lattice[key] = value
-        elif home == "leads":
-            leads[lead_key_map[key]] = value
-        elif home == "grid":
-            grid[key] = value
-        else:
-            scalars[key] = value
+        try:
+            value = _CODECS[typ][0](raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {typ.__name__} ({exc})")
+        owner, _, name = attr.rpartition(".")
+        updates.setdefault(owner, {})[name] = value
 
+    top = updates.pop("", {})
     try:
-        topology = (
-            lattice["topology"]
-            if isinstance(lattice["topology"], BoundaryTopology)
-            else BoundaryTopology.from_name(str(lattice["topology"]))
-        )
-        new_lattice = LatticeSpec(
-            n_cells=int(lattice["n_cells"]),
-            intra_hop=float(lattice["intra_hop"]),
-            inter_hop=float(lattice["inter_hop"]),
-            delta=float(lattice["delta"]),
-            gamma=float(lattice["gamma"]),
-            topology=topology,
-        )
-        new_leads = LeadSpec(**leads)
+        for owner, changes in updates.items():
+            top[owner] = dataclasses.replace(getattr(config, owner), **changes)
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-    return ExperimentConfig(
-        lattice=new_lattice,
-        leads=new_leads,
-        experiment=str(scalars["experiment"]),
-        gamma_grid=GridSpec(
-            float(grid["gamma_min"]), float(grid["gamma_max"]), int(grid["gamma_count"])
-        ),
-        e_grid=GridSpec(float(grid["e_min"]), float(grid["e_max"]), int(grid["e_count"])),
-        out_path=scalars["path"] if scalars["path"] else None,
-        out_format=str(scalars["format"]),
-        with_weights=bool(scalars["with_weights"]),
-        with_zero_trace=bool(scalars["with_zero_trace"]),
-        workers=int(scalars["workers"]),
-        coarse_steps=int(scalars["coarse_steps"]),
-    )
+    return dataclasses.replace(config, **top)
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -365,8 +313,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.experiment == "detangle_check":
         if config.lattice.topology is not BoundaryTopology.OPEN:
             raise ConfigError("detangle_check needs topology = open")
-        if config.lattice.gamma != 0.0 or config.lattice.delta != 0.0:
-            raise ConfigError("detangle_check is defined at gamma = delta = 0")
+        if config.lattice.delta != 0.0:
+            raise ConfigError("detangle_check is defined at delta = 0")
         if config.e_grid.count < 16:
             raise ConfigError("detangle_check needs e_count >= 16")
     return config
@@ -407,43 +355,15 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
 
 def config_to_text(config: ExperimentConfig) -> str:
     """Canonical flat document; parse_config round-trips it exactly."""
-    lines = [
-        f"experiment = {config.experiment}",
-        f"workers = {config.workers}",
-        f"coarse_steps = {config.coarse_steps}",
-        "",
-        "[lattice]",
-        f"n_cells = {config.lattice.n_cells}",
-        f"intra_hop = {config.lattice.intra_hop!r}",
-        f"inter_hop = {config.lattice.inter_hop!r}",
-        f"delta = {config.lattice.delta!r}",
-        f"gamma = {config.lattice.gamma!r}",
-        f"topology = {config.lattice.topology.value}",
-        "",
-        "[leads]",
-        f"v0 = {config.leads.v0!r}",
-        f"coupling_upper_in = {config.leads.upper_in!r}",
-        f"coupling_lower_in = {config.leads.lower_in!r}",
-        f"coupling_upper_out = {config.leads.upper_out!r}",
-        f"coupling_lower_out = {config.leads.lower_out!r}",
-        "",
-        "[grid]",
-        f"gamma_min = {config.gamma_grid.lo!r}",
-        f"gamma_max = {config.gamma_grid.hi!r}",
-        f"gamma_count = {config.gamma_grid.count}",
-        f"e_min = {config.e_grid.lo!r}",
-        f"e_max = {config.e_grid.hi!r}",
-        f"e_count = {config.e_grid.count}",
-        "",
-        "[output]",
-    ]
-    if config.out_path:
-        lines.append(f"path = {config.out_path}")
-    lines += [
-        f"format = {config.out_format}",
-        f"with_weights = {str(config.with_weights).lower()}",
-        f"with_zero_trace = {str(config.with_zero_trace).lower()}",
-    ]
+    lines = []
+    section = "run"
+    for key, (home, attr, typ) in _KEY_TABLE.items():
+        if home != section:
+            section = home
+            lines += ["", f"[{section}]"]
+        value = attrgetter(attr)(config)
+        if value is not None:
+            lines.append(f"{key} = {_CODECS[typ][1](value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -77,21 +77,10 @@ def _cot(z: complex) -> complex:
     return cmath.cos(z) / cmath.sin(z)
 
 
-def complex_rotation_angle(
-    d: float,
-    delta: float,
-    gamma: float,
-    regime_hint: str | None = None,
-) -> RotationAngle:
-    """Angle solving ``cot(2 theta) = (delta + i*gamma) / (2 d)``.
-
-    ``regime_hint`` ("unbroken" or "broken") is optional and only
-    cross-checked against the actual regime at delta = 0.
-    """
+def complex_rotation_angle(d: float, delta: float, gamma: float) -> RotationAngle:
+    """Angle solving ``cot(2 theta) = (delta + i*gamma) / (2 d)``."""
     if d == 0:
         raise ValueError("rotation angle undefined for d = 0 (no rung coupling)")
-    if regime_hint not in (None, "unbroken", "broken"):
-        raise ValueError(f"unknown regime_hint {regime_hint!r}")
 
     z = (delta + 1j * gamma) / (2.0 * d)
     if abs(z - 1j) < 1e-15 or abs(z + 1j) < 1e-15:
@@ -99,13 +88,6 @@ def complex_rotation_angle(
             f"cot(2 theta) = {z:+.3g} sits at the exceptional point "
             "(gamma = 2d, delta = 0); no finite rotation angle exists"
         )
-
-    if delta == 0.0:
-        regime = "unbroken" if abs(gamma) < abs(2.0 * d) else "broken"
-        if regime_hint is not None and regime_hint != regime:
-            raise ValueError(
-                f"regime_hint {regime_hint!r} contradicts gamma = {gamma}, 2d = {2 * d}"
-            )
 
     theta = 0.5 * (cmath.atan(1.0 / z) if z != 0 else 0.5 * math.pi)
     # Canonical branch: theta_r in [0, pi/2).  cot(2 theta) has period

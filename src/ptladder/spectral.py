@@ -702,29 +702,37 @@ def _resolve_transition(
             used.update((i, j))
 
     mid = _eigenpairs(blocks, bases, gamma_star)
-    records = []
-    for i, j in pairs:
-        target = 0.5 * (broken_side[i] + broken_side[j])
-        idx = np.argsort(np.abs(mid.eigenvalues - target))[:2]
-        idx = sorted(int(x) for x in idx)
-        gap = float(abs(mid.eigenvalues[idx[0]] - mid.eigenvalues[idx[1]]))
-        energy = complex(0.5 * (mid.eigenvalues[idx[0]] + mid.eigenvalues[idx[1]]))
-        v = mid.right_eigenvectors[:, idx[0]]
-        self_orth = float(abs(v @ v) / (np.vdot(v, v).real))
-        records.append(
-            ExceptionalPoint(
-                gamma_star=gamma_star,
-                energy_star=energy,
-                kind=kind,
-                branch_pair=(idx[0], idx[1]),
-                pair_gap=gap,
-                self_orthogonality=self_orth,
-                bracket_lo=a,
-                bracket_hi=b,
-                n_broken_change=cb - ca,
-            )
+    return [
+        _pair_record(
+            mid,
+            0.5 * (broken_side[i] + broken_side[j]),
+            gamma_star=gamma_star,
+            kind=kind,
+            bracket_lo=a,
+            bracket_hi=b,
+            n_broken_change=cb - ca,
         )
-    return records
+        for i, j in pairs
+    ]
+
+
+def _pair_record(mid: Spectrum, target: complex, **fields) -> ExceptionalPoint:
+    """ExceptionalPoint for the two eigenvalues of ``mid`` nearest ``target``.
+
+    The pair gives ``branch_pair`` (ascending indices), ``energy_star``
+    (its midpoint), ``pair_gap`` and the ``self_orthogonality`` of the
+    lower index's eigenvector; ``fields`` supply the rest.
+    """
+    lo, hi = sorted(int(x) for x in np.argsort(np.abs(mid.eigenvalues - target))[:2])
+    e_lo, e_hi = mid.eigenvalues[lo], mid.eigenvalues[hi]
+    v = mid.right_eigenvectors[:, lo]
+    return ExceptionalPoint(
+        energy_star=complex(0.5 * (e_lo + e_hi)),
+        branch_pair=(lo, hi),
+        pair_gap=float(abs(e_lo - e_hi)),
+        self_orthogonality=float(abs(v @ v) / np.vdot(v, v).real),
+        **fields,
+    )
 
 
 def _near_degeneracies(build, grid, values, counts) -> list[NearDegeneracy]:
@@ -828,19 +836,12 @@ def locate_zero_energy_eps(
         if broken_before == broken_after:
             continue  # plain zero crossing, not a coalescence
         kind = EpKind.MERGE if broken_after else EpKind.SPLIT
-        mid = _eigenpairs(blocks, bases, gamma_star)
-        idx = np.argsort(np.abs(mid.eigenvalues))[:2]
-        idx = sorted(int(x) for x in idx)
-        pair = mid.eigenvalues[idx]
-        v = mid.right_eigenvectors[:, idx[0]]
         points.append(
-            ExceptionalPoint(
+            _pair_record(
+                _eigenpairs(blocks, bases, gamma_star),
+                0.0,
                 gamma_star=gamma_star,
-                energy_star=complex(pair.mean()),
                 kind=kind,
-                branch_pair=(idx[0], idx[1]),
-                pair_gap=float(abs(pair[0] - pair[1])),
-                self_orthogonality=float(abs(v @ v) / np.vdot(v, v).real),
                 bracket_lo=gamma_star - probe,
                 bracket_hi=gamma_star + probe,
                 n_broken_change=2 if kind is EpKind.MERGE else -2,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,9 @@ def test_empty_document_is_the_default_config():
 
 
 def test_top_level_keys_resolve_without_sections():
-    config = parse_config("n_cells = 8\ngamma = 0.5\nexperiment = ep_search\n")
+    config = parse_config("n_cells = 8\ndelta = 0.5\nexperiment = ep_search\n")
     assert config.lattice.n_cells == 8
-    assert config.lattice.gamma == 0.5
+    assert config.lattice.delta == 0.5
     assert config.experiment == "ep_search"
 
 
@@ -91,8 +92,8 @@ def test_transport_experiments_need_open_boundaries():
 
 
 def test_detangle_check_preconditions():
-    with pytest.raises(ConfigError, match="gamma = delta = 0"):
-        parse_config("experiment = detangle_check\ntopology = open\ngamma = 0.5\n")
+    with pytest.raises(ConfigError, match="delta = 0"):
+        parse_config("experiment = detangle_check\ntopology = open\ndelta = 0.5\n")
     with pytest.raises(ConfigError, match="topology = open"):
         parse_config("experiment = detangle_check\ntopology = twisted\n")
     with pytest.raises(ConfigError, match="e_count"):
@@ -107,7 +108,7 @@ def test_canonical_text_round_trips():
             "[lattice]",
             "topology = twisted",
             "n_cells = 8",
-            "gamma = 0.25",
+            "delta = 0.25",
             "[leads]",
             "v0 = 8.0",
             "coupling_upper_out = 0.5",
@@ -127,13 +128,99 @@ def test_canonical_text_round_trips():
 
 
 def test_apply_overrides():
-    config = apply_overrides(default_config(), ["gamma=1.5", "topology=open"])
-    assert config.lattice.gamma == 1.5
+    config = apply_overrides(default_config(), ["delta=1.5", "topology=open"])
+    assert config.lattice.delta == 1.5
     assert config.lattice.topology is BoundaryTopology.OPEN
     with pytest.raises(ConfigError, match="key=value"):
         apply_overrides(default_config(), ["gamma"])
     with pytest.raises(ConfigError, match="unknown key"):
         apply_overrides(default_config(), ["nope=1"])
+
+
+# Valid non-default values for the keys whose type gives no rule for one.
+_STRING_VALUES = {"experiment": "ep_search", "format": "json", "path": "out/run.csv"}
+
+
+@pytest.mark.parametrize("key", list(cli._KEY_TABLE))
+def test_every_key_sets_its_attribute_and_round_trips(key):
+    _, attr, typ = cli._KEY_TABLE[key]
+    default = attrgetter(attr)(default_config())
+    if typ is bool:
+        value = not default
+    elif typ in (int, float):
+        value = default + (2 if typ is int else 0.5)
+    elif typ is BoundaryTopology:
+        value = next(t for t in BoundaryTopology if t is not default)
+    else:
+        value = _STRING_VALUES[key]
+    raw = value.value if typ is BoundaryTopology else str(value)
+    assert value != default
+    config = apply_overrides(default_config(), [f"{key}={raw}"])
+    assert attrgetter(attr)(config) == value
+    assert parse_config(config_to_text(config)) == config
+
+
+def test_keys_name_distinct_attributes():
+    attrs = [attr for _, attr, _ in cli._KEY_TABLE.values()]
+    assert len(set(attrs)) == len(attrs)
+
+
+FIG6_TWISTED_TEXT = """\
+experiment = transmission_map
+workers = 0
+coarse_steps = 400
+
+[lattice]
+n_cells = 100
+intra_hop = 1.0
+inter_hop = 1.0
+delta = 0.0
+topology = twisted
+
+[leads]
+v0 = 10.0
+coupling_upper_in = 1.0
+coupling_lower_in = 1.0
+coupling_upper_out = 1.0
+coupling_lower_out = 1.0
+
+[grid]
+gamma_min = 0.0
+gamma_max = 3.0
+gamma_count = 601
+e_min = -4.0
+e_max = 4.0
+e_count = 801
+
+[output]
+format = csv
+with_weights = false
+with_zero_trace = true
+"""
+
+
+def test_canonical_text_of_a_preset_is_pinned():
+    # the manifest's config_text format
+    preset = PRESETS["fig6-twisted"]
+    config = apply_overrides(default_config(), [f"{k}={v}" for k, v in preset.items()])
+    assert config_to_text(config) == FIG6_TWISTED_TEXT
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme[readme.index("| section | key | type | default |") :].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        section, key, _, default = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((section, key.strip("`"), default))
+    defaults = dict(
+        line.split(" = ") for line in config_to_text(default_config()).splitlines() if " = " in line
+    )
+    assert [row[:2] for row in rows] == [(home, key) for key, (home, _, _) in cli._KEY_TABLE.items()]
+    for _, key, default in rows:
+        assert default == (f"`{defaults[key]}`" if key in defaults else "unset")
 
 
 def test_grid_spec_points():
@@ -183,6 +270,18 @@ def test_main_writes_data_and_manifest(tmp_path, capsys):
     assert reparsed.lattice.n_cells == 6
     assert reparsed.e_grid == GridSpec(0.3, 0.3, 1)
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_manifest_config_text_reruns_the_same_data(tmp_path):
+    first = tmp_path / "first.csv"
+    argv = ["fig2-mll", "--set", "n_cells=6", "--set", "gamma_count=9", "--out", str(first)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "first.manifest.json").read_text())
+    conf = tmp_path / "first.conf"
+    conf.write_text(manifest["config_text"])
+    second = tmp_path / "second.csv"
+    assert main(["spectrum_sweep", "--config", str(conf), "--out", str(second)]) == 0
+    assert hashlib.sha256(second.read_bytes()).hexdigest() == manifest["checksums"][str(first)]
 
 
 def test_main_output_is_identical_across_worker_counts(tmp_path):

@@ -51,12 +51,6 @@ def test_angle_rejects_exceptional_point_and_bad_input():
         complex_rotation_angle(d=1.0, delta=0.0, gamma=2.0)
     with pytest.raises(ValueError):
         complex_rotation_angle(d=0.0, delta=0.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        complex_rotation_angle(d=1.0, delta=0.0, gamma=1.0, regime_hint="melted")
-    with pytest.raises(ValueError):
-        complex_rotation_angle(d=1.0, delta=0.0, gamma=1.0, regime_hint="broken")
-    hinted = complex_rotation_angle(d=1.0, delta=0.0, gamma=1.0, regime_hint="unbroken")
-    assert hinted.theta_r == pytest.approx(math.pi / 4, abs=1e-14)
 
 
 @given(
