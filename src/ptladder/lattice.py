@@ -7,6 +7,9 @@ by the rung hopping ``-intra_hop`` and between neighbouring cells by the
 leg hopping ``-inter_hop``.  Four boundary closures are supported: a
 circular ring, a Moebius ring (the closing bond pair is crossed), an open
 ladder, and an open ladder with one crossed bond pair in the middle.
+``_bond_blocks`` is the one place that puts that twist between cells N/2
+and N/2 + 1; the dense Hamiltonian, its sector blocks and the transport
+kernel all take their bonds from it.
 
 All Hamiltonians produced here are complex symmetric (``M == M.T``
 exactly).  At ``delta == 0``, and only there, they are also PT-symmetric,
@@ -199,11 +202,7 @@ def _assemble(spec: LatticeSpec, blocks: UnitCellBlocks) -> np.ndarray:
     for c in range(n):
         ham[2 * c : 2 * c + 2, 2 * c : 2 * c + 2] = blocks.h0
 
-    twist_bond = n // 2 - 1  # bond between cells N/2 and N/2 + 1 (0-based)
-    for c in range(n - 1):
-        hop = blocks.h1
-        if spec.topology is BoundaryTopology.TWISTED_OPEN and c == twist_bond:
-            hop = blocks.h1_twist
+    for c, hop in enumerate(_bond_blocks(spec, blocks)):
         ham[2 * c : 2 * c + 2, 2 * c + 2 : 2 * c + 4] += hop
         ham[2 * c + 2 : 2 * c + 4, 2 * c : 2 * c + 2] += hop.T
 
@@ -217,6 +216,20 @@ def _assemble(spec: LatticeSpec, blocks: UnitCellBlocks) -> np.ndarray:
         ham[0:2, 2 * (n - 1) : 2 * n] += closing.T
 
     return ham
+
+
+def _bond_blocks(spec: LatticeSpec, cells: UnitCellBlocks) -> list[np.ndarray]:
+    """The N - 1 bond blocks between neighbouring cells, in the basis of ``cells``.
+
+    Entry c is the upper block from cell c to cell c + 1 (0-based); the
+    lower block is its transpose.  The twisted topology crosses entry
+    N/2 - 1, the bond between cells N/2 and N/2 + 1 (1-based).  This is
+    the one place the twist sits; ring closures are added by ``_assemble``.
+    """
+    hops = [cells.h1] * (spec.n_cells - 1)
+    if spec.topology is BoundaryTopology.TWISTED_OPEN:
+        hops[spec.n_cells // 2 - 1] = cells.h1_twist
+    return hops
 
 
 def _mirror_sites(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

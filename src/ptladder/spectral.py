@@ -70,6 +70,9 @@ __all__ = [
 ]
 
 RESIDUAL_BOUND = 1e-8
+# A branch whose two nearest candidates are closer than this in distance,
+# but further apart in value, makes a matching step ambiguous.
+MATCHING_TOL = 1e-9
 
 
 class EigensolverError(RuntimeError):
@@ -180,7 +183,7 @@ def _as_family(build: Callable) -> Callable[[float], tuple[np.ndarray, ...]]:
     return family
 
 
-def _match_step(prev: np.ndarray, cur: np.ndarray, matching_tol: float) -> tuple[np.ndarray, float, bool]:
+def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Assign current eigenvalues to previous branches.
 
     Returns (permutation, max matched distance, ambiguity flag).  A step
@@ -200,12 +203,12 @@ def _match_step(prev: np.ndarray, cur: np.ndarray, matching_tol: float) -> tuple
     perm[rows] = cols
     matched = cost[rows, cols]
     ambiguous = False
-    if cost.shape[1] > 1 and matching_tol > 0:
+    if cost.shape[1] > 1:
         order = np.argsort(cost, axis=1)
         j0, j1 = order[:, 0], order[:, 1]
         idx = np.arange(cost.shape[0])
-        tie = cost[idx, j1] - cost[idx, j0] < matching_tol
-        distinct = np.abs(cur[j1] - cur[j0]) > matching_tol
+        tie = cost[idx, j1] - cost[idx, j0] < MATCHING_TOL
+        distinct = np.abs(cur[j1] - cur[j0]) > MATCHING_TOL
         ambiguous = bool(np.any(tie & distinct))
     return perm, float(matched.max()) if matched.size else 0.0, ambiguous
 
@@ -213,8 +216,6 @@ def _match_step(prev: np.ndarray, cur: np.ndarray, matching_tol: float) -> tuple
 def sweep_matrix_family(
     build: Callable[[float], np.ndarray],
     gamma_grid: Sequence[float],
-    *,
-    matching_tol: float = 1e-9,
 ) -> SweepResult:
     """Sweep any gamma-parametrised matrix family with branch continuation.
 
@@ -229,7 +230,7 @@ def sweep_matrix_family(
     """
     grid = _checked_grid(gamma_grid)
     family = _as_family(build)
-    return _continue_branches(family, grid, _grid_eigvals(family, grid, 1), matching_tol)[0]
+    return _continue_branches(family, grid, _grid_eigvals(family, grid, 1))[0]
 
 
 def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
@@ -245,7 +246,6 @@ def _continue_branches(
     build: Callable,
     grid: np.ndarray,
     spectra: list[np.ndarray],
-    matching_tol: float,
     carried: list[np.ndarray] | None = None,
 ) -> tuple[SweepResult, np.ndarray | None]:
     """Continue branches through the sorted spectra of every grid point.
@@ -269,12 +269,12 @@ def _continue_branches(
         cur = spectra[j]
         if cur.size != n:
             raise ValueError("matrix family changed dimension during sweep")
-        perm, dist, ambiguous = _match_step(prev, cur, matching_tol)
+        perm, dist, ambiguous = _match_step(prev, cur)
         if ambiguous:
             # Step halving: route the match through the interval midpoint.
             mid = _eigvals_sorted(build(0.5 * (grid[j - 1] + grid[j])))
-            perm_a, dist_a, amb_a = _match_step(prev, mid, matching_tol)
-            perm_b, dist_b, amb_b = _match_step(mid[perm_a], cur, matching_tol)
+            perm_a, dist_a, amb_a = _match_step(prev, mid)
+            perm_b, dist_b, amb_b = _match_step(mid[perm_a], cur)
             if not (amb_a or amb_b):
                 # perm_b is computed against the already-permuted midpoint,
                 # so it is the composed assignment.
@@ -365,7 +365,6 @@ def sweep_spectrum(
     spec: LatticeSpec,
     gamma_grid: Sequence[float],
     *,
-    matching_tol: float = 1e-9,
     workers: int = 1,
 ) -> SweepResult:
     """Eigenvalue branches of a lattice over a gamma grid.
@@ -380,7 +379,7 @@ def sweep_spectrum(
     """
     grid = _checked_grid(gamma_grid)
     blocks = _family_for(spec)[0]
-    return _continue_branches(blocks, grid, _grid_eigvals(blocks, grid, workers), matching_tol)[0]
+    return _continue_branches(blocks, grid, _grid_eigvals(blocks, grid, workers))[0]
 
 
 def _weighted_sweep(
@@ -388,7 +387,6 @@ def _weighted_sweep(
     gamma_grid: Sequence[float],
     weigh: Callable[[np.ndarray, float], np.ndarray],
     *,
-    matching_tol: float = 1e-9,
     workers: int = 1,
 ) -> tuple[SweepResult, np.ndarray]:
     """``sweep_spectrum`` that also reduces every point's eigenvectors.
@@ -404,7 +402,7 @@ def _weighted_sweep(
     points = _grid_eigvals(blocks, grid, workers, weigh=weigh, bases=bases)
     values = [v for v, _ in points]
     rows = [r for _, r in points]
-    return _continue_branches(blocks, grid, values, matching_tol, rows)
+    return _continue_branches(blocks, grid, values, rows)
 
 
 class Phase(Enum):
@@ -675,7 +673,7 @@ def _resolve_transition(
     """
     gamma_star = 0.5 * (a + b)
     ca, cb = _broken_count(vals_a, im_tol), _broken_count(vals_b, im_tol)
-    perm, _, _ = _match_step(vals_a, vals_b, 0.0)
+    perm, _, _ = _match_step(vals_a, vals_b)
     vals_b_matched = vals_b[perm]
     flips = (np.abs(vals_a.imag) > im_tol) != (np.abs(vals_b_matched.imag) > im_tol)
     flipped = [int(i) for i in np.nonzero(flips)[0]]
@@ -768,12 +766,15 @@ def _refine_gap_minimum(build, a: float, b: float, iters: int = 40) -> tuple[flo
     return g, f(g)
 
 
+# A det sign change is a zero-energy EP only if min |E| there is below this.
+ZERO_ENERGY_TOL = 1e-6
+
+
 def locate_zero_energy_eps(
     spec: LatticeSpec | Callable[[float], np.ndarray],
     gamma_range: tuple[float, float],
     scan_steps: int = 601,
     *,
-    energy_tol: float = 1e-6,
     im_tol: float = 1e-9,
 ) -> list[ExceptionalPoint]:
     """Exceptional points pinned at E = 0: a real +-E pair merging at zero.
@@ -800,8 +801,8 @@ def locate_zero_energy_eps(
     skipped.
 
     Two filters then remain, both on the eigenvalues of that block.
-    ``min |E|`` at gamma* must reach ``energy_tol``: for families without
-    the E -> -conj(E) symmetry the determinant is complex, and its real
+    ``min |E|`` at gamma* must be within ``ZERO_ENERGY_TOL``: for families
+    without the E -> -conj(E) symmetry the determinant is complex, and its real
     part can change sign far from any zero (``diag(exp(i*g), 1)`` at
     g = pi/2), which this rejects.  And the eigenvalue closest to zero
     must flip between real and complex character across gamma* +- 1e-7,
@@ -824,7 +825,7 @@ def locate_zero_energy_eps(
 
     points = []
     for gamma_star, k in sorted((0.5 * (a + b), k) for k, a, b in brackets):
-        if abs(_minimal_eigenvalue(blocks(gamma_star)[k])) > energy_tol:
+        if abs(_minimal_eigenvalue(blocks(gamma_star)[k])) > ZERO_ENERGY_TOL:
             continue
         # gamma_star is refined to adjacent doubles, so a 1e-7 probe lands
         # cleanly on either side of the coalescence
@@ -883,45 +884,23 @@ def broken_windows(points: Sequence[ExceptionalPoint]) -> list[BrokenWindow]:
     a simultaneous cluster (identical brackets and energies) are
     deduplicated.  Unpaired points yield open-ended windows.
     """
-    ordered = sorted(points, key=lambda p: p.gamma_star)
+
+    def window(lo: float, hi: float, energy: complex) -> BrokenWindow:
+        open_ended = math.isinf(lo) or math.isinf(hi)
+        return BrokenWindow(lo, hi, math.inf if open_ended else hi - lo, energy, open_ended)
+
     open_merges: list[ExceptionalPoint] = []
     windows: list[BrokenWindow] = []
-    for p in ordered:
+    for p in sorted(points, key=lambda p: p.gamma_star):
         if p.kind is EpKind.MERGE:
             open_merges.append(p)
+        elif not open_merges:
+            windows.append(window(-math.inf, p.gamma_star, p.energy_star))
         else:
-            if not open_merges:
-                windows.append(
-                    BrokenWindow(
-                        gamma_lo=-math.inf,
-                        gamma_hi=p.gamma_star,
-                        width=math.inf,
-                        energy=p.energy_star,
-                        open_ended=True,
-                    )
-                )
-                continue
             m = min(open_merges, key=lambda m: abs(m.energy_star - p.energy_star))
             open_merges.remove(m)
-            windows.append(
-                BrokenWindow(
-                    gamma_lo=m.gamma_star,
-                    gamma_hi=p.gamma_star,
-                    width=p.gamma_star - m.gamma_star,
-                    energy=0.5 * (m.energy_star + p.energy_star),
-                    open_ended=False,
-                )
-            )
-    for m in open_merges:
-        windows.append(
-            BrokenWindow(
-                gamma_lo=m.gamma_star,
-                gamma_hi=math.inf,
-                width=math.inf,
-                energy=m.energy_star,
-                open_ended=True,
-            )
-        )
+            windows.append(window(m.gamma_star, p.gamma_star, 0.5 * (m.energy_star + p.energy_star)))
+    windows += [window(m.gamma_star, math.inf, m.energy_star) for m in open_merges]
     windows.sort(key=lambda w: (w.gamma_lo, w.gamma_hi, w.energy.real))
     deduped: list[BrokenWindow] = []
     for w in windows:

@@ -14,8 +14,11 @@ a bordered block-tridiagonal system of size 2N + 2 in the unknowns
     [                           G_out^T  v0/2           ] [t]    [0            ]
 
 with ``G = (-coupling_upper, -coupling_lower)^T`` and the lead momentum
-``e^{+iq} = -E/v0 + i sqrt(1 - (E/v0)^2)``.  The twisted topology swaps
-the bond between cells N/2 and N/2 + 1 for its crossed version.
+``e^{+iq} = -E/v0 + i sqrt(1 - (E/v0)^2)``.  The ladder itself comes from
+``lattice``: the dense system embeds ``build_real_space_hamiltonian``,
+and the kernel takes its on-site block from ``unit_cell_blocks`` and its
+bonds, the crossed one of the twisted topology included, from
+``lattice._bond_blocks``.  This module places no cell, bond or twist.
 
 Rows 0 and 2N + 1 give ``r = -1 - (2/v0) G_in^T psi_1`` and
 ``t = -(2/v0) G_out^T psi_N``.  Substituting them leaves an N-cell
@@ -39,7 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoundaryTopology, LatticeSpec, unit_cell_blocks
+from .lattice import (
+    BoundaryTopology,
+    LatticeSpec,
+    _bond_blocks,
+    build_real_space_hamiltonian,
+    unit_cell_blocks,
+)
 
 __all__ = [
     "OutOfBandError",
@@ -148,15 +157,6 @@ class ScatteringSystem:
         return self.matrix.shape[0]
 
 
-def _bond_blocks(spec: LatticeSpec) -> list[np.ndarray]:
-    """Inter-cell hop block for each of the N - 1 bonds (all symmetric)."""
-    blocks = unit_cell_blocks(spec)
-    hops = [blocks.h1] * (spec.n_cells - 1)
-    if spec.topology is BoundaryTopology.TWISTED_OPEN:
-        hops[spec.n_cells // 2 - 1] = blocks.h1_twist
-    return hops
-
-
 def _check_transport_spec(spec: LatticeSpec) -> None:
     if spec.topology not in _OPEN_TOPOLOGIES:
         raise ValueError(
@@ -170,11 +170,8 @@ def assemble_scattering_system(
     """Build the dense bordered system for one energy."""
     _check_transport_spec(spec)
     eiq, emiq = lead_momentum(energy, leads.v0)
-    blocks = unit_cell_blocks(spec)
-    hops = _bond_blocks(spec)
     n = spec.n_cells
     dim = 2 * n + 2
-    h0e = blocks.h0 - energy * np.eye(2)
 
     a = np.zeros((dim, dim), dtype=complex)
     b = np.zeros(dim, dtype=complex)
@@ -182,15 +179,7 @@ def assemble_scattering_system(
     a[0, 0] = 0.5 * leads.v0
     a[0, 1:3] = leads.g_in
     b[0] = -0.5 * leads.v0
-
-    for c in range(n):
-        lo = 1 + 2 * c
-        a[lo : lo + 2, lo : lo + 2] = h0e
-        if c > 0:
-            a[lo : lo + 2, lo - 2 : lo] = hops[c - 1].T
-        if c < n - 1:
-            a[lo : lo + 2, lo + 2 : lo + 4] = hops[c]
-
+    a[1:-1, 1:-1] = build_real_space_hamiltonian(spec) - energy * np.eye(2 * n)
     a[1:3, 0] = eiq * leads.g_in
     b[1:3] = -emiq * leads.g_in
     a[2 * n - 1 : 2 * n + 1, dim - 1] = eiq * leads.g_out
@@ -269,12 +258,10 @@ def _eliminate(
     eiq = np.where(np.abs(x) < 1.0, -x + 1j * np.sqrt(np.abs(1.0 - x * x)), np.nan)
     scale = 2.0 / leads.v0
 
-    # On-site block of spec.with_gamma(gamma), minus E.
-    upper = 0.5 * spec.delta + 0.5j * gammas
-    h0e = np.empty((energies.size, 2, 2), dtype=complex)
-    h0e[:, 0, 0] = upper - energies
-    h0e[:, 1, 1] = -upper - energies
-    h0e[:, 0, 1] = h0e[:, 1, 0] = -spec.intra_hop
+    # On-site block of spec.with_gamma(gamma), minus E: gamma enters it linearly.
+    h0 = unit_cell_blocks(spec.with_gamma(0.0)).h0
+    slope = unit_cell_blocks(spec.with_gamma(1.0)).h0 - h0
+    h0e = h0 + gammas[:, None, None] * slope - energies[:, None, None] * np.eye(2)
 
     def self_energy(g: np.ndarray) -> np.ndarray:
         return -scale * eiq[:, None, None] * np.outer(g, g)
@@ -284,7 +271,7 @@ def _eliminate(
     carried = h0e + self_energy(leads.g_in)
     source = (eiq - np.conj(eiq))[:, None, None] * leads.g_in[:, None]
     sweep = []
-    for i, hop in enumerate(_bond_blocks(spec)):
+    for i, hop in enumerate(_bond_blocks(spec, unit_cell_blocks(spec))):
         inv = _batch_inverse(carried, bad)
         pivot[bad & (pivot < 0)] = i
         sweep.append((inv @ source, inv @ hop))
@@ -550,51 +537,32 @@ def detangled_transport_check(
     f_energies = np.sort(open_chain_spectrum(spec.n_cells, spec.intra_hop, spec.inter_hop).real)
     p_energies = np.sort(open_chain_spectrum(spec.n_cells, -spec.intra_hop, spec.inter_hop).real)
 
-    minima = [
-        i
-        for i in range(1, energies.size - 1)
-        if trans[i] <= trans[i - 1] and trans[i] <= trans[i + 1]
-    ]
-    maxima = [
-        i
-        for i in range(1, energies.size - 1)
-        if trans[i] >= trans[i - 1] and trans[i] >= trans[i + 1]
-    ]
-
+    inner, before, after = trans[1:-1], trans[:-2], trans[2:]
+    minima = np.flatnonzero((inner <= before) & (inner <= after)) + 1
+    maxima = np.flatnonzero((inner >= before) & (inner >= after)) + 1
     margin = 2.0 * step
-    in_range = (f_energies > energies[0] + margin) & (f_energies < energies[-1] - margin)
-    dip_offsets = []
-    dip_depths = []
-    for e_f in f_energies[in_range]:
-        if minima:
-            i = min(minima, key=lambda i: abs(energies[i] - e_f))
-            dip_offsets.append(abs(energies[i] - e_f))
-            dip_depths.append(trans[i])
-        else:
-            dip_offsets.append(math.inf)
-            dip_depths.append(math.inf)
 
-    in_range_p = (p_energies > energies[0] + margin) & (p_energies < energies[-1] - margin)
-    peak_offsets = []
-    for e_p in p_energies[in_range_p]:
-        if maxima:
-            i = min(maxima, key=lambda i: abs(energies[i] - e_p))
-            peak_offsets.append(abs(energies[i] - e_p))
-        else:
-            peak_offsets.append(math.inf)
+    def nearest(levels: np.ndarray, extrema: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offset to, and T at, the nearest extremum of each in-window level."""
+        levels = levels[(levels > energies[0] + margin) & (levels < energies[-1] - margin)]
+        if extrema.size == 0:
+            return np.full(levels.size, math.inf), np.full(levels.size, math.inf)
+        offsets = np.abs(energies[extrema] - levels[:, None])
+        i = extrema[np.argmin(offsets, axis=1)]
+        return np.abs(energies[i] - levels), trans[i]
 
-    dip_depths_arr = np.asarray(dip_depths)
-    antiresonance = bool(dip_depths_arr.size) and bool(np.any(dip_depths_arr < 0.01))
+    dip_offsets, dip_depths = nearest(f_energies, minima)
+    peak_offsets, _ = nearest(p_energies, maxima)
 
     return DetangleTransportReport(
         e_grid=energies,
         transmission=trans,
         f_energies=f_energies,
         p_energies=p_energies,
-        dip_offsets=np.asarray(dip_offsets),
-        dip_depths=dip_depths_arr,
-        peak_offsets=np.asarray(peak_offsets),
-        antiresonance_present=antiresonance,
+        dip_offsets=dip_offsets,
+        dip_depths=dip_depths,
+        peak_offsets=peak_offsets,
+        antiresonance_present=bool(np.any(dip_depths < 0.01)),
         grid_step=step,
         contact_pattern=pattern,
     )

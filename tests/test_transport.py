@@ -12,13 +12,16 @@ from ptladder import (
     OutOfBandError,
     SingularSystemError,
     assemble_scattering_system,
+    build_real_space_hamiltonian,
     detangled_transport_check,
     find_trace_peaks,
     lead_momentum,
     solve_scattering,
     transmission_map,
+    unit_cell_blocks,
     zero_energy_trace,
 )
+from ptladder.lattice import _bond_blocks
 
 OPEN = BoundaryTopology.OPEN
 TWISTED = BoundaryTopology.TWISTED_OPEN
@@ -77,6 +80,27 @@ def test_single_cell_system_matches_hand_assembly():
     assert abs(result.flux_residual) < 1e-14
     assert result.internal.shape == (2,)
     assert abs(result.r) ** 2 == pytest.approx(result.reflection_prob)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "topology, n_cells",
+    [(OPEN, 1), (OPEN, 2), (OPEN, 7), (TWISTED, 2), (TWISTED, 4), (TWISTED, 6), (TWISTED, 100)],
+)
+def test_transport_and_lattice_describe_one_ladder(topology, n_cells, delta):
+    spec = LatticeSpec(n_cells=n_cells, topology=topology, delta=delta, gamma=0.4)
+    energy = -1.3
+    system = assemble_scattering_system(spec, LeadSpec(upper_in=0.5, lower_out=2.0), energy)
+    expected = build_real_space_hamiltonian(spec) - energy * np.eye(2 * n_cells)
+    assert np.array_equal(system.matrix[1:-1, 1:-1], expected)
+
+    # the twisted ladder crosses the bond between cells N/2 and N/2 + 1, and only that one
+    blocks = unit_cell_blocks(spec)
+    hops = _bond_blocks(spec, blocks)
+    assert len(hops) == n_cells - 1
+    crossed = [c for c, hop in enumerate(hops) if np.array_equal(hop, blocks.h1_twist)]
+    assert crossed == ([n_cells // 2 - 1] if topology is TWISTED else [])
+    assert all(np.array_equal(hop, blocks.h1) for c, hop in enumerate(hops) if c not in crossed)
 
 
 def test_assembly_rejects_rings():
