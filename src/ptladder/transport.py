@@ -27,9 +27,14 @@ block-tridiagonal system with 2x2 blocks: the leads become self-energies
 wave a source ``(e^{iq} - e^{-iq}) G_in`` on the first cell.  One lane
 kernel solves it by block-Thomas elimination for many (E, gamma) pairs at
 once; a single solve is one lane, a map column one lane per energy and a
-zero-energy trace one lane per gamma.  A pivot that is singular or whose
-1-norm condition estimate exceeds ``COND_LIMIT`` flags its lane, and a
-flagged lane is re-solved by dense partial-pivoting LU on the whole
+zero-energy trace one lane per gamma.  The kernel works each 2x2 block
+as elementwise arithmetic on lane arrays and inverts each pivot in closed
+form (adjugate over det).  A lane carries O(1) state through the sweep,
+since r and t need only psi_1 and psi_N; the per-cell pairs that
+back-substitution needs are kept only for a one-lane call, where a single
+solve wants its ``internal`` amplitudes.  A pivot that is singular or
+whose 1-norm condition estimate exceeds ``COND_LIMIT`` flags its lane,
+and a flagged lane is re-solved by dense partial-pivoting LU on the whole
 bordered system.  ``solve_scattering`` residual-checks every answer.
 """
 
@@ -224,31 +229,55 @@ class ScatteringResult:
         )
 
 
-def _batch_norm1(blocks: np.ndarray) -> np.ndarray:
-    return np.abs(blocks).sum(axis=1).max(axis=1)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lane-wise product of 2x2 blocks ``a[:, :, lane]`` and 2xk blocks ``b[:, :, lane]``.
+
+    Elementwise ufuncs, so no lane's value depends on the others in the
+    call; a block shared by every lane has a lane axis of length 1.
+    """
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
-def _batch_inverse(blocks: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    size = blocks.shape[-1]
-    dets = np.linalg.det(blocks)
-    singular = ~np.isfinite(dets) | (np.abs(dets) < 1e-300)
-    bad |= singular
-    safe = np.where(bad[:, None, None], np.eye(size, dtype=complex), blocks)
-    inv = np.linalg.inv(safe)
-    cond = _batch_norm1(blocks) * _batch_norm1(inv)
-    bad |= ~np.isfinite(cond) | (cond > COND_LIMIT)
-    return inv
+def _pivot_inverse(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form inverses of the 2x2 pivots ``blocks[:, :, lane]``, and the lanes that fail.
+
+    The inverse is the adjugate divided by det.  A lane fails when det is
+    non-finite or ``|det| < 1e-300``, or when the 1-norm condition
+    ``norm1(C) norm1(adj) / |det|`` is non-finite or above ``COND_LIMIT``;
+    its inverse is then unusable.  No floating-point warning escapes.
+    """
+    (a, b), (c, d) = blocks
+    mag = np.abs(blocks)
+    with np.errstate(all="ignore"):
+        det = a * d - b * c
+        size = np.abs(det)
+        # norm1(C) is the largest column sum of |C|, norm1(adj) its largest row sum
+        cond = np.maximum(*(mag[0] + mag[1])) * np.maximum(*(mag[:, 0] + mag[:, 1])) / size
+        inv = np.array([[d, -b], [-c, a]]) / det
+    bad = ~np.isfinite(det) | (size < 1e-300) | ~np.isfinite(cond) | (cond > COND_LIMIT)
+    return inv, bad
 
 
 def _eliminate(
     spec: LatticeSpec, leads: LeadSpec, energies, gammas
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """``(r, t, psi, pivot)`` on lanes of ``spec.with_gamma(gamma)`` at energy E.
 
     ``energies`` and ``gammas`` broadcast to one (E, gamma) pair per lane.
-    ``psi[lane, cell]`` holds the cell amplitudes and ``pivot[lane]`` the
-    first cell whose pivot failed the guard, or -1; a flagged lane carries
-    unusable values.  Lanes outside the lead band are flagged at cell 0.
+    One left-to-right block-Thomas sweep serves every lane: each 2x2 block
+    is a ``(2, 2, lanes)`` array worked by elementwise arithmetic, and each
+    pivot ``C_i`` is inverted in closed form (``_pivot_inverse``).  With
+    ``g_i = C_i^-1 s_i`` and ``T_i = C_i^-1 H_i`` the amplitudes obey
+    ``psi_i = g_i - T_i psi_{i+1}``, so a lane carries only its pivot, its
+    source and the expansion ``psi_1 = acc + prod psi_N``, where
+    ``acc = sum_i P_i g_i`` and ``prod = P_N`` with
+    ``P_i = (-T_1) ... (-T_{i-1})``: r and t follow from ``psi_1`` and
+    ``psi_N`` at the end of the sweep.  A one-lane call, which is what a
+    single solve makes, also keeps the per-cell pairs ``(g_i, T_i)`` and
+    back-substitutes the cell amplitudes into ``psi[lane, cell]``; ``psi``
+    is None otherwise.  ``pivot[lane]`` is the first cell whose pivot
+    failed the guard, or -1; a flagged lane carries unusable values.
+    Lanes outside the lead band are flagged at cell 0.
     """
     energies, gammas = np.broadcast_arrays(
         *np.atleast_1d(np.asarray(energies, dtype=float), np.asarray(gammas, dtype=float))
@@ -259,33 +288,40 @@ def _eliminate(
     scale = 2.0 / leads.v0
 
     # On-site block of spec.with_gamma(gamma), minus E: gamma enters it linearly.
-    h0 = unit_cell_blocks(spec.with_gamma(0.0)).h0
-    slope = unit_cell_blocks(spec.with_gamma(1.0)).h0 - h0
-    h0e = h0 + gammas[:, None, None] * slope - energies[:, None, None] * np.eye(2)
+    h0 = unit_cell_blocks(spec.with_gamma(0.0)).h0[..., None]
+    slope = unit_cell_blocks(spec.with_gamma(1.0)).h0[..., None] - h0
+    h0e = h0 + gammas * slope - energies * np.eye(2)[..., None]
 
     def self_energy(g: np.ndarray) -> np.ndarray:
-        return -scale * eiq[:, None, None] * np.outer(g, g)
+        return -scale * eiq * np.outer(g, g)[..., None]
 
-    bad = np.zeros(energies.size, dtype=bool)
     pivot = np.full(energies.size, -1)
     carried = h0e + self_energy(leads.g_in)
-    source = (eiq - np.conj(eiq))[:, None, None] * leads.g_in[:, None]
-    sweep = []
-    for i, hop in enumerate(_bond_blocks(spec, unit_cell_blocks(spec))):
-        inv = _batch_inverse(carried, bad)
-        pivot[bad & (pivot < 0)] = i
-        sweep.append((inv @ source, inv @ hop))
-        carried = h0e - hop.T @ sweep[-1][1]
-        source = -hop.T @ sweep[-1][0]
-    inv = _batch_inverse(carried + self_energy(leads.g_out), bad)
-    pivot[bad & (pivot < 0)] = spec.n_cells - 1
-
-    psi = [inv @ source]
-    for g_i, t_i in reversed(sweep):
-        psi.append(g_i - t_i @ psi[-1])
-    psi = np.stack(psi[::-1], axis=1)[..., 0]
-    r = -1.0 - scale * (psi[:, 0] @ leads.g_in)
-    t = -scale * (psi[:, -1] @ leads.g_out)
+    source = (eiq - np.conj(eiq)) * leads.g_in[:, None, None]
+    acc, prod = 0.0, np.eye(2)[..., None]
+    pairs = [] if energies.size == 1 else None
+    with np.errstate(all="ignore"):
+        for i, hop in enumerate(_bond_blocks(spec, unit_cell_blocks(spec))):
+            inv, bad = _pivot_inverse(carried)
+            pivot[bad & (pivot < 0)] = i
+            g, t_i = _mul(inv, source), _mul(inv, hop[..., None])
+            acc, prod = acc + _mul(prod, g), -_mul(prod, t_i)
+            carried = h0e - _mul(hop.T[..., None], t_i)
+            source = -_mul(hop.T[..., None], g)
+            if pairs is not None:
+                pairs.append((g, t_i))
+        inv, bad = _pivot_inverse(carried + self_energy(leads.g_out))
+        pivot[bad & (pivot < 0)] = spec.n_cells - 1
+        last = _mul(inv, source)
+        first = acc + _mul(prod, last)
+        r = -1.0 - scale * (leads.g_in[0] * first[0, 0] + leads.g_in[1] * first[1, 0])
+        t = -scale * (leads.g_out[0] * last[0, 0] + leads.g_out[1] * last[1, 0])
+        psi = None
+        if pairs is not None:
+            psi = [last]
+            for g, t_i in reversed(pairs):
+                psi.append(g - _mul(t_i, psi[-1]))
+            psi = np.stack(psi[::-1])[:, :, 0].transpose(2, 0, 1)
     return r, t, psi, pivot
 
 
@@ -438,14 +474,15 @@ def zero_energy_trace(
 ) -> list[tuple[float, float]]:
     """Transmission probability at E = 0 along a gamma grid.
 
-    One kernel call with a lane per gamma; the values equal the E = 0
-    row of ``transmission_map`` over the same grid bit for bit.
+    One kernel call with a lane per gamma, made as one ``_map_column``
+    job; the values equal the E = 0 row of ``transmission_map`` over the
+    same grid bit for bit.
     """
     _check_transport_spec(spec)
     gammas = np.asarray(list(gamma_grid), dtype=float)
     if gammas.size == 0:
         raise ValueError("zero-energy trace needs a non-empty gamma grid")
-    t_lanes, _, _ = _lane_probabilities(spec, leads, 0.0, gammas)
+    _, t_lanes, _, _ = _map_column((spec, leads, np.zeros(gammas.size), 0, gammas))
     return [(float(g), float(t)) for g, t in zip(gammas, t_lanes)]
 
 

@@ -22,6 +22,7 @@ from ptladder import (
     zero_energy_trace,
 )
 from ptladder.lattice import _bond_blocks
+from ptladder.transport import _eliminate, _pivot_inverse
 
 OPEN = BoundaryTopology.OPEN
 TWISTED = BoundaryTopology.TWISTED_OPEN
@@ -151,6 +152,49 @@ def test_banded_fails_loudly_on_interior_resonance():
         assert auto.t == dense.t and auto.r == dense.r
 
 
+def test_pivot_inverse_matches_linalg():
+    rng = np.random.default_rng(5)
+    blocks = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
+    inv, bad = _pivot_inverse(blocks.transpose(1, 2, 0))
+    ref = np.linalg.inv(blocks)
+    assert not bad.any()
+    err = np.abs(inv.transpose(2, 0, 1) - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
+
+
+def test_pivot_inverse_flags():
+    blocks = np.array(
+        [
+            [[1.0, 2.0], [2.0, 4.0]],  # exactly singular
+            [[1.0, 0.0], [0.0, 1e-301]],  # det below 1e-300
+            [[1.0, 1.0], [1.0, 1.0 + 1e-13]],  # 1-norm condition above 1e12
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[2.0, 1.0j], [0.5, 3.0]],
+        ],
+        dtype=complex,
+    )
+    _, bad = _pivot_inverse(blocks.transpose(1, 2, 0))
+    assert bad.tolist() == [True, True, True, True, False]
+
+
+def test_lanes_do_not_depend_on_their_neighbours():
+    # elementwise arithmetic: a column's r and t are the same bits alone,
+    # inside a broadcast (E, gamma) call, and shifted to another lane offset
+    spec = LatticeSpec(n_cells=100, topology=TWISTED)
+    leads = LeadSpec(upper_in=0.7, lower_out=1.3)
+    energies = np.linspace(-4, 4, 201)
+    gammas = np.array([0.0, 0.4, 1.1, 1.9, 2.0, 2.6])
+    r_all, t_all, _, pivot_all = _eliminate(spec, leads, energies[:, None], gammas)
+    for j, gamma in enumerate(gammas):
+        r, t, psi, pivot = _eliminate(spec, leads, energies, gamma)
+        assert psi is None
+        assert r.tobytes() == r_all.reshape(energies.size, -1)[:, j].tobytes()
+        assert t.tobytes() == t_all.reshape(energies.size, -1)[:, j].tobytes()
+        assert np.array_equal(pivot, pivot_all.reshape(energies.size, -1)[:, j])
+        r5, t5, _, _ = _eliminate(spec, leads, energies[5:], gamma)
+        assert r5.tobytes() == r[5:].tobytes() and t5.tobytes() == t[5:].tobytes()
+
+
 def test_solve_rejects_unknown_method():
     spec = LatticeSpec(n_cells=2, topology=OPEN)
     system = assemble_scattering_system(spec, LeadSpec(), 0.5)
@@ -196,6 +240,25 @@ def test_map_workers_do_not_change_values():
     np.testing.assert_array_equal(one.t_values, two.t_values)
     np.testing.assert_array_equal(one.r_values, two.r_values)
     assert one.n_failed == two.n_failed == 0
+
+
+@pytest.mark.parametrize("topology", [OPEN, TWISTED])
+def test_pt_conservation_law_over_the_plane(topology):
+    # Ge, Chong & Stone: |T - 1| = sqrt(R_L R_R) holds wherever the contacts
+    # respect the leg exchange, in both PT phases; an uneven input contact breaks it
+    spec = LatticeSpec(n_cells=20, topology=topology)
+    rng = np.random.default_rng(29)
+    energies, gammas = rng.uniform(-4, 4, 20), rng.uniform(0, 3, 10)
+
+    def gap(leads):
+        left = transmission_map(spec, leads, energies, gammas)
+        right = transmission_map(spec, leads.swapped(), energies, gammas)
+        assert left.n_failed == right.n_failed == 0
+        return np.abs(np.abs(left.t_values - 1) - np.sqrt(left.r_values * right.r_values)).max()
+
+    assert gap(LeadSpec()) < 1e-9
+    assert gap(LeadSpec(upper_in=0.7, lower_in=0.7, upper_out=1.3, lower_out=1.3)) < 1e-9
+    assert gap(LeadSpec(upper_in=0.9)) > 0.05
 
 
 def test_map_rejects_empty_grids():
