@@ -386,6 +386,95 @@ def test_synthetic_window_yields_merge_split_pair():
     assert abs(w.width - 1.0) < 1e-8
 
 
+def counted_block_solves(monkeypatch) -> list:
+    calls = []
+    solve = spectral._block_eigvals
+    monkeypatch.setattr(spectral, "_block_eigvals", lambda block: calls.append(1) or solve(block))
+    return calls
+
+
+def test_refine_cost_on_a_closed_form_family(monkeypatch):
+    # eigenvalues +-sqrt(1 - g^2): real below the EP at g = 1, imaginary
+    # above it, so D = (E1 - E2)^2 = 4 (1 - g^2).  The scan solves 8 grid
+    # points; bisecting the step (0.9, 1.1) down to bracket_tol takes 31
+    # more solves, false position on D a handful.
+    calls = counted_block_solves(monkeypatch)
+    bracket_tol = 1e-10
+    family = lambda g: np.array([[1.0, g], [-g, -1.0]])
+    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    assert [p.kind for p in points] == [EpKind.MERGE]
+    p = points[0]
+    assert p.bracket_hi - p.bracket_lo <= bracket_tol
+    assert p.bracket_lo <= 1.0 <= p.bracket_hi
+    assert len(calls) <= 16
+
+
+def two_pair_block(x_lower, x_upper):
+    """One 4x4 block holding the pairs -1 +- sqrt(x_lower(g)) and
+    1 +- sqrt(x_upper(g)); each is real where its x > 0 and broken where
+    x < 0."""
+
+    def block(g):
+        return np.array(
+            [
+                [-1.0, 1.0, 0.0, 0.0],
+                [x_lower(g), -1.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 1.0],
+                [0.0, 0.0, x_upper(g), 1.0],
+            ]
+        )
+
+    return block
+
+
+def test_refine_separates_two_eps_inside_one_coarse_step():
+    # both pairs break inside the step (0.9, 1.1), 1e-4 apart, so the
+    # block's count changes by 4 across it: bisection splits the step
+    # until each part holds one of them
+    family = two_pair_block(lambda g: 1.00003 - g, lambda g: 1.00013 - g)
+    bracket_tol = 1e-10
+    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    assert [(p.kind, p.n_broken_change) for p in points] == [(EpKind.MERGE, 2)] * 2
+    for p, gamma in zip(points, (1.00003, 1.00013)):
+        assert p.bracket_hi - p.bracket_lo <= bracket_tol
+        assert p.bracket_lo <= gamma <= p.bracket_hi
+
+
+def test_refine_splits_a_bracket_at_a_probe_that_matches_neither_end():
+    # Across the step (0.9, 1.1) the upper pair breaks at 0.95 and heals
+    # at 1.09, and the lower pair breaks at 0.98.  The count goes
+    # 0 -> 2 -> 4 -> 2, so the ends read 0 and 2.  The lower pair's x is
+    # 0.88 at 0.9 and -0.12 at 1.1, so the line through its D crosses zero
+    # at 1.076, and a probe there (or at the midpoint) reads 4.
+    lower = lambda g: (0.98 - g) * np.exp(12.0 * (1.1 - g))
+    family = two_pair_block(lower, lambda g: (g - 0.95) * (g - 1.09))
+    bracket_tol = 1e-10
+    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    want = [(0.95, EpKind.MERGE), (0.98, EpKind.MERGE), (1.09, EpKind.SPLIT)]
+    assert [p.kind for p in points] == [kind for _, kind in want]
+    for p, (gamma, _) in zip(points, want):
+        assert p.bracket_hi - p.bracket_lo <= bracket_tol
+        assert abs(p.gamma_star - gamma) < 1e-9
+
+
+def test_refine_bisects_where_false_position_stalls(monkeypatch):
+    # eigenvalues +-sqrt((1 - g)^7): D vanishes to seventh order at the
+    # EP, so the line through its values at the bracket ends lands near
+    # the end it is smaller at, probe after probe; the broken count flips
+    # where |1 - g|^7 reaches im_tol^2, at g = 1 + 2.7e-3.  Bisection
+    # takes over after SLOW_STEPS such probes, which bounds the search
+    # by a few times the cost of bisection alone (8 + 31 solves).
+    calls = counted_block_solves(monkeypatch)
+    bracket_tol = 1e-10
+    family = lambda g: np.array([[0.0, 1.0], [(1.0 - g) ** 7, 0.0]])
+    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    assert [p.kind for p in points] == [EpKind.MERGE]
+    p = points[0]
+    assert p.bracket_hi - p.bracket_lo <= bracket_tol
+    assert abs(p.gamma_star - (1.0 + 1e-18 ** (1 / 7))) < 1e-9
+    assert len(calls) <= 8 + 3 * 31
+
+
 def test_avoided_crossing_reported_as_diagnostic_not_ep():
     family = lambda g: np.array([[g - 1.0, 0.05], [0.05, 1.0 - g]], dtype=complex)
     points, diagnostics = locate_exceptional_points(
@@ -483,7 +572,10 @@ def twisted_det_signs(n_cells, gammas):
     )
 
 
-def test_zero_energy_ep_on_dimer_family():
+def test_zero_energy_ep_on_dimer_family(monkeypatch):
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(1) or slogdet(a))
     points = locate_zero_energy_eps(pt_dimer, (1.5, 2.5), scan_steps=60)
     assert len(points) == 1
     p = points[0]
@@ -491,6 +583,50 @@ def test_zero_energy_ep_on_dimer_family():
     assert abs(p.gamma_star - 2.0) < 1e-8
     assert abs(p.energy_star) < 1e-8
     assert p.self_orthogonality < 1e-4
+    # 61 scan points, then false position on Re det = gamma^2 / 4 - 1
+    # down to adjacent doubles; bisection takes about 45 probes for that
+    assert len(calls) <= 61 + 8
+
+
+def transfer_det_at_zero_energy(n_cells, gamma):
+    """det H(E = 0) of the twisted ladder with d = t = 1, up to a factor
+    that does not depend on gamma, from 4x4 transfer matrices.
+
+    Cell n obeys ``B_{n-1}^T psi_{n-1} + h0 psi_n + B_n psi_{n+1} = 0``
+    with the leg bond ``B_n = -1`` (``-sigma_x`` across the twist), so
+    ``(psi_{n+1}, psi_n) = T_n (psi_n, psi_{n-1})``.  From psi_0 = 0 the
+    product maps psi_1 to psi_{N+1} through its upper-left 2x2 block, and
+    H psi = 0 has a solution exactly where that block is singular.  For
+    gamma <= 2d the eigenvalues of h0 are real and at most 2t in size, so
+    every T_n has unimodular eigenvalues and the product stays well
+    scaled; beyond 2d it grows exponentially.
+    """
+    h0 = np.array([[0.5j * gamma, -1.0], [-1.0, -0.5j * gamma]])
+    straight, crossed = -np.eye(2), -np.array([[0.0, 1.0], [1.0, 0.0]])
+    product = np.eye(4, dtype=complex)
+    back = np.zeros((2, 2))
+    for n in range(1, n_cells + 1):
+        bond = crossed if n == n_cells // 2 else straight
+        forward = np.linalg.inv(bond) if n < n_cells else np.eye(2)
+        step = np.block([[-forward @ h0, -forward @ back], [np.eye(2), np.zeros((2, 2))]])
+        product = step @ product
+        back = bond.T
+    return np.linalg.det(product[:2, :2]).real
+
+
+@pytest.mark.parametrize("n_cells", [20, 40])
+def test_zero_energy_eps_match_a_transfer_matrix_oracle(n_cells):
+    twisted = LatticeSpec(n_cells=n_cells, topology=BoundaryTopology.TWISTED_OPEN)
+    steps = 601
+    found = locate_zero_energy_eps(twisted, (0.0, 2.0), steps)
+    assert len(found) > 0
+    for p in found:
+        assert p.gamma_star < 2.0 * twisted.intra_hop
+        below, above = (transfer_det_at_zero_energy(n_cells, g) for g in (p.bracket_lo, p.bracket_hi))
+        assert below * above < 0
+    oracle = np.array([transfer_det_at_zero_energy(n_cells, g) for g in np.linspace(0.0, 2.0, steps + 1)])
+    signs = np.sign(oracle[oracle != 0])
+    assert np.count_nonzero(signs[1:] != signs[:-1]) == len(found)
 
 
 def test_zero_energy_scan_ignores_plain_band_crossing():
