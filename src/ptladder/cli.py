@@ -5,11 +5,15 @@ Usage:
     ptladder <experiment|preset> [--config FILE] [--set key=value ...]
              [--out PATH] [--format csv|json] [--workers W]
 
-Configuration is a flat ``key = value`` document; keys may be grouped
-under ``[lattice]``, ``[leads]``, ``[grid]``, ``[output]`` and ``[run]``
-sections or written at the top of the file, in which case each key is
-resolved by its (unique) name.  Precedence: defaults, then preset, then
-config file, then ``--set`` pairs, then explicit flags.
+Configuration is a flat ``key = value`` (or ``key: value``) document;
+keys may be grouped under ``[lattice]``, ``[leads]``, ``[grid]``,
+``[output]`` and ``[run]`` headers.  Keys before any header belong to
+``[run]``, where each key is resolved by its (unique) name.  Keys are
+case-insensitive, and ``#`` or ``;`` starts a comment at the start of a
+line or after whitespace.  An unknown section, a line that is not
+``key = value`` and a key set twice in one section are errors that name
+their line.  Precedence: defaults, then preset, then config file, then
+``--set`` pairs, then explicit flags.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O failure.
@@ -18,12 +22,12 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -106,6 +110,9 @@ class ExperimentConfig:
     def resolved_workers(self) -> int:
         if self.workers > 0:
             return self.workers
+        # the CPUs this process may run on, where the OS can tell
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
 
 
@@ -227,23 +234,37 @@ _CODECS = {
 }
 
 
-def _scan_lines(text: str) -> dict[tuple[str, str], int]:
-    """Map (section, key) to the 1-based line of first definition."""
-    where: dict[tuple[str, str], int] = {}
+# A comment starts with # or ; at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(?:^|\s)[#;].*")
+
+
+def _document_pairs(text: str) -> list[tuple[str, str, str, str]]:
+    """The (section, key, raw value, "line N") tuples of a config
+    document, in order; keys before any header belong to [run]."""
+    pairs = []
+    first: dict[tuple[str, str], int] = {}
     section = "run"
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("#", ";")):
+        line = _COMMENT.sub("", line).strip()
+        if not line:
             continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip().lower()
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in _SECTIONS:
+                raise ConfigError(f"line {lineno}: unknown section {line}")
             continue
-        for sep in ("=", ":"):
-            if sep in stripped:
-                key = stripped.split(sep, 1)[0].strip().lower()
-                where.setdefault((section, key), lineno)
-                break
-    return where
+        parts = re.split("[=:]", line, maxsplit=1)
+        key = parts[0].strip().lower()
+        if len(parts) < 2 or not key:
+            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+        if (section, key) in first:
+            raise ConfigError(
+                f"line {lineno}: {key} is already set in [{section}] "
+                f"on line {first[section, key]}"
+            )
+        first[section, key] = lineno
+        pairs.append((section, key, parts[1], f"line {lineno}"))
+    return pairs
 
 
 def _apply_pairs(config: ExperimentConfig, pairs: list[tuple[str, str, str, str]]) -> ExperimentConfig:
@@ -322,24 +343,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse a flat key = value document into a validated config."""
-    base = base or default_config()
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string("[run]\n" + text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}")
-    lines = _scan_lines(text)
-
-    pairs: list[tuple[str, str, str, str]] = []
-    for section in parser.sections():
-        lowered = section.lower()
-        if lowered not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            lineno = lines.get((lowered, key.lower()))
-            where = f"line {lineno}" if lineno else f"section [{lowered}]"
-            pairs.append((lowered, key.lower(), raw, where))
-    return validate_config(_apply_pairs(base, pairs))
+    return validate_config(_apply_pairs(base or default_config(), _document_pairs(text)))
 
 
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:

@@ -12,14 +12,10 @@ an EP, with the count deciding which part of the bracket stays; a
 bracket whose count changes by more than one pair is bisected until one
 pair flips.
 
-Count-change bracketing deliberately combines the two available
-signals: a genuine EP both closes a pairwise gap and flips eigenvalues
-between real and complex-conjugate character.  Gap minima without a
-count change (level crossings in the unbroken phase, avoided crossings)
-are reported as near-degeneracy diagnostics instead of EPs.  Broken
-windows narrower than the coarse grid step cannot flip the count at any
-grid point and are therefore invisible at that resolution; pass a finer
-``coarse_steps`` to resolve them.
+A gap minimum without a count change is not an EP and is not
+reported.  Broken windows narrower than the coarse grid step cannot
+flip the count at any grid point and are therefore invisible at that
+resolution; pass a finer ``coarse_steps`` to resolve them.
 
 For a :class:`LatticeSpec` every solve runs on the two cell-mirror
 sector blocks of H (``lattice.sector_blocks``) rather than on the full
@@ -62,7 +58,6 @@ __all__ = [
     "PhaseReport",
     "EpKind",
     "ExceptionalPoint",
-    "NearDegeneracy",
     "BrokenWindow",
     "eigendecompose",
     "sweep_matrix_family",
@@ -176,15 +171,9 @@ def _eigvals_sorted(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     return _merged([_block_eigvals(block) for block in blocks])
 
 
-def _as_family(build: Callable) -> Callable[[float], tuple[np.ndarray, ...]]:
-    """``build`` as a family of diagonal blocks: a builder that returns
-    one matrix becomes a family of one block."""
-
-    def family(g: float) -> tuple[np.ndarray, ...]:
-        matrix = build(g)
-        return matrix if isinstance(matrix, tuple) else (matrix,)
-
-    return family
+def _as_family(build: Callable[[float], np.ndarray]) -> Callable[[float], tuple[np.ndarray]]:
+    """A builder of one matrix as a family of one block."""
+    return lambda g: (build(g),)
 
 
 def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -223,10 +212,9 @@ def sweep_matrix_family(
 ) -> SweepResult:
     """Sweep any gamma-parametrised matrix family with branch continuation.
 
-    ``build`` returns either one matrix or a tuple of diagonal blocks of
-    it, whose eigenvalues together are the spectrum at that gamma.  The
-    sweep is serial, so ``build`` may be any callable, a lambda included;
-    pooled sweeps of a lattice belong to ``sweep_spectrum``.
+    ``build`` returns the matrix at gamma, which is solved as one block.
+    The sweep is serial, so ``build`` may be any callable, a lambda
+    included; pooled sweeps of a lattice belong to ``sweep_spectrum``.
 
     On an ambiguous step the interval is re-solved once at its midpoint
     (step halving); if the tie persists the step index is recorded in
@@ -480,14 +468,6 @@ class ExceptionalPoint:
     n_broken_change: int
 
 
-@dataclass(frozen=True)
-class NearDegeneracy:
-    """Gap minimum that never flipped the broken count (not an EP)."""
-
-    gamma: float
-    min_gap: float
-
-
 def _broken_count(values: np.ndarray, im_tol: float) -> int:
     return int(np.count_nonzero(np.abs(values.imag) > im_tol))
 
@@ -632,8 +612,7 @@ def locate_exceptional_points(
     *,
     im_tol: float = 1e-9,
     bracket_tol: float = 1e-10,
-    return_diagnostics: bool = False,
-):
+) -> list[ExceptionalPoint]:
     """Locate exceptional points of a lattice over a gamma range.
 
     ``spec`` may also be a callable mapping gamma to a matrix, for
@@ -674,8 +653,8 @@ def locate_exceptional_points(
 
     Returns a list of :class:`ExceptionalPoint` sorted by gamma (several
     entries may share one gamma when a cluster of pairs coalesces
-    together).  With ``return_diagnostics=True`` returns
-    ``(points, near_degeneracies)``.
+    together).  Gap minima without a count change, such as avoided
+    crossings, are not EPs and are not reported.
     """
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
@@ -702,13 +681,7 @@ def locate_exceptional_points(
     for a, b in _join_brackets(brackets, solved, count):
         points.extend(_resolve_transition(blocks, bases, a, spectrum(a), b, spectrum(b), im_tol))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
-
-    if not return_diagnostics:
-        return points
-
-    values = [spectrum(g) for g in grid]
-    diagnostics = _near_degeneracies(blocks, grid, values, [count(v) for v in values])
-    return points, diagnostics
+    return points
 
 
 def _join_brackets(
@@ -732,25 +705,6 @@ def _join_brackets(
         else:
             joined.append((a, b, change))
     return [(a, b) for a, b, _ in joined]
-
-
-# Gaps below this are treated as exact symmetry degeneracies and skipped
-# when scanning for avoided-crossing dips.
-DEGENERACY_FLOOR = 1e-12
-
-# A refined gap minimum at or below this is a coalescence or an exact
-# crossing, not reported as a near degeneracy.
-NEAR_DEGENERACY_MIN_GAP = 1e-8
-
-
-def _min_distinct_gap(values: np.ndarray) -> float:
-    if values.size < 2:
-        return math.inf
-    diff = np.abs(values[:, None] - values[None, :])
-    iu = np.triu_indices(values.size, k=1)
-    gaps = diff[iu]
-    gaps = gaps[gaps > DEGENERACY_FLOOR]
-    return float(gaps.min()) if gaps.size else math.inf
 
 
 def _resolve_transition(
@@ -827,39 +781,6 @@ def _pair_record(mid: Spectrum, target: complex, **fields) -> ExceptionalPoint:
         self_orthogonality=float(abs(v @ v) / np.vdot(v, v).real),
         **fields,
     )
-
-
-def _near_degeneracies(build, grid, values, counts) -> list[NearDegeneracy]:
-    """Local minima of the minimum distinct-pair gap away from count changes."""
-    min_gaps = np.array([_min_distinct_gap(v) for v in values])
-    out = []
-    for j in range(1, len(grid) - 1):
-        if counts[j - 1] != counts[j] or counts[j] != counts[j + 1]:
-            continue
-        if min_gaps[j] < min_gaps[j - 1] and min_gaps[j] < min_gaps[j + 1]:
-            g, gap = _refine_gap_minimum(build, grid[j - 1], grid[j + 1])
-            if gap > NEAR_DEGENERACY_MIN_GAP:
-                out.append(NearDegeneracy(gamma=g, min_gap=gap))
-    return out
-
-
-def _refine_gap_minimum(build, a: float, b: float, iters: int = 40) -> tuple[float, float]:
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    f = lambda g: _min_distinct_gap(_eigvals_sorted(build(g)))
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-    g = 0.5 * (a + b)
-    return g, f(g)
 
 
 # A det sign change is a zero-energy EP only if min |E| there is below this.

@@ -65,6 +65,47 @@ def test_unknown_section_is_rejected():
         parse_config("[contacts]\nv0 = 5.0\n")
 
 
+def test_run_header_is_accepted():
+    assert parse_config("[run]\nworkers = 2\n").workers == 2
+
+
+def test_key_set_twice_names_its_line():
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_config("workers = 2\nworkers = 3\n")
+
+
+def test_default_section_is_unknown_and_names_its_line():
+    with pytest.raises(ConfigError, match="unknown section") as err:
+        parse_config("workers = 2\n[DEFAULT]\nn_cells = 4\n")
+    assert "line 2" in str(err.value)
+
+
+def test_line_without_a_separator_names_its_line():
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_config("workers = 2\nn_cells\n")
+
+
+def test_comments_colons_and_case_parse_like_the_plain_form():
+    plain = "workers = 2\n[lattice]\nn_cells = 8\ndelta = 0.5\n[output]\npath = out#1.csv\n"
+    mixed = (
+        "# full-line comment\n"
+        "[RUN]\n"
+        "Workers: 2  ; two\n"
+        "[Lattice] # header comment\n"
+        "N_CELLS = 8 # eight\n"
+        "  ; indented comment\n"
+        "DELTA:0.5\n"
+        "[output]\n"
+        "path = out#1.csv\n"
+    )
+    assert parse_config(mixed) == parse_config(plain)
+
+
+def test_zero_workers_counts_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_config().resolved_workers() == 1
+
+
 def test_unparseable_value_reports_the_type():
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_config("[grid]\ngamma_count = few\n")
