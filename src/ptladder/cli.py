@@ -11,9 +11,9 @@ keys may be grouped under ``[lattice]``, ``[leads]``, ``[grid]``,
 ``[run]``, where each key is resolved by its (unique) name.  Keys are
 case-insensitive, and ``#`` or ``;`` starts a comment at the start of a
 line or after whitespace.  An unknown section, a line that is not
-``key = value`` and a key set twice in one section are errors that name
-their line.  Precedence: defaults, then preset, then config file, then
-``--set`` pairs, then explicit flags.
+``key = value`` and a key set twice (under its own section or under
+``[run]``) are errors that name their line.  Precedence: defaults, then
+preset, then config file, then ``--set`` pairs, then explicit flags.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O failure.
@@ -240,9 +240,11 @@ _COMMENT = re.compile(r"(?:^|\s)[#;].*")
 
 def _document_pairs(text: str) -> list[tuple[str, str, str, str]]:
     """The (section, key, raw value, "line N") tuples of a config
-    document, in order; keys before any header belong to [run]."""
+    document, in order; keys before any header belong to [run].  Each
+    key has one home section in ``_KEY_TABLE``, so a key set twice is an
+    error whether it was written under that section or under [run]."""
     pairs = []
-    first: dict[tuple[str, str], int] = {}
+    first: dict[str, int] = {}
     section = "run"
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", line).strip()
@@ -257,12 +259,9 @@ def _document_pairs(text: str) -> list[tuple[str, str, str, str]]:
         key = parts[0].strip().lower()
         if len(parts) < 2 or not key:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        if (section, key) in first:
-            raise ConfigError(
-                f"line {lineno}: {key} is already set in [{section}] "
-                f"on line {first[section, key]}"
-            )
-        first[section, key] = lineno
+        if key in first:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {first[key]}")
+        first[key] = lineno
         pairs.append((section, key, parts[1], f"line {lineno}"))
     return pairs
 
@@ -547,24 +546,20 @@ def run_experiment(config: ExperimentConfig, preset: str | None = None) -> RunMa
     started = time.time()
     columns, rows, summary, n_failed = _RUNNERS[config.experiment](config)
 
-    ext = config.out_format
-    out = Path(config.out_path or f"{preset or config.experiment}.{ext}")
-    outputs = [out]
-    if ext == "csv":
-        emit_csv(out, columns, rows)
-    else:
-        emit_json(out, config.experiment, columns, rows)
-
+    out = Path(config.out_path or f"{preset or config.experiment}.{config.out_format}")
+    tables = [(out, config.experiment, columns, rows)]
     if config.experiment == "transmission_map" and config.with_zero_trace:
         trace_cols, trace_rows, trace_summary, trace_failed = _trace_rows(config)
         trace_path = out.with_name(out.stem + ".trace" + out.suffix)
-        if ext == "csv":
-            emit_csv(trace_path, trace_cols, trace_rows)
-        else:
-            emit_json(trace_path, "zero_energy_trace", trace_cols, trace_rows)
-        outputs.append(trace_path)
+        tables.append((trace_path, "zero_energy_trace", trace_cols, trace_rows))
         summary = dict(summary, zero_trace=trace_summary)
         n_failed += trace_failed
+    for path, schema, table_columns, table_rows in tables:
+        if config.out_format == "csv":
+            emit_csv(path, table_columns, table_rows)
+        else:
+            emit_json(path, schema, table_columns, table_rows)
+    outputs = [path for path, *_ in tables]
 
     manifest = RunManifest(
         experiment=config.experiment,
@@ -608,16 +603,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = default_config()
         preset = None
         if args.experiment in PRESETS:
             preset = args.experiment
-            pairs = [
-                ("run", k, v, f"preset {preset}") for k, v in PRESETS[preset].items()
-            ]
-            config = _apply_pairs(config, pairs)
+            pairs = [("run", k, v, f"preset {preset}") for k, v in PRESETS[preset].items()]
         elif args.experiment in EXPERIMENTS:
-            config = dataclasses.replace(config, experiment=args.experiment)
+            pairs = [("run", "experiment", args.experiment, "experiment argument")]
         else:
             raise ConfigError(
                 f"unknown experiment or preset {args.experiment!r}; known experiments: "
@@ -625,6 +616,7 @@ def main(argv: list[str] | None = None) -> int:
                 + "; presets: "
                 + ", ".join(sorted(PRESETS))
             )
+        config = _apply_pairs(default_config(), pairs)
         if args.config:
             try:
                 text = Path(args.config).read_text()
@@ -634,16 +626,13 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(text, base=config)
         if args.overrides:
             config = apply_overrides(config, args.overrides)
-        updates = {}
-        if args.out:
-            updates["out_path"] = args.out
-        if args.format:
-            updates["out_format"] = args.format
-        if args.workers is not None:
-            updates["workers"] = args.workers
-        if updates:
-            config = dataclasses.replace(config, **updates)
-        validate_config(config)
+        flags = (
+            ("path", args.out, "--out"),
+            ("format", args.format, "--format"),
+            ("workers", args.workers, "--workers"),
+        )
+        pairs = [("run", key, str(value), flag) for key, value, flag in flags if value is not None]
+        config = validate_config(_apply_pairs(config, pairs))
     except ConfigError as exc:
         print(f"ptladder: config error: {exc}", file=sys.stderr)
         return 1

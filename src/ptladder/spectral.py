@@ -166,11 +166,6 @@ def _merged(parts: Sequence[np.ndarray]) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
-def _eigvals_sorted(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Sorted eigenvalues of a tuple of diagonal blocks."""
-    return _merged([_block_eigvals(block) for block in blocks])
-
-
 def _as_family(build: Callable[[float], np.ndarray]) -> Callable[[float], tuple[np.ndarray]]:
     """A builder of one matrix as a family of one block."""
     return lambda g: (build(g),)
@@ -215,14 +210,9 @@ def sweep_matrix_family(
     ``build`` returns the matrix at gamma, which is solved as one block.
     The sweep is serial, so ``build`` may be any callable, a lambda
     included; pooled sweeps of a lattice belong to ``sweep_spectrum``.
-
-    On an ambiguous step the interval is re-solved once at its midpoint
-    (step halving); if the tie persists the step index is recorded in
-    ``ambiguous_steps`` and the assignment kept.
     """
     grid = _checked_grid(gamma_grid)
-    family = _as_family(build)
-    return _continue_branches(family, grid, _grid_eigvals(family, grid, 1))[0]
+    return _continue_branches(grid, _grid_eigvals(_as_family(build), grid, 1))[0]
 
 
 def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
@@ -235,17 +225,16 @@ def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
 
 
 def _continue_branches(
-    build: Callable,
     grid: np.ndarray,
     spectra: list[np.ndarray],
     carried: list[np.ndarray] | None = None,
 ) -> tuple[SweepResult, np.ndarray | None]:
     """Continue branches through the sorted spectra of every grid point.
 
-    ``carried[j]`` (optional) holds one row per eigenvalue of
-    ``spectra[j]``; its rows are permuted with the values, and returned
-    stacked as ``out[b, j]`` for branch b.  Step-halving midpoints are
-    solved with ``build``, values only.
+    Each step keeps its ``_match_step`` assignment; an ambiguous one is
+    recorded in ``ambiguous_steps``.  ``carried[j]`` (optional) holds one
+    row per eigenvalue of ``spectra[j]``; its rows are permuted with the
+    values, and returned stacked as ``out[b, j]`` for branch b.
     """
     n = spectra[0].size
     branches = np.empty((n, grid.size), dtype=complex)
@@ -257,24 +246,12 @@ def _continue_branches(
     residual = 0.0
     ambiguous_steps: list[int] = []
     for j in range(1, grid.size):
-        prev = branches[:, j - 1]
         cur = spectra[j]
         if cur.size != n:
             raise ValueError("matrix family changed dimension during sweep")
-        perm, dist, ambiguous = _match_step(prev, cur)
+        perm, dist, ambiguous = _match_step(branches[:, j - 1], cur)
         if ambiguous:
-            # Step halving: route the match through the interval midpoint.
-            mid = _eigvals_sorted(build(0.5 * (grid[j - 1] + grid[j])))
-            perm_a, dist_a, amb_a = _match_step(prev, mid)
-            perm_b, dist_b, amb_b = _match_step(mid[perm_a], cur)
-            if not (amb_a or amb_b):
-                # perm_b is computed against the already-permuted midpoint,
-                # so it is the composed assignment.
-                perm = perm_b
-                dist = max(dist_a, dist_b)
-                ambiguous = False
-            else:
-                ambiguous_steps.append(j - 1)
+            ambiguous_steps.append(j - 1)
         branches[:, j] = cur[perm]
         if out is not None:
             out[:, j] = carried[j][perm]
@@ -309,7 +286,7 @@ def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None)
 
 def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.ndarray) -> list:
     if weigh is None:
-        return [_eigvals_sorted(build(g)) for g in gammas]
+        return [_merged([_block_eigvals(b) for b in build(g)]) for g in gammas]
     points = []
     for g in gammas:
         pairs = _eigenpairs(build, bases, g)
@@ -370,8 +347,7 @@ def sweep_spectrum(
     not depend on ``workers``.
     """
     grid = _checked_grid(gamma_grid)
-    blocks = _family_for(spec)[0]
-    return _continue_branches(blocks, grid, _grid_eigvals(blocks, grid, workers))[0]
+    return _continue_branches(grid, _grid_eigvals(_family_for(spec)[0], grid, workers))[0]
 
 
 def _weighted_sweep(
@@ -394,7 +370,7 @@ def _weighted_sweep(
     points = _grid_eigvals(blocks, grid, workers, weigh=weigh, bases=bases)
     values = [v for v, _ in points]
     rows = [r for _, r in points]
-    return _continue_branches(blocks, grid, values, rows)
+    return _continue_branches(grid, values, rows)
 
 
 class Phase(Enum):

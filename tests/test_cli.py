@@ -74,6 +74,16 @@ def test_key_set_twice_names_its_line():
         parse_config("workers = 2\nworkers = 3\n")
 
 
+def test_key_set_under_run_then_its_section_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: n_cells is already set on line 1"):
+        parse_config("n_cells = 4\n[lattice]\nn_cells = 6\n")
+
+
+def test_key_set_under_its_section_then_run_names_both_lines():
+    with pytest.raises(ConfigError, match="line 4: n_cells is already set on line 2"):
+        parse_config("[lattice]\nn_cells = 6\n[run]\nn_cells = 4\n")
+
+
 def test_default_section_is_unknown_and_names_its_line():
     with pytest.raises(ConfigError, match="unknown section") as err:
         parse_config("workers = 2\n[DEFAULT]\nn_cells = 4\n")
@@ -540,10 +550,8 @@ def test_weights_match_dense_eigenvectors(preset, tmp_path):
 
 
 def test_weighted_sweep_solves_each_gamma_once(tmp_path, monkeypatch):
-    # two vector solves per grid point (one per sector block) and nothing
-    # else, except values-only solves at step-halving midpoints: a
-    # midpoint solves both blocks and adds two branch matches to the one
-    # of its step
+    # two vector solves per grid point (one per sector block), one branch
+    # match per step, and nothing else, ambiguous steps included
     solves = {True: 0, False: 0}
     matches = 0
     eigendecompose, match_step = spectral.eigendecompose, spectral._match_step
@@ -562,9 +570,10 @@ def test_weighted_sweep_solves_each_gamma_once(tmp_path, monkeypatch):
     count = 21
     argv = ["fig4", "--set", "n_cells=6", "--set", f"gamma_count={count}"]
     assert main(argv + ["--workers", "1", "--out", str(tmp_path / "fig4.csv")]) == 0
-    assert solves[True] == 2 * count
-    assert solves[False] > 0  # this grid has ambiguous steps
-    assert solves[False] == matches - (count - 1)
+    assert solves == {True: 2 * count, False: 0}
+    assert matches == count - 1
+    manifest = json.loads((tmp_path / "fig4.manifest.json").read_text())
+    assert manifest["summary"]["ambiguous_steps"] > 0  # this grid has forks
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4"])

@@ -207,9 +207,10 @@ def test_sweep_workers_do_not_change_results():
 
 
 def test_pooled_sweep_builds_no_grid_blocks_in_the_parent(monkeypatch):
-    # Pool workers are forked, so their builds land in their own copies
-    # of ``built``; the parent may build only step-halving midpoints.
-    # ``wraps`` keeps the name, so the patched builder pickles by reference.
+    # A serial sweep builds each grid point once and nothing else.  Pool
+    # workers are forked, so their builds land in their own copies of
+    # ``built``, and the parent builds nothing.  ``wraps`` keeps the
+    # name, so the patched builder pickles by reference.
     built = []
     affine = spectral._affine_blocks
 
@@ -222,14 +223,13 @@ def test_pooled_sweep_builds_no_grid_blocks_in_the_parent(monkeypatch):
     spec = LatticeSpec(n_cells=4, topology=BoundaryTopology.MOEBIUS)
     grid = np.linspace(0.0, 2.0, 41)
     serial = sweep_spectrum(spec, grid, workers=1)
-    assert set(grid) <= set(built)
+    assert built == list(grid)
+    assert serial.ambiguous_steps  # this grid has forks
 
     built.clear()
     pooled = sweep_spectrum(spec, grid, workers=2)
     np.testing.assert_array_equal(pooled.branches, serial.branches)
-    midpoints = set(0.5 * (grid[:-1] + grid[1:]))
-    assert set(built) <= midpoints
-    assert len(built) >= len(pooled.ambiguous_steps)
+    assert built == []
 
 
 def test_sweep_rejects_bad_grids():
