@@ -506,7 +506,7 @@ def _map_rows(config: ExperimentConfig):
         for j, g in enumerate(m.gamma_grid):
             rows.append((float(e), float(g), float(m.t_values[i, j]), float(m.r_values[i, j])))
     total = m.t_values.size
-    summary = {"n_failed": m.n_failed, "failure_rate": m.n_failed / total if total else 0.0}
+    summary = {"n_failed": m.n_failed, "n_resolved": m.n_resolved, "failure_rate": m.n_failed / total}
     return columns, rows, summary, m.n_failed
 
 

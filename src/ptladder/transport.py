@@ -26,16 +26,18 @@ block-tridiagonal system with 2x2 blocks: the leads become self-energies
 ``-(2/v0) e^{iq} G G^T`` on the first and last cell, and the incident
 wave a source ``(e^{iq} - e^{-iq}) G_in`` on the first cell.  One lane
 kernel solves it by block-Thomas elimination for many (E, gamma) pairs at
-once; a single solve is one lane, a map column one lane per energy and a
-zero-energy trace one lane per gamma.  The kernel works each 2x2 block
-as elementwise arithmetic on lane arrays and inverts each pivot in closed
-form (adjugate over det).  A lane carries O(1) state through the sweep,
-since r and t need only psi_1 and psi_N; the per-cell pairs that
-back-substitution needs are kept only for a one-lane call, where a single
-solve wants its ``internal`` amplitudes.  A pivot that is singular or
-whose 1-norm condition estimate exceeds ``COND_LIMIT`` flags its lane,
-and a flagged lane is re-solved by dense partial-pivoting LU on the whole
-bordered system.  ``solve_scattering`` residual-checks every answer.
+once; a single solve is one lane, a map task a chunk of at most
+``LANES_PER_TASK`` grid cells and a zero-energy trace one lane per gamma.
+The kernel works each 2x2 block as elementwise arithmetic on lane arrays
+and inverts each pivot in closed form (adjugate over det).  A lane
+carries O(1) state through the sweep, since r and t need only psi_1 and
+psi_N; the per-cell pairs that back-substitution needs are kept only for
+a one-lane call, where a single solve wants its ``internal`` amplitudes.
+A pivot that is singular or whose 1-norm condition estimate exceeds
+``COND_LIMIT`` flags its lane, and a flagged lane is re-solved by dense
+partial-pivoting LU on the whole bordered system (minimum-norm least
+squares if that system is singular).  ``solve_scattering``
+residual-checks every answer.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ __all__ = [
 
 COND_LIMIT = 1e12
 RESIDUAL_TOL = 1e-9
+# Longest run of lanes one transmission-map task solves; it bounds a
+# worker's kernel arrays on full 801x601 maps (about 3 MB at N = 100).
+# Shorter chunks cost more per lane; 8192 was within run-to-run noise.
+LANES_PER_TASK = 4096
 
 _OPEN_TOPOLOGIES = (BoundaryTopology.OPEN, BoundaryTopology.TWISTED_OPEN)
 
@@ -326,13 +332,32 @@ def _eliminate(
 
 
 def _solve_dense(system: ScatteringSystem) -> np.ndarray:
+    """Partial-pivoting LU solve; minimum-norm least squares if the matrix is singular.
+
+    A singular bordered matrix has a null vector that the leads do not
+    see (a dark state): r and t are still fixed, but LU returns an
+    arbitrary multiple of that vector in ``internal``.  The same LU also
+    solves for a probe ``z`` of unit entries with golden-angle phases,
+    which no ladder state is orthogonal to by symmetry, and
+    ``norm1(A) norm1(A^-1 z) / norm1(z)`` bounds the 1-norm condition
+    number from below.  Above ``COND_LIMIT``, or at an exactly zero
+    pivot, the minimum-norm solution replaces LU's and drops the dark
+    component.
+    """
+    a, dim = system.matrix, system.dimension
+    probe = np.exp(1j * np.pi * (3.0 - math.sqrt(5.0)) * np.arange(dim))
     try:
-        x = np.linalg.solve(system.matrix, system.rhs)
+        x, y = np.linalg.solve(a, np.stack((system.rhs, probe), axis=1)).T
+        if np.linalg.norm(a, 1) * np.linalg.norm(y, 1) <= COND_LIMIT * dim:
+            return x
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return np.linalg.lstsq(a, system.rhs, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"dense fallback failed at E = {system.energy:.9g}: {exc}"
         ) from exc
-    return x
 
 
 def _residual_ok(system: ScatteringSystem, x: np.ndarray) -> bool:
@@ -346,7 +371,7 @@ def solve_scattering(system: ScatteringSystem, method: str = "auto") -> Scatteri
     ``method`` is "auto" (the lane kernel on one lane, dense when a pivot
     is flagged or the residual check fails), "banded" (the lane kernel,
     raising ``SingularSystemError`` with the reason instead of falling
-    back) or "dense" (partial-pivoting LU of the whole system).  Every
+    back) or "dense" (``_solve_dense`` on the whole system).  Every
     answer is residual-checked against ``system.matrix``.
     """
     if method not in ("auto", "banded", "dense"):
@@ -377,20 +402,18 @@ def solve_scattering(system: ScatteringSystem, method: str = "auto") -> Scatteri
 
 def _lane_probabilities(
     spec: LatticeSpec, leads: LeadSpec, energies, gammas
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(|t|^2, |r|^2, failed)`` over broadcast (E, gamma) lanes.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``(|t|^2, |r|^2, failed, resolved)`` over lanes ``(energies[k], gammas[k])``.
 
-    Flagged lanes are re-solved densely; a lane that fails again becomes
-    NaN and is counted in ``failed``.
+    Flagged lanes are re-solved densely and counted in ``resolved``; a
+    lane whose dense solve fails too becomes NaN and is counted in
+    ``failed`` instead.
     """
-    energies, gammas = np.broadcast_arrays(
-        np.asarray(energies, dtype=float), np.asarray(gammas, dtype=float)
-    )
     r, t, _, pivot = _eliminate(spec, leads, energies, gammas)
     t_lanes = np.abs(t) ** 2
     r_lanes = np.abs(r) ** 2
     bad = (pivot >= 0) | ~np.isfinite(r) | ~np.isfinite(t)
-    failed = 0
+    failed = resolved = 0
     for lane in np.flatnonzero(bad):
         e, g = float(energies[lane]), float(gammas[lane])
         try:
@@ -398,11 +421,12 @@ def _lane_probabilities(
             res = solve_scattering(system, method="dense")
             t_lanes[lane] = res.transmission_prob
             r_lanes[lane] = res.reflection_prob
+            resolved += 1
         except (OutOfBandError, SingularSystemError):
             t_lanes[lane] = np.nan
             r_lanes[lane] = np.nan
             failed += 1
-    return t_lanes, r_lanes, failed
+    return t_lanes, r_lanes, failed, resolved
 
 
 @dataclass
@@ -410,7 +434,9 @@ class TransmissionMap:
     """Transmission and reflection probabilities on an (E, gamma) grid.
 
     ``t_values[i, j]`` is ``|t|^2`` at ``(e_grid[i], gamma_grid[j])``;
-    failed cells are quiet NaN and counted in ``n_failed``.
+    failed cells are quiet NaN and counted in ``n_failed``.  Cells whose
+    kernel lane was flagged and then solved densely are counted in
+    ``n_resolved``.
     """
 
     e_grid: np.ndarray
@@ -418,12 +444,13 @@ class TransmissionMap:
     t_values: np.ndarray
     r_values: np.ndarray
     n_failed: int = 0
+    n_resolved: int = 0
 
 
-def _map_column(args) -> tuple[int, np.ndarray, np.ndarray, int]:
-    spec, leads, energies, j, gamma = args
-    t_col, r_col, failed = _lane_probabilities(spec, leads, energies, gamma)
-    return j, t_col, r_col, failed
+def _map_column(args) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    """One pool task: lanes ``start, start + 1, ...`` of a flattened map."""
+    spec, leads, energies, start, gammas = args
+    return start, *_lane_probabilities(spec, leads, energies, gammas)
 
 
 def transmission_map(
@@ -436,9 +463,12 @@ def transmission_map(
 ) -> TransmissionMap:
     """Probability maps over an energy/gamma grid.
 
-    Per-point solver failures become NaN cells and are counted; they do
-    not abort the map.  The result is deterministic and independent of
-    ``workers``.
+    The grid is flattened E-major, so lane ``i * len(gamma_grid) + j`` is
+    cell ``(i, j)``, and cut into a multiple of ``workers`` near-equal
+    chunks of at most ``LANES_PER_TASK`` lanes, one ``_map_column`` task
+    each.  Per-point solver failures become NaN cells and are counted;
+    they do not abort the map.  The kernel works every lane on its own,
+    so the result is deterministic and independent of ``workers``.
     """
     _check_transport_spec(spec)
     energies = np.asarray(list(e_grid), dtype=float)
@@ -446,26 +476,33 @@ def transmission_map(
     if energies.size == 0 or gammas.size == 0:
         raise ValueError("transmission map needs non-empty energy and gamma grids")
 
-    t_values = np.empty((energies.size, gammas.size))
-    r_values = np.empty((energies.size, gammas.size))
-    jobs = [(spec, leads, energies, j, g) for j, g in enumerate(gammas)]
-    n_failed = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and gammas.size > 1 else None
+    lane_e = np.repeat(energies, gammas.size)
+    lane_g = np.tile(gammas, energies.size)
+    t_lanes = np.empty(lane_e.size)
+    r_lanes = np.empty(lane_e.size)
+    n_tasks = workers * -(-lane_e.size // (workers * LANES_PER_TASK))
+    bounds = [k * lane_e.size // n_tasks for k in range(n_tasks + 1)]
+    jobs = [
+        (spec, leads, lane_e[a:b], a, lane_g[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b > a
+    ]
+    n_failed = n_resolved = 0
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(jobs) > 1 else None
     with pool or nullcontext():
-        if pool:
-            results = pool.map(_map_column, jobs, chunksize=max(1, gammas.size // (8 * workers)))
-        else:
-            results = map(_map_column, jobs)
-        for j, t_col, r_col, failed in results:
-            t_values[:, j] = t_col
-            r_values[:, j] = r_col
+        run = pool.map if pool else map
+        for start, t_chunk, r_chunk, failed, resolved in run(_map_column, jobs):
+            t_lanes[start : start + t_chunk.size] = t_chunk
+            r_lanes[start : start + r_chunk.size] = r_chunk
             n_failed += failed
+            n_resolved += resolved
     return TransmissionMap(
         e_grid=energies,
         gamma_grid=gammas,
-        t_values=t_values,
-        r_values=r_values,
+        t_values=t_lanes.reshape(energies.size, gammas.size),
+        r_values=r_lanes.reshape(energies.size, gammas.size),
         n_failed=n_failed,
+        n_resolved=n_resolved,
     )
 
 
@@ -474,15 +511,15 @@ def zero_energy_trace(
 ) -> list[tuple[float, float]]:
     """Transmission probability at E = 0 along a gamma grid.
 
-    One kernel call with a lane per gamma, made as one ``_map_column``
-    job; the values equal the E = 0 row of ``transmission_map`` over the
-    same grid bit for bit.
+    One ``_map_column`` task whose lanes are the gammas at E = 0, made
+    in the calling process however long the grid; its values equal the
+    E = 0 row of ``transmission_map`` over the same grid bit for bit.
     """
     _check_transport_spec(spec)
     gammas = np.asarray(list(gamma_grid), dtype=float)
     if gammas.size == 0:
         raise ValueError("zero-energy trace needs a non-empty gamma grid")
-    _, t_lanes, _, _ = _map_column((spec, leads, np.zeros(gammas.size), 0, gammas))
+    _, t_lanes, *_ = _map_column((spec, leads, np.zeros(gammas.size), 0, gammas))
     return [(float(g), float(t)) for g, t in zip(gammas, t_lanes)]
 
 

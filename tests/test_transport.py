@@ -22,7 +22,8 @@ from ptladder import (
     zero_energy_trace,
 )
 from ptladder.lattice import _bond_blocks
-from ptladder.transport import _eliminate, _pivot_inverse
+from ptladder import transport
+from ptladder.transport import LANES_PER_TASK, _eliminate, _pivot_inverse
 
 OPEN = BoundaryTopology.OPEN
 TWISTED = BoundaryTopology.TWISTED_OPEN
@@ -230,16 +231,52 @@ def test_map_matches_scalar_solves():
             assert m.r_values[i, j] == pytest.approx(res.reflection_prob, abs=1e-12)
 
 
+def _chunked_grid():
+    # 97 x 43 = 4171 lanes: more than one task's worth, and a multiple of
+    # neither 2 nor 3 chunks
+    energies = np.linspace(-4.5, 4.5, 97)
+    gammas = np.linspace(0.0, 3.0, 43)
+    assert LANES_PER_TASK < energies.size * gammas.size
+    return energies, gammas
+
+
 def test_map_workers_do_not_change_values():
     spec = LatticeSpec(n_cells=6, topology=OPEN)
     leads = LeadSpec()
-    energies = np.linspace(-3, 3, 31)
-    gammas = np.linspace(0.0, 2.0, 8)
-    one = transmission_map(spec, leads, energies, gammas, workers=1)
-    two = transmission_map(spec, leads, energies, gammas, workers=2)
-    np.testing.assert_array_equal(one.t_values, two.t_values)
-    np.testing.assert_array_equal(one.r_values, two.r_values)
-    assert one.n_failed == two.n_failed == 0
+    energies, gammas = _chunked_grid()
+    maps = [transmission_map(spec, leads, energies, gammas, workers=w) for w in (1, 2, 3)]
+    for m in maps[1:]:
+        assert m.t_values.tobytes() == maps[0].t_values.tobytes()
+        assert m.r_values.tobytes() == maps[0].r_values.tobytes()
+        assert (m.n_failed, m.n_resolved) == (maps[0].n_failed, maps[0].n_resolved)
+    assert maps[0].n_failed == 0
+    for j, gamma in enumerate(gammas):
+        column = transmission_map(spec, leads, energies, [gamma])
+        assert column.t_values[:, 0].tobytes() == maps[0].t_values[:, j].tobytes()
+        assert column.r_values[:, 0].tobytes() == maps[0].r_values[:, j].tobytes()
+
+
+def test_map_tasks_are_capped_chunks_covering_each_cell_once(monkeypatch):
+    spec = LatticeSpec(n_cells=2, topology=TWISTED)
+    energies, gammas = _chunked_grid()
+    tasks = []
+    column = transport._map_column
+
+    def recording(args):
+        _, _, lane_e, start, lane_g = args
+        tasks.append((start, lane_e, lane_g))
+        return column(args)
+
+    monkeypatch.setattr(transport, "_map_column", recording)
+    transmission_map(spec, LeadSpec(), energies, gammas)
+    sizes = [e.size for _, e, _ in tasks]
+    assert max(sizes) <= LANES_PER_TASK and max(sizes) - min(sizes) <= 1
+    hits = np.zeros((energies.size, gammas.size), dtype=int)
+    for start, lane_e, lane_g in tasks:
+        i, j = np.divmod(start + np.arange(lane_e.size), gammas.size)
+        assert np.array_equal(lane_e, energies[i]) and np.array_equal(lane_g, gammas[j])
+        hits[i, j] += 1
+    assert np.all(hits == 1)
 
 
 @pytest.mark.parametrize("topology", [OPEN, TWISTED])
@@ -286,6 +323,28 @@ def test_zero_energy_trace_is_map_row():
     dense = solve_scattering(assemble_scattering_system(spec, leads, 0.0), method="dense")
     assert trace[0][1] == dense.transmission_prob
     assert trace[0][1] == pytest.approx(0.390243902, abs=1e-9)
+
+
+def test_map_counts_dense_resolves_apart_from_failures():
+    # the E = 0, gamma = 0 lane of the open N = 100 ladder hits an exactly
+    # singular interior pivot; its dense re-solve succeeds
+    m = transmission_map(LatticeSpec(n_cells=100, topology=OPEN), LeadSpec(), [0.0], [0.0, 0.3])
+    assert (m.n_resolved, m.n_failed) == (1, 0)
+    assert np.all(np.isfinite(m.t_values))
+
+
+def test_dense_singular_system_gives_the_minimum_norm_solution():
+    # open N = 1 at E = d, gamma = 0: the antisymmetric (dark) state is a
+    # null vector of the bordered matrix.  r and t are fixed, and the
+    # internal amplitudes must not carry an arbitrary multiple of it
+    system = assemble_scattering_system(LatticeSpec(n_cells=1, topology=OPEN), LeadSpec(), 1.0)
+    assert np.linalg.cond(system.matrix) > 1e15
+    for method in ("dense", "auto"):
+        res = solve_scattering(system, method=method)
+        upper, lower = res.internal
+        assert abs(upper - lower) < 1e-12
+        assert res.transmission_prob == pytest.approx(11 / 75, abs=1e-12)
+        assert res.reflection_prob == pytest.approx(64 / 75, abs=1e-12)
 
 
 def test_find_trace_peaks_rules():
