@@ -13,7 +13,8 @@ case-insensitive, and ``#`` or ``;`` starts a comment at the start of a
 line or after whitespace.  An unknown section, a line that is not
 ``key = value`` and a key set twice (under its own section or under
 ``[run]``) are errors that name their line.  Precedence: defaults, then
-preset, then config file, then ``--set`` pairs, then explicit flags.
+preset, then config file, then ``--set`` pairs, then explicit flags; the
+merged config is validated once.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O failure.
@@ -313,6 +314,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name}_min must be <= {name}_max")
         if grid.count == 1 and grid.lo != grid.hi:
             raise ConfigError(f"a single-point {name} grid needs {name}_min == {name}_max")
+        if grid.count > 1 and grid.lo == grid.hi:
+            raise ConfigError(f"a {grid.count}-point {name} grid needs {name}_min < {name}_max")
+    if config.experiment == "ep_search" and not config.gamma_grid.lo < config.gamma_grid.hi:
+        raise ConfigError("ep_search needs gamma_min < gamma_max")
     if config.workers < 0:
         raise ConfigError("workers must be >= 0")
     if config.coarse_steps < 1:
@@ -345,15 +350,20 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     return validate_config(_apply_pairs(base or default_config(), _document_pairs(text)))
 
 
-def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    """Apply ``key=value`` strings (from --set) onto a config."""
+def _override_pairs(overrides: list[str]) -> list[tuple[str, str, str, str]]:
+    """The (section, key, raw value, diagnostic) tuples of ``--set`` items."""
     pairs = []
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, raw = item.split("=", 1)
         pairs.append(("run", key.strip().lower(), raw.strip(), f"--set {item!r}"))
-    return validate_config(_apply_pairs(config, pairs))
+    return pairs
+
+
+def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
+    """Apply ``key=value`` strings (from --set) onto a config."""
+    return validate_config(_apply_pairs(config, _override_pairs(overrides)))
 
 
 def config_to_text(config: ExperimentConfig) -> str:
@@ -616,23 +626,23 @@ def main(argv: list[str] | None = None) -> int:
                 + "; presets: "
                 + ", ".join(sorted(PRESETS))
             )
-        config = _apply_pairs(default_config(), pairs)
         if args.config:
             try:
                 text = Path(args.config).read_text()
             except OSError as exc:
                 print(f"ptladder: cannot read config: {exc}", file=sys.stderr)
                 return 3
-            config = parse_config(text, base=config)
-        if args.overrides:
-            config = apply_overrides(config, args.overrides)
+            pairs += _document_pairs(text)
+        pairs += _override_pairs(args.overrides)
         flags = (
             ("path", args.out, "--out"),
             ("format", args.format, "--format"),
             ("workers", args.workers, "--workers"),
         )
-        pairs = [("run", key, str(value), flag) for key, value, flag in flags if value is not None]
-        config = validate_config(_apply_pairs(config, pairs))
+        pairs += [("run", key, str(value), flag) for key, value, flag in flags if value is not None]
+        # validated once, in its final state: a later source may mend what
+        # an earlier one left inconsistent across keys
+        config = validate_config(_apply_pairs(default_config(), pairs))
     except ConfigError as exc:
         print(f"ptladder: config error: {exc}", file=sys.stderr)
         return 1

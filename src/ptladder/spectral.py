@@ -24,7 +24,7 @@ topologies, so the merged, sorted block eigenvalues are the spectrum of
 H.  At delta = 0, where H is PT-symmetric, the blocks come in a basis
 that makes them real, so LAPACK runs real dgeev on them.  A real
 eigenvalue then has an imaginary part of exactly 0.0, and away from EPs
-the broken count does not depend on ``im_tol``.  Measured on one core
+the broken count does not depend on ``IM_TOL``.  Measured on one core
 (Moebius and circular N = 20 to 160, best of 7): the two complex N x N
 solves take 1.4 to 3.7 times less time than one 2N x 2N solve, and the
 two real ones another 2.1 to 3.5 times less.  A detuned spec (delta != 0)
@@ -69,6 +69,10 @@ __all__ = [
 ]
 
 RESIDUAL_BOUND = 1e-8
+# An eigenvalue is broken (PT-broken) when its imaginary part exceeds this.
+IM_TOL = 1e-9
+# An EP bracket of the count search ends once it is at most this wide.
+BRACKET_TOL = 1e-10
 # A branch whose two nearest candidates are closer than this in distance,
 # but further apart in value, makes a matching step ambiguous.
 MATCHING_TOL = 1e-9
@@ -393,7 +397,7 @@ class PhaseReport:
     tol: float
 
 
-def classify_pt_phase(spectrum: Spectrum | np.ndarray, tol: float = 1e-9) -> PhaseReport:
+def classify_pt_phase(spectrum: Spectrum | np.ndarray, tol: float = IM_TOL) -> PhaseReport:
     """Label each eigenvalue unbroken (real within tol) or broken."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
@@ -444,23 +448,23 @@ class ExceptionalPoint:
     n_broken_change: int
 
 
-def _broken_count(values: np.ndarray, im_tol: float) -> int:
-    return int(np.count_nonzero(np.abs(values.imag) > im_tol))
+def _broken(values: np.ndarray) -> np.ndarray:
+    """Which eigenvalues are broken: the one rule both EP searches use."""
+    return np.abs(values.imag) > IM_TOL
 
 
-def _matched_flips(
-    at_a: np.ndarray, at_b: np.ndarray, im_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _broken_count(values: np.ndarray) -> int:
+    return int(np.count_nonzero(_broken(values)))
+
+
+def _matched_flips(at_a: np.ndarray, at_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``at_b`` matched to ``at_a`` (``_match_step``), and the indices of
     the eigenvalues that flip between real and broken across the two."""
     at_b = at_b[_match_step(at_a, at_b)[0]]
-    flips = np.nonzero((np.abs(at_a.imag) > im_tol) != (np.abs(at_b.imag) > im_tol))[0]
-    return at_b, flips
+    return at_b, np.nonzero(_broken(at_a) != _broken(at_b))[0]
 
 
-def _pair_discriminants(
-    at_a: np.ndarray, at_b: np.ndarray, im_tol: float
-) -> tuple[float, float] | None:
+def _pair_discriminants(at_a: np.ndarray, at_b: np.ndarray) -> tuple[float, float] | None:
     """``D = (E1 - E2)**2`` of the one pair that flips across a bracket,
     at both ends, or None unless exactly one pair flips.
 
@@ -469,12 +473,12 @@ def _pair_discriminants(
     rounding scatters the pair near its EP.  The pair splits like
     ``sqrt(gamma - gamma*)``, so D is linear in gamma near the EP.
     """
-    at_b, flips = _matched_flips(at_a, at_b, im_tol)
+    at_b, flips = _matched_flips(at_a, at_b)
     if flips.size != 2:
         return None
     ends = []
     for pair in (at_a[flips], at_b[flips]):
-        broken = np.abs(pair.imag) > im_tol
+        broken = _broken(pair)
         if broken[0] != broken[1]:
             return None
         gap = abs(pair[0] - pair[1]) ** 2
@@ -581,13 +585,27 @@ def _scan_and_refine(
     return solved, brackets
 
 
+def _search_grid(spec, gamma_range, steps: int, least: int, name: str) -> tuple:
+    """The block family, eigenvector bases and grid of an EP search.
+
+    A spec is searched on its mirror-sector blocks, a callable as a
+    family of one block.  The grid splits ``gamma_range`` into ``steps``
+    intervals; ``name`` is the caller's parameter for ``steps``, which
+    must be at least ``least``.
+    """
+    lo, hi = float(gamma_range[0]), float(gamma_range[1])
+    if not lo < hi:
+        raise ValueError(f"empty gamma range ({lo}, {hi})")
+    if steps < least:
+        raise ValueError(f"{name} must be at least {least}")
+    blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
+    return blocks, bases, np.linspace(lo, hi, steps + 1)
+
+
 def locate_exceptional_points(
     spec: LatticeSpec | Callable[[float], np.ndarray],
     gamma_range: tuple[float, float],
     coarse_steps: int = 400,
-    *,
-    im_tol: float = 1e-9,
-    bracket_tol: float = 1e-10,
 ) -> list[ExceptionalPoint]:
     """Locate exceptional points of a lattice over a gamma range.
 
@@ -599,11 +617,12 @@ def locate_exceptional_points(
     lifted to the site basis of H.
 
     Scans ``coarse_steps`` intervals for changes of each block's
-    broken-eigenvalue count.  A transition is found when its own block's
+    broken-eigenvalue count: an eigenvalue is broken where its imaginary
+    part exceeds ``IM_TOL``.  A transition is found when its own block's
     count differs across a coarse interval, even where another block's
     change cancels it in the count of the whole spectrum.  Each such
     interval is refined on that block alone, one block solve per probe,
-    until the bracket narrows to ``bracket_tol``: near an EP the pair gap
+    until the bracket narrows to ``BRACKET_TOL``: near an EP the pair gap
     grows like the square root of the distance to it, so the bracket
     width, not the gap, bounds the error of ``gamma_star``.  Where one
     pair flips across the bracket (its two ends' spectra are matched),
@@ -615,7 +634,7 @@ def locate_exceptional_points(
     than one pair (two EPs in one interval, the ring's collective EP),
     probes bisect until one pair flips, so multiple transitions of one
     block inside one coarse interval are separated as long as they are
-    further than ``bracket_tol`` apart.  Transitions whose broken window
+    further than ``BRACKET_TOL`` apart.  Transitions whose broken window
     lies strictly between two grid points are invisible at the chosen
     resolution, unless a probe happens to land in it.
 
@@ -623,7 +642,7 @@ def locate_exceptional_points(
     the same direction are joined: a transition shared by both blocks
     (the ring's collective EP) is one bracket, and so is a transition
     split into two brackets by a grid point or probe that lands exactly
-    on it (up to ``2 * bracket_tol`` wide).  Each joined bracket
+    on it (up to ``2 * BRACKET_TOL`` wide).  Each joined bracket
     is resolved on the whole spectrum at its two ends, so
     ``n_broken_change``, ``energy_star`` and ``branch_pair`` refer to H.
 
@@ -632,18 +651,9 @@ def locate_exceptional_points(
     together).  Gap minima without a count change, such as avoided
     crossings, are not EPs and are not reported.
     """
-    lo, hi = float(gamma_range[0]), float(gamma_range[1])
-    if not lo < hi:
-        raise ValueError(f"empty gamma range ({lo}, {hi})")
-    if coarse_steps < 1:
-        raise ValueError("coarse_steps must be positive")
-
-    blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
-    grid = np.linspace(lo, hi, coarse_steps + 1)
-    count = partial(_broken_count, im_tol=im_tol)
-    discriminants = partial(_pair_discriminants, im_tol=im_tol)
+    blocks, bases, grid = _search_grid(spec, gamma_range, coarse_steps, 1, "coarse_steps")
     solved, brackets = _scan_and_refine(
-        blocks, grid, _block_eigvals, count, discriminants, bracket_tol
+        blocks, grid, _block_eigvals, _broken_count, _pair_discriminants, BRACKET_TOL
     )
 
     def spectrum(g: float) -> np.ndarray:
@@ -654,14 +664,14 @@ def locate_exceptional_points(
         return _merged([at[g] for at in solved])
 
     points = []
-    for a, b in _join_brackets(brackets, solved, count):
-        points.extend(_resolve_transition(blocks, bases, a, spectrum(a), b, spectrum(b), im_tol))
+    for a, b in _join_brackets(brackets, solved):
+        points.extend(_resolve_transition(blocks, bases, a, spectrum(a), b, spectrum(b)))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
     return points
 
 
 def _join_brackets(
-    brackets: list[tuple[int, float, float]], solved: list[dict], count: Callable
+    brackets: list[tuple[int, float, float]], solved: list[dict]
 ) -> list[tuple[float, float]]:
     """Join brackets, of any blocks, that overlap or touch and change the
     count in the same direction.
@@ -675,7 +685,7 @@ def _join_brackets(
     """
     joined: list[tuple[float, float, int]] = []
     for k, a, b in sorted(brackets, key=lambda t: t[1]):
-        change = count(solved[k][b]) - count(solved[k][a])
+        change = _broken_count(solved[k][b]) - _broken_count(solved[k][a])
         if joined and a <= joined[-1][1] and change * joined[-1][2] > 0:
             joined[-1] = (joined[-1][0], max(b, joined[-1][1]), change)
         else:
@@ -683,15 +693,7 @@ def _join_brackets(
     return [(a, b) for a, b, _ in joined]
 
 
-def _resolve_transition(
-    blocks,
-    bases,
-    a: float,
-    vals_a: np.ndarray,
-    b: float,
-    vals_b: np.ndarray,
-    im_tol: float,
-):
+def _resolve_transition(blocks, bases, a: float, vals_a: np.ndarray, b: float, vals_b: np.ndarray):
     """Turn one refined bracket into ExceptionalPoint records.
 
     The spectra at the two bracket ends are matched pairwise; indices
@@ -701,8 +703,8 @@ def _resolve_transition(
     ``_eigenpairs(blocks, bases, gamma*)``.
     """
     gamma_star = 0.5 * (a + b)
-    ca, cb = _broken_count(vals_a, im_tol), _broken_count(vals_b, im_tol)
-    vals_b_matched, flipped = _matched_flips(vals_a, vals_b, im_tol)
+    ca, cb = _broken_count(vals_a), _broken_count(vals_b)
+    vals_b_matched, flipped = _matched_flips(vals_a, vals_b)
     kind = EpKind.MERGE if cb > ca else EpKind.SPLIT
     broken_side = vals_b_matched if kind is EpKind.MERGE else vals_a
 
@@ -759,7 +761,8 @@ def _pair_record(mid: Spectrum, target: complex, **fields) -> ExceptionalPoint:
     )
 
 
-# A det sign change is a zero-energy EP only if min |E| there is below this.
+# A det sign change is a zero-energy EP only if its record's energy_star
+# is within this of 0.
 ZERO_ENERGY_TOL = 1e-6
 
 
@@ -767,8 +770,6 @@ def locate_zero_energy_eps(
     spec: LatticeSpec | Callable[[float], np.ndarray],
     gamma_range: tuple[float, float],
     scan_steps: int = 601,
-    *,
-    im_tol: float = 1e-9,
 ) -> list[ExceptionalPoint]:
     """Exceptional points pinned at E = 0: a real +-E pair merging at zero.
 
@@ -797,61 +798,48 @@ def locate_zero_energy_eps(
     determinant vanishes exactly carry no sign for that block and are
     skipped.
 
-    Two filters then remain, both on the eigenvalues of that block.
-    ``min |E|`` at gamma* must be within ``ZERO_ENERGY_TOL``: for families
-    without the E -> -conj(E) symmetry the determinant is complex, and its real
-    part can change sign far from any zero (``diag(exp(i*g), 1)`` at
-    g = pi/2), which this rejects.  And the eigenvalue closest to zero
-    must flip between real and complex character across gamma* +- 1e-7,
-    so an ordinary band crossing (a real eigenvalue passing through zero
-    and staying real) is discarded.  Zeros that do not change a block's
-    sign, and pairs of sign changes of one block inside one scan step,
-    are invisible at the chosen resolution; pass a finer ``scan_steps``
-    to resolve them.  The record's eigenvectors are solved on every block
-    and lifted to the site basis of H.
+    Two filters then remain.  The block's broken count, by the rule of
+    ``locate_exceptional_points`` (``IM_TOL``), must differ between
+    gamma* - 1e-7 and gamma* + 1e-7; the difference is the record's
+    ``n_broken_change`` and its sign the kind.  That discards an ordinary
+    band crossing (a real eigenvalue passing through zero and staying
+    real), and the real part of a complex determinant changing sign with
+    no coalescence at all (``diag(exp(i*g), 1)`` at g = pi/2, for a
+    family without the E -> -conj(E) symmetry).  And the record's
+    ``energy_star``, the midpoint of the two eigenvalues of H nearest
+    zero at gamma*, must be within ``ZERO_ENERGY_TOL`` of 0, which
+    discards a coalescence elsewhere that meets such a sign change.
+    Zeros that do not change a block's sign, and pairs of sign changes of
+    one block inside one scan step, are invisible at the chosen
+    resolution; pass a finer ``scan_steps`` to resolve them.  The
+    record's eigenvectors are solved on every block and lifted to the
+    site basis of H.  No branch matching runs, so scipy is not loaded.
     """
-    lo, hi = float(gamma_range[0]), float(gamma_range[1])
-    if not lo < hi:
-        raise ValueError(f"empty gamma range ({lo}, {hi})")
-    if scan_steps < 2:
-        raise ValueError("scan_steps must be at least 2")
-    blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
-    grid = np.linspace(lo, hi, scan_steps + 1)
+    blocks, bases, grid = _search_grid(spec, gamma_range, scan_steps, 2, "scan_steps")
     # an exact zero of a block's determinant carries no sign
     label = lambda det: float(np.sign(det[0])) or None
     _, brackets = _scan_and_refine(blocks, grid, _slogdet, label, _scaled_dets, 0.0)
 
     points = []
     for gamma_star, k in sorted((0.5 * (a + b), k) for k, a, b in brackets):
-        if abs(_minimal_eigenvalue(blocks(gamma_star)[k])) > ZERO_ENERGY_TOL:
-            continue
         # gamma_star is refined to adjacent doubles, so a 1e-7 probe lands
         # cleanly on either side of the coalescence
-        probe = 1e-7
-        before = _minimal_eigenvalue(blocks(gamma_star - probe)[k])
-        after = _minimal_eigenvalue(blocks(gamma_star + probe)[k])
-        broken_before = abs(before.imag) > im_tol
-        broken_after = abs(after.imag) > im_tol
-        if broken_before == broken_after:
+        lo, hi = gamma_star - 1e-7, gamma_star + 1e-7
+        before, after = (_broken_count(_block_eigvals(blocks(g)[k])) for g in (lo, hi))
+        if before == after:
             continue  # plain zero crossing, not a coalescence
-        kind = EpKind.MERGE if broken_after else EpKind.SPLIT
-        points.append(
-            _pair_record(
-                _eigenpairs(blocks, bases, gamma_star),
-                0.0,
-                gamma_star=gamma_star,
-                kind=kind,
-                bracket_lo=gamma_star - probe,
-                bracket_hi=gamma_star + probe,
-                n_broken_change=2 if kind is EpKind.MERGE else -2,
-            )
+        record = _pair_record(
+            _eigenpairs(blocks, bases, gamma_star),
+            0.0,
+            gamma_star=gamma_star,
+            kind=EpKind.MERGE if after > before else EpKind.SPLIT,
+            bracket_lo=lo,
+            bracket_hi=hi,
+            n_broken_change=after - before,
         )
+        if abs(record.energy_star) <= ZERO_ENERGY_TOL:
+            points.append(record)
     return points
-
-
-def _minimal_eigenvalue(block: np.ndarray) -> complex:
-    vals = _block_eigvals(block)
-    return complex(vals[np.argmin(np.abs(vals))])
 
 
 def _slogdet(block: np.ndarray) -> tuple[float, float]:

@@ -439,6 +439,48 @@ def test_main_flag_beats_config_file(tmp_path):
     assert len(lines) == 1 + 3 * 8  # three gammas, eight branches of the 4-cell ring
 
 
+def test_set_mends_a_cross_key_error_left_by_the_config_file(tmp_path):
+    # the file alone leaves a transport experiment on the default ring;
+    # the config is validated once, after --set has moved it to open
+    conf = tmp_path / "t.conf"
+    conf.write_text("experiment = transmission_map\n")
+    out = tmp_path / "map.csv"
+    code = main(
+        [
+            "transmission_map",
+            "--config", str(conf),
+            "--set", "topology=open", "--set", "n_cells=4",
+            "--set", "e_count=5", "--set", "gamma_count=3",
+            "--out", str(out),
+            "--workers", "1",
+        ]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "map.manifest.json").read_text())
+    assert "topology = open" in manifest["config_text"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig2-mll", "--set", "gamma_min=1", "--set", "gamma_max=1", "--set", "gamma_count=5"],
+         "5-point gamma grid needs gamma_min < gamma_max"),
+        (["spectrum_sweep", "--set", "e_min=0", "--set", "e_max=0"],
+         "801-point e grid needs e_min < e_max"),
+        (["ep_search", "--set", "gamma_min=1", "--set", "gamma_max=1"],
+         "gamma_min < gamma_max"),
+        (["ep_search", "--set", "gamma_min=1", "--set", "gamma_max=1", "--set", "gamma_count=1"],
+         "ep_search needs gamma_min < gamma_max"),
+    ],
+    ids=["fig2-gamma-grid", "sweep-e-grid", "ep-search", "ep-search-single-point"],
+)
+def test_main_rejects_an_empty_range_as_a_config_error(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_zero_energy_trace_json_output(tmp_path):
     out = tmp_path / "trace.json"
     code = main(
@@ -604,11 +646,17 @@ def test_weights_at_the_exceptional_point_are_nan(gamma_min, tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    # scipy loads at the first branch match, not at import
+    # scipy loads at the first branch match, not at import, and a
+    # zero-energy search matches no branches
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ptladder, ptladder.cli; print('scipy' in sys.modules)"
+    code = (
+        "import sys, ptladder, ptladder.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "spec = ptladder.LatticeSpec(n_cells=20, topology=ptladder.BoundaryTopology.TWISTED_OPEN)\n"
+        "print(len(ptladder.locate_zero_energy_eps(spec, (0.05, 1.95), 200)), 'scipy' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "6", "False"]

@@ -106,11 +106,12 @@ def test_eigendecompose_of_a_real_matrix_is_complex_and_exact():
     assert pairing_distance(vals, np.linalg.eigvals(h.astype(complex))) < 1e-12 * np.linalg.norm(h)
 
 
-def test_broken_count_does_not_depend_on_im_tol():
+def test_broken_count_does_not_depend_on_im_tol(monkeypatch):
     # real blocks give real eigenvalues an imaginary part of exactly 0.0
     spec = LatticeSpec(n_cells=20, topology=BoundaryTopology.MOEBIUS)
     default = locate_exceptional_points(spec, (0.02, 0.8), 120)
-    exact = locate_exceptional_points(spec, (0.02, 0.8), 120, im_tol=0.0)
+    monkeypatch.setattr(spectral, "IM_TOL", 0.0)
+    exact = locate_exceptional_points(spec, (0.02, 0.8), 120)
     assert len(default) > 0
     assert exact == default
 
@@ -161,9 +162,9 @@ def test_family_matches_fresh_builds(topology):
 def test_sector_ep_search_matches_the_dense_callable(n_cells, topology, gamma_range, steps):
     spec = LatticeSpec(n_cells=n_cells, topology=topology)
     dense = lambda g: build_real_space_hamiltonian(spec.with_gamma(g))
-    bracket_tol = 1e-10
-    sectors = locate_exceptional_points(spec, gamma_range, steps, bracket_tol=bracket_tol)
-    reference = locate_exceptional_points(dense, gamma_range, steps, bracket_tol=bracket_tol)
+    bracket_tol = spectral.BRACKET_TOL
+    sectors = locate_exceptional_points(spec, gamma_range, steps)
+    reference = locate_exceptional_points(dense, gamma_range, steps)
     assert len(sectors) == len(reference) > 0
     assert [p.kind for p in sectors] == [p.kind for p in reference]
     for got, want in zip(sectors, reference):
@@ -399,9 +400,9 @@ def test_refine_cost_on_a_closed_form_family(monkeypatch):
     # points; bisecting the step (0.9, 1.1) down to bracket_tol takes 31
     # more solves, false position on D a handful.
     calls = counted_block_solves(monkeypatch)
-    bracket_tol = 1e-10
+    bracket_tol = spectral.BRACKET_TOL
     family = lambda g: np.array([[1.0, g], [-g, -1.0]])
-    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    points = locate_exceptional_points(family, (0.3, 1.7), 7)
     assert [p.kind for p in points] == [EpKind.MERGE]
     p = points[0]
     assert p.bracket_hi - p.bracket_lo <= bracket_tol
@@ -432,8 +433,8 @@ def test_refine_separates_two_eps_inside_one_coarse_step():
     # block's count changes by 4 across it: bisection splits the step
     # until each part holds one of them
     family = two_pair_block(lambda g: 1.00003 - g, lambda g: 1.00013 - g)
-    bracket_tol = 1e-10
-    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    bracket_tol = spectral.BRACKET_TOL
+    points = locate_exceptional_points(family, (0.3, 1.7), 7)
     assert [(p.kind, p.n_broken_change) for p in points] == [(EpKind.MERGE, 2)] * 2
     for p, gamma in zip(points, (1.00003, 1.00013)):
         assert p.bracket_hi - p.bracket_lo <= bracket_tol
@@ -448,8 +449,8 @@ def test_refine_splits_a_bracket_at_a_probe_that_matches_neither_end():
     # at 1.076, and a probe there (or at the midpoint) reads 4.
     lower = lambda g: (0.98 - g) * np.exp(12.0 * (1.1 - g))
     family = two_pair_block(lower, lambda g: (g - 0.95) * (g - 1.09))
-    bracket_tol = 1e-10
-    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    bracket_tol = spectral.BRACKET_TOL
+    points = locate_exceptional_points(family, (0.3, 1.7), 7)
     want = [(0.95, EpKind.MERGE), (0.98, EpKind.MERGE), (1.09, EpKind.SPLIT)]
     assert [p.kind for p in points] == [kind for _, kind in want]
     for p, (gamma, _) in zip(points, want):
@@ -461,13 +462,13 @@ def test_refine_bisects_where_false_position_stalls(monkeypatch):
     # eigenvalues +-sqrt((1 - g)^7): D vanishes to seventh order at the
     # EP, so the line through its values at the bracket ends lands near
     # the end it is smaller at, probe after probe; the broken count flips
-    # where |1 - g|^7 reaches im_tol^2, at g = 1 + 2.7e-3.  Bisection
+    # where |1 - g|^7 reaches IM_TOL^2, at g = 1 + 2.7e-3.  Bisection
     # takes over after SLOW_STEPS such probes, which bounds the search
     # by a few times the cost of bisection alone (8 + 31 solves).
     calls = counted_block_solves(monkeypatch)
-    bracket_tol = 1e-10
+    bracket_tol = spectral.BRACKET_TOL
     family = lambda g: np.array([[0.0, 1.0], [(1.0 - g) ** 7, 0.0]])
-    points = locate_exceptional_points(family, (0.3, 1.7), 7, bracket_tol=bracket_tol)
+    points = locate_exceptional_points(family, (0.3, 1.7), 7)
     assert [p.kind for p in points] == [EpKind.MERGE]
     p = points[0]
     assert p.bracket_hi - p.bracket_lo <= bracket_tol
@@ -685,3 +686,21 @@ def test_zero_energy_scan_skips_the_zero_mode_at_gamma_zero():
     inside = locate_zero_energy_eps(twisted, (0.05, 1.95), scan_steps=200)
     assert len(from_zero) == len(inside)
     assert all(p.gamma_star > 0.05 for p in from_zero)
+
+
+def test_zero_energy_eps_agree_with_the_count_search():
+    # both searches decide "broken" by one rule, so the zero-energy
+    # records are the count search's records at E = 0, from two
+    # independent scans (det signs against broken counts)
+    twisted = LatticeSpec(n_cells=20, topology=BoundaryTopology.TWISTED_OPEN)
+    counted = locate_exceptional_points(twisted, (0.05, 1.95), 400)
+    zero = locate_zero_energy_eps(twisted, (0.05, 1.95), 200)
+    at_zero = [p for p in counted if abs(p.energy_star) < 1e-6]
+    assert len(zero) == len(at_zero) > 0
+    for got, want in zip(zero, at_zero):
+        assert (got.kind, got.branch_pair, got.n_broken_change) == (
+            want.kind,
+            want.branch_pair,
+            want.n_broken_change,
+        )
+        assert abs(got.gamma_star - want.gamma_star) <= 1e-8
