@@ -21,6 +21,9 @@ the cell mirror ``n -> N+1-n``, which ``sector_blocks`` uses to split H
 into two diagonal blocks of about half the size, and at ``delta == 0``
 it writes them in a basis where they are real.  ``sector_bases`` gives
 the site-basis columns of that basis, to lift block eigenvectors to H.
+Rings and open ladders of even N are bipartite: their chiral operator
+anticommutes with H and swaps the two blocks, and ``chiral_swap`` gives
+the signed permutation that maps the even block onto minus the odd one.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ __all__ = [
     "build_real_space_hamiltonian",
     "sector_blocks",
     "sector_bases",
+    "chiral_swap",
     "analytic_cll_spectrum",
+    "analytic_oll_spectrum",
     "analytic_mll_spectrum",
 ]
 
@@ -329,6 +334,39 @@ def sector_bases(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
     return tuple(w for w in bases if w.size)
 
 
+def chiral_swap(spec: LatticeSpec) -> np.ndarray | None:
+    """Signed permutation S with ``odd = -S @ even @ S^dagger``, or None.
+
+    A ring or open ladder of even N is bipartite.  Its chiral operator
+    ``Gamma = (+) s_n sigma_y`` over the cells, with ``s_n = (-1)**n`` for
+    the 0-based cell n, anticommutes with H at any gamma and delta:
+    sigma_y anticommutes with the rung ``-d sigma_x`` and the on-site
+    ``(delta + i*gamma)/2 sigma_z``, and ``s_n s_{n+1} = -1`` flips the
+    leg bonds ``-t I``, the ring's closing bond included.  For even N the
+    mirror partner of cell n has ``s_{N+1-n} = -s_n``, so Gamma maps each
+    mirror sector onto the other: ``Gamma W_even = W_odd S`` for the
+    bases of ``sector_bases``, with ``S = (+) s_n sigma`` over the left
+    cells.  sigma is sigma_y in the site basis (delta != 0) and
+    ``V^dagger sigma_y V = -sigma_x`` in the real basis at delta = 0.  So
+    the odd block of ``sector_blocks`` is ``-S even S^dagger`` bit for bit
+    (only the sign of a zero entry may differ), since each of its entries
+    is one entry of the even block up to sign, and its eigenvalues are
+    minus the even block's.
+
+    Returns None where Gamma does not swap the sectors: the Moebius
+    closure's crossed bond has no such Gamma, odd N gives
+    ``s_{N+1-n} = s_n``, and the twisted ladder's Gamma repeats its sign
+    across the twist, so in both Gamma maps each sector onto itself.
+    """
+    swaps = (BoundaryTopology.CIRCULAR, BoundaryTopology.OPEN)
+    if spec.topology not in swaps or spec.n_cells % 2:
+        return None
+    signs = np.diag((-1.0) ** np.arange(spec.n_cells // 2))
+    if spec.delta == 0:
+        return np.kron(signs, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    return np.kron(signs, np.array([[0.0, -1j], [1j, 0.0]]))
+
+
 def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:
     """Closed-form circular-ladder spectrum with branch parity labels.
 
@@ -348,6 +386,25 @@ def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:
         base = -2.0 * spec.inter_hop * math.cos(2.0 * math.pi * n / spec.n_cells)
         out.append((base + root, "odd"))
         out.append((base - root, "even"))
+    return out
+
+
+def analytic_oll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:
+    """Closed-form open-ladder spectrum with branch parity labels.
+
+    Yields ``-2*t*cos(m*pi/(N+1)) +/- sqrt(d**2 + ((delta + i*gamma)/2)**2)``
+    for m = 1..N: every bond block of the open ladder is ``-t I``, so its
+    legs' standing waves ``sin(m*pi*n/(N+1))`` carry the Bloch pair of
+    ``bloch_eigenvalues`` at ``k = m*pi/(N+1)``.  Labels are those of
+    ``analytic_cll_spectrum``.
+    """
+    if spec.topology is not BoundaryTopology.OPEN:
+        raise ValueError("closed-form open spectrum needs open topology")
+    out: list[tuple[complex, str]] = []
+    for m in range(1, spec.n_cells + 1):
+        plus, minus = bloch_eigenvalues(spec, math.pi * m / (spec.n_cells + 1))
+        out.append((plus, "odd"))
+        out.append((minus, "even"))
     return out
 
 

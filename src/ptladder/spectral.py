@@ -34,6 +34,18 @@ Eigenvectors are solved per block and lifted to the site basis of H by
 ``lattice.sector_bases``, and det H is the product of the block
 determinants, so no solve builds H itself.  ``branch_pair`` indexes the
 merged, sorted block spectrum, which is the spectrum of H.
+
+Rings and open ladders of even N are bipartite, and their chiral
+operator swaps the two blocks: the odd block is ``-S even S^dagger`` for
+the signed permutation S of ``lattice.chiral_swap``.  Its eigenvalues
+are minus the even block's, so its broken count is the even block's,
+and for N x N blocks with N even its determinant is the even block's.
+Both EP searches therefore build and solve the even block alone on such
+a spec and take the odd block's eigenvalues as ``-values``; this halves
+their scan and refine solves.  The eigenvector solve of a record at
+gamma* and the sweeps still solve both blocks.  The twisted ladder and
+odd N, whose chiral operator maps each block onto itself, and the
+Moebius ring, which has none, solve both blocks everywhere.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import LatticeSpec, sector_bases, sector_blocks
+from .lattice import LatticeSpec, chiral_swap, sector_bases, sector_blocks
 
 __all__ = [
     "EigensolverError",
@@ -586,20 +598,34 @@ def _scan_and_refine(
 
 
 def _search_grid(spec, gamma_range, steps: int, least: int, name: str) -> tuple:
-    """The block family, eigenvector bases and grid of an EP search.
+    """The block family, eigenvector bases, scanned family and grid of an
+    EP search.
 
     A spec is searched on its mirror-sector blocks, a callable as a
-    family of one block.  The grid splits ``gamma_range`` into ``steps``
-    intervals; ``name`` is the caller's parameter for ``steps``, which
-    must be at least ``least``.
+    family of one block.  The scan solves the blocks of ``scanned``,
+    which are those of ``blocks`` except where ``lattice.chiral_swap``
+    maps the even block onto the odd one (rings and open ladders of even
+    N): there ``scanned`` builds the even block alone, since the odd
+    block's eigenvalues are minus its own and its determinant is its own.
+    The grid splits ``gamma_range`` into ``steps`` intervals; ``name`` is
+    the caller's parameter for ``steps``, which must be at least
+    ``least``.
     """
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
         raise ValueError(f"empty gamma range ({lo}, {hi})")
     if steps < least:
         raise ValueError(f"{name} must be at least {least}")
-    blocks, bases = (_as_family(spec), None) if callable(spec) else _family_for(spec)
-    return blocks, bases, np.linspace(lo, hi, steps + 1)
+    grid = np.linspace(lo, hi, steps + 1)
+    if callable(spec):
+        blocks = _as_family(spec)
+        return blocks, None, blocks, grid
+    blocks, bases = _family_for(spec)
+    scanned = blocks
+    if chiral_swap(spec) is not None:
+        b0, slope = blocks.args
+        scanned = partial(_affine_blocks, b0[:1], slope[:1])
+    return blocks, bases, scanned, grid
 
 
 def locate_exceptional_points(
@@ -614,7 +640,11 @@ def locate_exceptional_points(
     ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)``); it is
     searched as a family of one block.  For a spec, eigenvalues and the
     EP eigenvectors come from its mirror-sector blocks, the vectors
-    lifted to the site basis of H.
+    lifted to the site basis of H.  On a ring or open ladder of even N
+    (``lattice.chiral_swap``) the scan and the refine solve the even
+    block alone: the odd block's eigenvalues are minus its own, so its
+    broken count and its brackets are the even block's, and at the
+    bracket ends its values are taken as ``-values``.
 
     Scans ``coarse_steps`` intervals for changes of each block's
     broken-eigenvalue count: an eigenvalue is broken where its imaginary
@@ -651,17 +681,20 @@ def locate_exceptional_points(
     together).  Gap minima without a count change, such as avoided
     crossings, are not EPs and are not reported.
     """
-    blocks, bases, grid = _search_grid(spec, gamma_range, coarse_steps, 1, "coarse_steps")
+    blocks, bases, scanned, grid = _search_grid(spec, gamma_range, coarse_steps, 1, "coarse_steps")
     solved, brackets = _scan_and_refine(
-        blocks, grid, _block_eigvals, _broken_count, _pair_discriminants, BRACKET_TOL
+        scanned, grid, _block_eigvals, _broken_count, _pair_discriminants, BRACKET_TOL
     )
 
     def spectrum(g: float) -> np.ndarray:
         # a bracket end is solved for its own block; the others are solved here
         for k, at in enumerate(solved):
             if g not in at:
-                at[g] = _block_eigvals(blocks(g)[k])
-        return _merged([at[g] for at in solved])
+                at[g] = _block_eigvals(scanned(g)[k])
+        parts = [at[g] for at in solved]
+        if scanned is not blocks:
+            parts.append(-parts[0])  # the odd block, -S even S^dagger
+        return _merged(parts)
 
     points = []
     for a, b in _join_brackets(brackets, solved):
@@ -783,8 +816,12 @@ def locate_zero_energy_eps(
 
     det H is the product of the determinants of the diagonal blocks (the
     mirror sectors of a spec, real at delta = 0; a callable is one
-    block), and a zero-energy coalescence is a zero of one of them.  This
-    scans the sign of ``Re det`` of each block on ``scan_steps``
+    block), and a zero-energy coalescence is a zero of one of them.  On a
+    ring or open ladder of even N (``lattice.chiral_swap``) the odd block
+    is ``-S even S^dagger`` with N rows, so its determinant is the even
+    block's: only the even block is scanned and refined, and each of its
+    records stands for both blocks, as two equal records.  This scans the
+    sign of ``Re det`` of each block on ``scan_steps``
     intervals (one ``slogdet`` LU factorisation per grid point and
     block) and refines every sign change on that block alone, one
     ``slogdet`` per probe, down to adjacent doubles.  Probes go by
@@ -815,17 +852,19 @@ def locate_zero_energy_eps(
     record's eigenvectors are solved on every block and lifted to the
     site basis of H.  No branch matching runs, so scipy is not loaded.
     """
-    blocks, bases, grid = _search_grid(spec, gamma_range, scan_steps, 2, "scan_steps")
+    blocks, bases, scanned, grid = _search_grid(spec, gamma_range, scan_steps, 2, "scan_steps")
     # an exact zero of a block's determinant carries no sign
     label = lambda det: float(np.sign(det[0])) or None
-    _, brackets = _scan_and_refine(blocks, grid, _slogdet, label, _scaled_dets, 0.0)
+    _, brackets = _scan_and_refine(scanned, grid, _slogdet, label, _scaled_dets, 0.0)
+    # the odd block of a chiral swap brackets the even block's sign changes
+    copies = 1 if scanned is blocks else 2
 
     points = []
     for gamma_star, k in sorted((0.5 * (a + b), k) for k, a, b in brackets):
         # gamma_star is refined to adjacent doubles, so a 1e-7 probe lands
         # cleanly on either side of the coalescence
         lo, hi = gamma_star - 1e-7, gamma_star + 1e-7
-        before, after = (_broken_count(_block_eigvals(blocks(g)[k])) for g in (lo, hi))
+        before, after = (_broken_count(_block_eigvals(scanned(g)[k])) for g in (lo, hi))
         if before == after:
             continue  # plain zero crossing, not a coalescence
         record = _pair_record(
@@ -838,7 +877,7 @@ def locate_zero_energy_eps(
             n_broken_change=after - before,
         )
         if abs(record.energy_star) <= ZERO_ENERGY_TOL:
-            points.append(record)
+            points += [record] * copies
     return points
 
 

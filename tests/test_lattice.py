@@ -13,9 +13,11 @@ from ptladder import (
     LatticeSpec,
     analytic_cll_spectrum,
     analytic_mll_spectrum,
+    analytic_oll_spectrum,
     bloch_eigenvalues,
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
+    chiral_swap,
     sector_bases,
     sector_blocks,
     unit_cell_blocks,
@@ -170,9 +172,30 @@ def test_moebius_closed_form_rejects_gain_loss():
         analytic_mll_spectrum(spec)
 
 
+def pairing_distance(a, b):
+    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 20])
+@pytest.mark.parametrize("gamma", [1.3, 2.6])
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_open_closed_form_matches_dense(n, gamma, delta):
+    # gamma = 1.3 lies below the collective EP at 2d, 2.6 above it
+    spec = LatticeSpec(n_cells=n, inter_hop=0.8, delta=delta, gamma=gamma, topology=BoundaryTopology.OPEN)
+    entries = analytic_oll_spectrum(spec)
+    assert len(entries) == 2 * n
+    assert sorted(label for _, label in entries) == ["even"] * n + ["odd"] * n
+    dense = np.linalg.eigvals(build_real_space_hamiltonian(spec))
+    assert pairing_distance([e for e, _ in entries], dense) < 1e-13
+
+
 def test_closed_forms_require_matching_topology():
     with pytest.raises(ValueError):
         analytic_cll_spectrum(LatticeSpec(n_cells=4, topology=BoundaryTopology.OPEN))
+    with pytest.raises(ValueError):
+        analytic_oll_spectrum(LatticeSpec(n_cells=4))
     with pytest.raises(ValueError):
         analytic_mll_spectrum(LatticeSpec(n_cells=4))
 
@@ -370,3 +393,76 @@ def test_sector_blocks_are_real_at_zero_detuning(topology, n, gamma):
         got = np.hstack(bases)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.conj().T @ got, np.eye(2 * n), rtol=0, atol=1e-15)
+
+
+def chiral_operator(spec):
+    """Gamma = (+) s_n sigma_y over the cells, with s_n = +-1 alternating
+    from cell to cell except across the twist, where it repeats."""
+    signs = (-1.0) ** np.arange(spec.n_cells)
+    if spec.topology is BoundaryTopology.TWISTED_OPEN:
+        signs[spec.n_cells // 2 :] *= -1
+    return np.kron(np.diag(signs), np.array([[0.0, -1j], [1j, 0.0]]))
+
+
+CHIRAL_CASES = (
+    [(BoundaryTopology.CIRCULAR, n) for n in (2, 20)]
+    + [(BoundaryTopology.OPEN, n) for n in (1, 2, 7, 20)]
+    + [(BoundaryTopology.TWISTED_OPEN, 20)]
+)
+
+
+@pytest.mark.parametrize("topology, n", CHIRAL_CASES)
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_chiral_operator_anticommutes_with_bipartite_ladders(topology, n, delta):
+    for gamma in (0.7, 2.6):
+        spec = LatticeSpec(n_cells=n, delta=delta, gamma=gamma, topology=topology)
+        h = build_real_space_hamiltonian(spec)
+        chiral = chiral_operator(spec)
+        assert np.array_equal(chiral @ h + h @ chiral, np.zeros_like(h))
+
+
+@pytest.mark.parametrize("topology, n", [(BoundaryTopology.MOEBIUS, 20), (BoundaryTopology.CIRCULAR, 21)])
+def test_moebius_and_odd_rings_have_no_chiral_symmetry(topology, n):
+    # the crossed closing bond, or an odd ring, joins two sites of one
+    # sublattice, so the spectrum is not closed under E -> -E
+    spec = LatticeSpec(n_cells=n, gamma=0.7, topology=topology)
+    values = np.linalg.eigvals(build_real_space_hamiltonian(spec))
+    assert pairing_distance(values, -values) > 0.1
+
+
+SWAP_CASES = [(BoundaryTopology.CIRCULAR, n) for n in (2, 4, 20)] + [
+    (BoundaryTopology.OPEN, n) for n in (2, 4, 20)
+]
+
+
+@pytest.mark.parametrize("topology, n", SWAP_CASES)
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_chiral_swap_maps_the_even_block_onto_the_odd_one(topology, n, delta):
+    for gamma in (0.0, 0.7, 2.0, 2.6):
+        spec = LatticeSpec(n_cells=n, delta=delta, gamma=gamma, topology=topology)
+        even, odd = sector_blocks(spec)
+        swap = chiral_swap(spec)
+        assert swap.shape == even.shape
+        # a signed permutation: one entry of size 1 in every row and column
+        np.testing.assert_array_equal(np.abs(swap).sum(axis=0), np.ones(n))
+        np.testing.assert_array_equal(np.abs(swap).sum(axis=1), np.ones(n))
+        image = -swap @ even @ swap.conj().T
+        assert image.dtype == odd.dtype
+        # bit for bit; only the sign of a zero may differ (adding 0.0 drops
+        # it), as at gamma = 0, where the real blocks hold -0.0 and +0.0
+        assert (image + 0.0).tobytes() == (odd + 0.0).tobytes()
+
+    # Gamma W_even = W_odd S for the bases that lift block eigenvectors
+    w_even, w_odd = sector_bases(spec)
+    np.testing.assert_allclose(chiral_operator(spec) @ w_even, w_odd @ swap, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "topology, n",
+    [(BoundaryTopology.CIRCULAR, n) for n in (3, 21)]
+    + [(BoundaryTopology.OPEN, n) for n in (1, 7)]
+    + [(topo, n) for topo in (BoundaryTopology.MOEBIUS, BoundaryTopology.TWISTED_OPEN) for n in (2, 20)],
+)
+def test_chiral_swap_is_none_where_gamma_keeps_each_sector(topology, n):
+    for delta in (0.0, 0.3):
+        assert chiral_swap(LatticeSpec(n_cells=n, delta=delta, topology=topology)) is None

@@ -17,10 +17,12 @@ from ptladder import (
     ExceptionalPoint,
     LatticeSpec,
     Phase,
+    analytic_oll_spectrum,
     bloch_eigenvalues,
     broken_windows,
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
+    chiral_swap,
     classify_pt_phase,
     eigendecompose,
     locate_exceptional_points,
@@ -142,11 +144,15 @@ def test_family_matches_fresh_builds(topology):
         for delta in (0.0, 0.3):
             spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
             blocks, _ = _family_for(spec)
+            # the EP searches build the even block alone where it maps onto the odd one
+            scanned = spectral._search_grid(spec, (0.0, 1.0), 1, 1, "steps")[2]
+            kept = 1 if chiral_swap(spec) is not None else 2
             for g in (-1.7, -0.25, 0.0, 0.4, 2.3):
                 fresh = sector_blocks(spec.with_gamma(g))
                 got = blocks(g)
                 assert isinstance(got, tuple) and len(got) == len(fresh)
                 assert [b.tobytes() for b in got] == [b.tobytes() for b in fresh]
+                assert [b.tobytes() for b in scanned(g)] == [b.tobytes() for b in fresh[:kept]]
 
 
 @pytest.mark.parametrize(
@@ -330,6 +336,23 @@ def test_ring_ep_records_match_the_closed_form(n_cells):
     np.testing.assert_allclose(energies, closed, rtol=0, atol=1e-12)
 
 
+def test_open_ladder_ep_records_match_the_closed_form():
+    # at gamma = 2d every standing wave coalesces at E = -2t cos(m pi / (N+1)),
+    # where analytic_oll_spectrum's two branches meet; the search solves the
+    # even block alone and mirrors the odd block's eigenvalues
+    spec = LatticeSpec(n_cells=20, topology=BoundaryTopology.OPEN)
+    points = locate_exceptional_points(spec, (0.0, 3.0))
+    assert len(points) == 20
+    for p in points:
+        assert p.kind is EpKind.MERGE
+        assert abs(p.gamma_star - 2.0 * spec.intra_hop) < 1e-9
+        assert p.n_broken_change == 40
+    at_ep = analytic_oll_spectrum(spec.with_gamma(2.0 * spec.intra_hop))
+    closed = np.sort_complex(np.array([e for e, label in at_ep if label == "odd"]))
+    energies = np.sort_complex(np.array([p.energy_star for p in points]))
+    np.testing.assert_allclose(energies, closed, rtol=0, atol=1e-12)
+
+
 def dense_broken_count(spec, gamma):
     values = np.linalg.eigvals(build_real_space_hamiltonian(spec.with_gamma(gamma)))
     return np.count_nonzero(np.abs(values.imag) > 1e-9)
@@ -392,6 +415,35 @@ def counted_block_solves(monkeypatch) -> list:
     solve = spectral._block_eigvals
     monkeypatch.setattr(spectral, "_block_eigvals", lambda block: calls.append(1) or solve(block))
     return calls
+
+
+def counted_eigensolves(monkeypatch) -> list:
+    calls = []
+    solve = spectral.eigendecompose
+    monkeypatch.setattr(spectral, "eigendecompose", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+def test_even_ring_search_solves_one_mirror_block(monkeypatch):
+    # The chiral swap mirrors the odd block, so the scan and the refine
+    # solve 20-row even blocks alone: 401 grid points, the probes of one
+    # bracket, and one vector solve of both blocks at gamma*.  Solving both
+    # blocks everywhere takes 858 eigensolves.
+    calls = counted_eigensolves(monkeypatch)
+    points = locate_exceptional_points(LatticeSpec(n_cells=20), (0.0, 3.0), 400)
+    assert len(points) == 20
+    assert len(calls) <= 430
+
+
+def test_even_ring_zero_energy_scan_solves_one_mirror_block(monkeypatch):
+    # det(odd) = det(even) for the N x N blocks of an even N, so the scan
+    # and the refine factor the even block alone; both blocks take 1214
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(1) or slogdet(a))
+    points = locate_zero_energy_eps(LatticeSpec(n_cells=20), (0.0, 3.0), 601)
+    assert points and all(abs(p.gamma_star - 2.0) < 1e-9 for p in points)
+    assert len(calls) <= 1214 // 2
 
 
 def test_refine_cost_on_a_closed_form_family(monkeypatch):
