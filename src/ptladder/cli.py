@@ -65,7 +65,6 @@ __all__ = [
     "PRESETS",
     "parse_config",
     "config_to_text",
-    "apply_overrides",
     "run_experiment",
     "emit_csv",
     "main",
@@ -359,11 +358,6 @@ def _override_pairs(overrides: list[str]) -> list[tuple[str, str, str, str]]:
         key, raw = item.split("=", 1)
         pairs.append(("run", key.strip().lower(), raw.strip(), f"--set {item!r}"))
     return pairs
-
-
-def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    """Apply ``key=value`` strings (from --set) onto a config."""
-    return validate_config(_apply_pairs(config, _override_pairs(overrides)))
 
 
 def config_to_text(config: ExperimentConfig) -> str:

@@ -794,8 +794,8 @@ def _pair_record(mid: Spectrum, target: complex, **fields) -> ExceptionalPoint:
     )
 
 
-# A det sign change is a zero-energy EP only if its record's energy_star
-# is within this of 0.
+# A det sign change is a zero-energy EP only if the midpoint of its
+# block's two eigenvalues nearest 0 is within this of 0.
 ZERO_ENERGY_TOL = 1e-6
 
 
@@ -842,10 +842,11 @@ def locate_zero_energy_eps(
     band crossing (a real eigenvalue passing through zero and staying
     real), and the real part of a complex determinant changing sign with
     no coalescence at all (``diag(exp(i*g), 1)`` at g = pi/2, for a
-    family without the E -> -conj(E) symmetry).  And the record's
-    ``energy_star``, the midpoint of the two eigenvalues of H nearest
-    zero at gamma*, must be within ``ZERO_ENERGY_TOL`` of 0, which
-    discards a coalescence elsewhere that meets such a sign change.
+    family without the E -> -conj(E) symmetry).  And the midpoint of
+    the block's two eigenvalues nearest zero at gamma*, from a
+    values-only solve, must be within ``ZERO_ENERGY_TOL`` of 0, which
+    discards a coalescence elsewhere that meets such a sign change
+    before any eigenvector is solved for it.
     Zeros that do not change a block's sign, and pairs of sign changes of
     one block inside one scan step, are invisible at the chosen
     resolution; pass a finer ``scan_steps`` to resolve them.  The
@@ -867,6 +868,9 @@ def locate_zero_energy_eps(
         before, after = (_broken_count(_block_eigvals(scanned(g)[k])) for g in (lo, hi))
         if before == after:
             continue  # plain zero crossing, not a coalescence
+        values = _block_eigvals(scanned(gamma_star)[k])
+        if abs(values[np.argsort(np.abs(values))[:2]].mean()) > ZERO_ENERGY_TOL:
+            continue  # a coalescence away from zero: no vectors are solved for it
         record = _pair_record(
             _eigenpairs(blocks, bases, gamma_star),
             0.0,
@@ -876,8 +880,7 @@ def locate_zero_energy_eps(
             bracket_hi=hi,
             n_broken_change=after - before,
         )
-        if abs(record.energy_star) <= ZERO_ENERGY_TOL:
-            points += [record] * copies
+        points += [record] * copies
     return points
 
 

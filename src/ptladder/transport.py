@@ -28,8 +28,9 @@ wave a source ``(e^{iq} - e^{-iq}) G_in`` on the first cell.  One lane
 kernel solves it by block-Thomas elimination for many (E, gamma) pairs at
 once; a single solve is one lane, a map task a chunk of at most
 ``LANES_PER_TASK`` grid cells and a zero-energy trace one lane per gamma.
-The kernel works each 2x2 block as elementwise arithmetic on lane arrays
-and inverts each pivot in closed form (adjugate over det).  A lane
+The kernel holds each 2x2 block as four lane arrays in row-major order,
+takes each bond block as scalars (its zero entries drop out of every
+product) and inverts each pivot in closed form (adjugate over det).  A lane
 carries O(1) state through the sweep, since r and t need only psi_1 and
 psi_N; the per-cell pairs that back-substitution needs are kept only for
 a one-lane call, where a single solve wants its ``internal`` amplitudes.
@@ -235,33 +236,54 @@ class ScatteringResult:
         )
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lane-wise product of 2x2 blocks ``a[:, :, lane]`` and 2xk blocks ``b[:, :, lane]``.
+def _pivot_inverse(a, b, c, d) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Closed-form inverses of the 2x2 pivots ``[[a, b], [c, d]]``, and the lanes that fail.
 
-    Elementwise ufuncs, so no lane's value depends on the others in the
-    call; a block shared by every lane has a lane axis of length 1.
+    The entries are lane arrays, and the inverse comes back as four lane
+    arrays in the same row-major order: the adjugate divided by det.  A
+    lane fails when det is non-finite or ``|det| < 1e-300``, or when the
+    1-norm condition ``norm1(C) norm1(adj) / |det|`` is non-finite or
+    above ``COND_LIMIT``; its inverse is then unusable.  No
+    floating-point warning escapes.
     """
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
-
-
-def _pivot_inverse(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form inverses of the 2x2 pivots ``blocks[:, :, lane]``, and the lanes that fail.
-
-    The inverse is the adjugate divided by det.  A lane fails when det is
-    non-finite or ``|det| < 1e-300``, or when the 1-norm condition
-    ``norm1(C) norm1(adj) / |det|`` is non-finite or above ``COND_LIMIT``;
-    its inverse is then unusable.  No floating-point warning escapes.
-    """
-    (a, b), (c, d) = blocks
-    mag = np.abs(blocks)
+    ma, mb, mc, md = np.abs(a), np.abs(b), np.abs(c), np.abs(d)
     with np.errstate(all="ignore"):
         det = a * d - b * c
-        size = np.abs(det)
+        # b / -det is -b / det bit for bit, with one negation in place of two
+        size, neg_det = np.abs(det), -det
         # norm1(C) is the largest column sum of |C|, norm1(adj) its largest row sum
-        cond = np.maximum(*(mag[0] + mag[1])) * np.maximum(*(mag[:, 0] + mag[:, 1])) / size
-        inv = np.array([[d, -b], [-c, a]]) / det
-    bad = ~np.isfinite(det) | (size < 1e-300) | ~np.isfinite(cond) | (cond > COND_LIMIT)
-    return inv, bad
+        cond = np.maximum(ma + mc, mb + md) * np.maximum(ma + mb, mc + md) / size
+        inv = d / det, b / neg_det, c / neg_det, a / det
+    return inv, ~(np.isfinite(det) & (size >= 1e-300) & (cond <= COND_LIMIT))
+
+
+def _matvec(m, v) -> tuple:
+    """Row-major 2x2 block ``m`` times the pair ``v``, entry by entry."""
+    return m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]
+
+
+def _bond_terms(hop: np.ndarray) -> tuple[list, list, list]:
+    """The scalar terms of the bond block ``H`` in the sweep's three products.
+
+    Lists of ``(scalar, entry)`` terms, one list per output entry in
+    row-major order: ``-T = C^-1 (-H)`` over the entries of ``C^-1``,
+    ``H^T (-T)`` over those of ``-T``, and the next source ``-H^T g``
+    over those of ``g``.  The signs sit in the scalars, and a zero entry
+    of ``H`` gives no term.
+    """
+    col = [[(m, x) for m, x in enumerate(column) if x != 0] for column in hop.T.tolist()]
+    return (
+        [[(-s, 2 * k + m) for m, s in col[j]] for k in (0, 1) for j in (0, 1)],
+        [[(s, 2 * m + j) for m, s in col[k]] for k in (0, 1) for j in (0, 1)],
+        [[(-s, m) for m, s in col[k]] for k in (0, 1)],
+    )
+
+
+def _combine(terms: list, entries) -> np.ndarray | float:
+    """``sum(entries[i] * s for s, i in terms)``, left to right from the first
+    product, not from 0; 0.0 for no terms."""
+    products = (entries[i] * s for s, i in terms)
+    return sum(products, next(products, 0.0))
 
 
 def _eliminate(
@@ -271,19 +293,22 @@ def _eliminate(
 
     ``energies`` and ``gammas`` broadcast to one (E, gamma) pair per lane.
     One left-to-right block-Thomas sweep serves every lane: each 2x2 block
-    is a ``(2, 2, lanes)`` array worked by elementwise arithmetic, and each
-    pivot ``C_i`` is inverted in closed form (``_pivot_inverse``).  With
-    ``g_i = C_i^-1 s_i`` and ``T_i = C_i^-1 H_i`` the amplitudes obey
-    ``psi_i = g_i - T_i psi_{i+1}``, so a lane carries only its pivot, its
-    source and the expansion ``psi_1 = acc + prod psi_N``, where
-    ``acc = sum_i P_i g_i`` and ``prod = P_N`` with
-    ``P_i = (-T_1) ... (-T_{i-1})``: r and t follow from ``psi_1`` and
-    ``psi_N`` at the end of the sweep.  A one-lane call, which is what a
-    single solve makes, also keeps the per-cell pairs ``(g_i, T_i)`` and
-    back-substitutes the cell amplitudes into ``psi[lane, cell]``; ``psi``
-    is None otherwise.  ``pivot[lane]`` is the first cell whose pivot
-    failed the guard, or -1; a flagged lane carries unusable values.
-    Lanes outside the lead band are flagged at cell 0.
+    is four lane arrays in row-major order, worked by elementwise
+    arithmetic, and each pivot ``C_i`` is inverted in closed form
+    (``_pivot_inverse``).  With ``g_i = C_i^-1 s_i`` and
+    ``T_i = C_i^-1 H_i`` the amplitudes obey ``psi_i = g_i - T_i psi_{i+1}``,
+    so a lane carries only its pivot, its source and the expansion
+    ``psi_1 = acc + prod psi_N``, where ``acc = sum_i P_i g_i`` and
+    ``prod = P_N`` with ``P_i = (-T_1) ... (-T_{i-1})``: r and t follow
+    from ``psi_1`` and ``psi_N`` at the end of the sweep.  Each distinct
+    bond block ``H_i`` enters as scalar terms (``_bond_terms``), which
+    carry the signs of ``-T_i`` and ``-H_i^T g_i`` and skip its zero
+    entries.  A one-lane call, which is what a single solve makes, also
+    keeps the per-cell pairs ``(g_i, -T_i)`` and back-substitutes the
+    cell amplitudes into ``psi[lane, cell]``; ``psi`` is None otherwise.
+    ``pivot[lane]`` is the first cell whose pivot failed the guard, or
+    -1; a flagged lane carries unusable values.  Lanes outside the lead
+    band are flagged at cell 0.
     """
     energies, gammas = np.broadcast_arrays(
         *np.atleast_1d(np.asarray(energies, dtype=float), np.asarray(gammas, dtype=float))
@@ -296,38 +321,46 @@ def _eliminate(
     # On-site block of spec.with_gamma(gamma), minus E: gamma enters it linearly.
     h0 = unit_cell_blocks(spec.with_gamma(0.0)).h0[..., None]
     slope = unit_cell_blocks(spec.with_gamma(1.0)).h0[..., None] - h0
-    h0e = h0 + gammas * slope - energies * np.eye(2)[..., None]
+    h0e = (h0 + gammas * slope - energies * np.eye(2)[..., None]).reshape(4, -1)
 
     def self_energy(g: np.ndarray) -> np.ndarray:
-        return -scale * eiq * np.outer(g, g)[..., None]
+        return -scale * eiq * np.outer(g, g).reshape(4, 1)
 
     pivot = np.full(energies.size, -1)
+    bonds = _bond_blocks(spec, unit_cell_blocks(spec))
+    # each distinct bond block (the list repeats one object) becomes scalars once
+    terms = {key: _bond_terms(hop) for key, hop in {id(hop): hop for hop in bonds}.items()}
     carried = h0e + self_energy(leads.g_in)
-    source = (eiq - np.conj(eiq)) * leads.g_in[:, None, None]
-    acc, prod = 0.0, np.eye(2)[..., None]
+    source = (eiq - np.conj(eiq)) * leads.g_in[:, None]
+    acc, prod = (0.0, 0.0), (1.0, 0.0, 0.0, 1.0)
     pairs = [] if energies.size == 1 else None
     with np.errstate(all="ignore"):
-        for i, hop in enumerate(_bond_blocks(spec, unit_cell_blocks(spec))):
-            inv, bad = _pivot_inverse(carried)
-            pivot[bad & (pivot < 0)] = i
-            g, t_i = _mul(inv, source), _mul(inv, hop[..., None])
-            acc, prod = acc + _mul(prod, g), -_mul(prod, t_i)
-            carried = h0e - _mul(hop.T[..., None], t_i)
-            source = -_mul(hop.T[..., None], g)
+        for cell, hop in enumerate(bonds):
+            inv, bad = _pivot_inverse(*carried)
+            if bad.any():
+                pivot[bad & (pivot < 0)] = cell
+            t_terms, carry_terms, source_terms = terms[id(hop)]
+            g = _matvec(inv, source)
+            neg_t = [_combine(k, inv) for k in t_terms]
+            acc = [a + p for a, p in zip(acc, _matvec(prod, g))]
+            prod = [p * neg_t[j] + q * neg_t[2 + j] for p, q in (prod[:2], prod[2:]) for j in (0, 1)]
+            carried = [h + _combine(k, neg_t) for h, k in zip(h0e, carry_terms)]
+            source = [_combine(k, g) for k in source_terms]
             if pairs is not None:
-                pairs.append((g, t_i))
-        inv, bad = _pivot_inverse(carried + self_energy(leads.g_out))
-        pivot[bad & (pivot < 0)] = spec.n_cells - 1
-        last = _mul(inv, source)
-        first = acc + _mul(prod, last)
-        r = -1.0 - scale * (leads.g_in[0] * first[0, 0] + leads.g_in[1] * first[1, 0])
-        t = -scale * (leads.g_out[0] * last[0, 0] + leads.g_out[1] * last[1, 0])
+                pairs.append((g, neg_t))
+        inv, bad = _pivot_inverse(*(c + s for c, s in zip(carried, self_energy(leads.g_out))))
+        if bad.any():
+            pivot[bad & (pivot < 0)] = spec.n_cells - 1
+        last = _matvec(inv, source)
+        first = [a + p for a, p in zip(acc, _matvec(prod, last))]
+        r = -1.0 - scale * (leads.g_in[0] * first[0] + leads.g_in[1] * first[1])
+        t = -scale * (leads.g_out[0] * last[0] + leads.g_out[1] * last[1])
         psi = None
         if pairs is not None:
             psi = [last]
-            for g, t_i in reversed(pairs):
-                psi.append(g - _mul(t_i, psi[-1]))
-            psi = np.stack(psi[::-1])[:, :, 0].transpose(2, 0, 1)
+            for g, neg_t in reversed(pairs):
+                psi.append([a + p for a, p in zip(g, _matvec(neg_t, psi[-1]))])
+            psi = np.array(psi[::-1]).transpose(2, 0, 1)
     return r, t, psi, pivot
 
 

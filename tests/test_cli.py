@@ -24,7 +24,6 @@ from ptladder.cli import (
     ConfigError,
     GridSpec,
     PRESETS,
-    apply_overrides,
     config_to_text,
     default_config,
     emit_csv,
@@ -178,14 +177,14 @@ def test_canonical_text_round_trips():
     assert parse_config(config_to_text(config)) == config
 
 
-def test_apply_overrides():
-    config = apply_overrides(default_config(), ["delta=1.5", "topology=open"])
+def test_keys_before_any_header_set_every_section():
+    config = parse_config("delta = 1.5\ntopology = open\n")
     assert config.lattice.delta == 1.5
     assert config.lattice.topology is BoundaryTopology.OPEN
-    with pytest.raises(ConfigError, match="key=value"):
-        apply_overrides(default_config(), ["gamma"])
+    with pytest.raises(ConfigError, match="key = value"):
+        parse_config("gamma\n")
     with pytest.raises(ConfigError, match="unknown key"):
-        apply_overrides(default_config(), ["nope=1"])
+        parse_config("nope = 1\n")
 
 
 # Valid non-default values for the keys whose type gives no rule for one.
@@ -206,7 +205,7 @@ def test_every_key_sets_its_attribute_and_round_trips(key):
         value = _STRING_VALUES[key]
     raw = value.value if typ is BoundaryTopology else str(value)
     assert value != default
-    config = apply_overrides(default_config(), [f"{key}={raw}"])
+    config = parse_config(f"{key} = {raw}\n")
     assert attrgetter(attr)(config) == value
     assert parse_config(config_to_text(config)) == config
 
@@ -253,7 +252,7 @@ with_zero_trace = true
 def test_canonical_text_of_a_preset_is_pinned():
     # the manifest's config_text format
     preset = PRESETS["fig6-twisted"]
-    config = apply_overrides(default_config(), [f"{k}={v}" for k, v in preset.items()])
+    config = parse_config("".join(f"{k} = {v}\n" for k, v in preset.items()))
     assert config_to_text(config) == FIG6_TWISTED_TEXT
 
 
@@ -359,6 +358,9 @@ def test_main_config_errors_exit_1(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert "config error" in capsys.readouterr().err
     assert main(["spectrum_sweep", "--set", "nope=1"]) == 1
+    assert "unknown key 'nope'" in capsys.readouterr().err
+    assert main(["spectrum_sweep", "--set", "gamma"]) == 1
+    assert "--set needs key=value" in capsys.readouterr().err
     assert main(["spectrum_sweep", "--workers", "-1"]) == 1
     capsys.readouterr()
     # removed key: EP brackets end on their width alone

@@ -719,7 +719,7 @@ def test_zero_energy_scan_needs_a_zero_not_just_a_real_part_sign_change():
     assert locate_zero_energy_eps(family, (1.0, 2.0), scan_steps=60) == []
 
 
-def test_zero_energy_scan_rejects_a_coalescence_away_from_zero():
+def test_zero_energy_scan_rejects_a_coalescence_away_from_zero(monkeypatch):
     # a PT dimer shifted to E = 0.5 merges at g = 2, where the phase of a
     # third level turns Re det H through zero while |det H| = 0.25
     def family(g):
@@ -728,7 +728,11 @@ def test_zero_energy_scan_rejects_a_coalescence_away_from_zero():
         h[2, 2] = 1j * np.exp(1j * (g - 2.0))
         return h
 
+    records = []
+    build = spectral._pair_record
+    monkeypatch.setattr(spectral, "_pair_record", lambda *a, **k: records.append(1) or build(*a, **k))
     assert locate_zero_energy_eps(family, (1.9, 2.1), scan_steps=21) == []
+    assert records == []  # rejected on its eigenvalues, before any vector solve
 
 
 def test_zero_energy_scan_skips_the_zero_mode_at_gamma_zero():

@@ -156,10 +156,10 @@ def test_banded_fails_loudly_on_interior_resonance():
 def test_pivot_inverse_matches_linalg():
     rng = np.random.default_rng(5)
     blocks = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
-    inv, bad = _pivot_inverse(blocks.transpose(1, 2, 0))
+    inv, bad = _pivot_inverse(*blocks.reshape(500, 4).T)
     ref = np.linalg.inv(blocks)
     assert not bad.any()
-    err = np.abs(inv.transpose(2, 0, 1) - ref).max(axis=(1, 2))
+    err = np.abs(np.stack(inv, axis=1).reshape(500, 2, 2) - ref).max(axis=(1, 2))
     assert np.all(err <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
 
 
@@ -174,8 +174,36 @@ def test_pivot_inverse_flags():
         ],
         dtype=complex,
     )
-    _, bad = _pivot_inverse(blocks.transpose(1, 2, 0))
+    _, bad = _pivot_inverse(*blocks.reshape(5, 4).T)
     assert bad.tolist() == [True, True, True, True, False]
+
+
+@pytest.mark.parametrize(
+    "topology, n_cells",
+    [(OPEN, 1), (OPEN, 2), (OPEN, 3), (OPEN, 21), (TWISTED, 2), (TWISTED, 4), (TWISTED, 20)],
+)
+@pytest.mark.parametrize(
+    "leads",
+    [LeadSpec(), LeadSpec(upper_in=0.7, lower_out=1.3), LeadSpec(upper_in=0.0, upper_out=0.0)],
+    ids=["symmetric", "asymmetric", "upper-off"],
+)
+def test_kernel_lanes_match_dense_solves(topology, n_cells, leads):
+    # many random (E, gamma) lanes in one call: the bonds enter as
+    # scalars, the crossed one included, and every contact pattern
+    # reaches the first and last pivot
+    rng = np.random.default_rng(100 + n_cells)
+    energies = rng.uniform(-4.5, 4.5, 40)
+    gammas = rng.uniform(0.0, 3.0, 40)
+    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+    r, t, psi, pivot = _eliminate(spec, leads, energies, gammas)
+    assert psi is None
+    kept = np.flatnonzero(pivot < 0)
+    assert kept.size >= 36
+    for lane in kept:
+        system = assemble_scattering_system(spec.with_gamma(gammas[lane]), leads, energies[lane])
+        dense = solve_scattering(system, method="dense")
+        assert abs(r[lane] - dense.r) <= 1e-10
+        assert abs(t[lane] - dense.t) <= 1e-10
 
 
 def test_lanes_do_not_depend_on_their_neighbours():
