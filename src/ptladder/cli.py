@@ -315,8 +315,11 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"a single-point {name} grid needs {name}_min == {name}_max")
         if grid.count > 1 and grid.lo == grid.hi:
             raise ConfigError(f"a {grid.count}-point {name} grid needs {name}_min < {name}_max")
-    if config.experiment == "ep_search" and not config.gamma_grid.lo < config.gamma_grid.hi:
-        raise ConfigError("ep_search needs gamma_min < gamma_max")
+    if config.experiment == "ep_search":
+        if not config.gamma_grid.lo < config.gamma_grid.hi:
+            raise ConfigError("ep_search needs gamma_min < gamma_max")
+        if config.lattice.delta != 0.0:
+            raise ConfigError("ep_search is defined at delta = 0, where the lattice is PT-symmetric")
     if config.workers < 0:
         raise ConfigError("workers must be >= 0")
     if config.coarse_steps < 1:

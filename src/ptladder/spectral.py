@@ -46,6 +46,15 @@ their scan and refine solves.  The eigenvector solve of a record at
 gamma* and the sweeps still solve both blocks.  The twisted ladder and
 odd N, whose chiral operator maps each block onto itself, and the
 Moebius ring, which has none, solve both blocks everywhere.
+
+Every gamma grid is solved in stacks: the scan of both EP searches and
+the sweeps build each block at a chunk of gammas at once and solve it
+with one ``eigvals``, ``eig`` or ``slogdet`` call, with at most
+``STACK_BYTES`` of matrices in each call.  numpy loops over a stack
+within that one call, so each matrix's result is bit-identical to a
+solve of that matrix alone (``eigendecompose``, which is a stack of
+one), and only numpy's per-call overhead goes.  The refine probes and
+the eigenvector solves of EP records stay one matrix per call.
 """
 
 from __future__ import annotations
@@ -117,18 +126,36 @@ def eigendecompose(matrix: np.ndarray, want_vectors: bool = False, gamma: float 
     has an imaginary part of exactly 0.0 and a complex one comes with
     its exact conjugate.  When vectors are requested the residual
     ``||H v - lam v||`` of every pair is checked against ``1e-8 * ||H||``.
+    This is ``_solve_stack`` on a stack of one matrix.
     """
     matrix = np.asarray(matrix)
-    if matrix.dtype != np.float64:
-        matrix = matrix.astype(complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    n = matrix.shape[0]
+    values, vectors = _solve_stack(matrix[None], want_vectors)
+    return Spectrum(
+        eigenvalues=values[0],
+        right_eigenvectors=None if vectors is None else vectors[0],
+        gamma=float(gamma),
+    )
+
+
+def _solve_stack(stack: np.ndarray, want_vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``eigendecompose`` of every matrix of a stack, in one LAPACK call.
+
+    Returns ``values[i]``, the sorted eigenvalues of ``stack[i]``, and
+    with ``want_vectors`` ``vectors[i]``, its right eigenvectors as
+    columns in the same order, each pair held to the residual bound of
+    its own matrix.  numpy's linalg loops over the stack inside one call,
+    so every row is bit-identical to a solve of its matrix alone.
+    """
+    if stack.dtype != np.float64:
+        stack = stack.astype(complex)
+    n = stack.shape[-1]
     try:
         if want_vectors:
-            values, vectors = np.linalg.eig(matrix)
+            values, vectors = np.linalg.eig(stack)
         else:
-            values = np.linalg.eigvals(matrix)
+            values = np.linalg.eigvals(stack)
             vectors = None
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
@@ -136,19 +163,23 @@ def eigendecompose(matrix: np.ndarray, want_vectors: bool = False, gamma: float 
             f"(LAPACK shift budget of 30*n sweeps exhausted): {exc}"
         ) from exc
 
-    order = np.lexsort((values.imag, values.real))
-    values = values[order].astype(complex)
+    # each matrix's order; plain fancy indexing costs less per call than
+    # np.take_along_axis, which matters to one-matrix refine solves
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    at = np.arange(len(stack))[:, None]
+    values = values[at, order].astype(complex)
     if vectors is not None:
-        vectors = vectors[:, order].astype(complex)
-        scale = np.linalg.norm(matrix)
-        residual = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
-        worst = float(residual.max()) if n else 0.0
-        if scale > 0 and worst > RESIDUAL_BOUND * scale:
+        vectors = vectors[at[:, :, None], np.arange(n)[:, None], order[:, None, :]].astype(complex)
+        scale = np.linalg.norm(stack, axis=(-2, -1))
+        residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=-2)
+        worst = residual.max(axis=-1, initial=0.0)
+        bad = (scale > 0) & (worst > RESIDUAL_BOUND * scale)
+        if bad.any():
             raise EigensolverError(
-                f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_BOUND:.0e} * ||H|| "
+                f"eigenpair residual {worst[bad].max():.3e} exceeds {RESIDUAL_BOUND:.0e} * ||H|| "
                 f"for {n}x{n} matrix"
             )
-    return Spectrum(eigenvalues=values, right_eigenvectors=vectors, gamma=float(gamma))
+    return values, vectors
 
 
 @dataclass
@@ -176,15 +207,49 @@ def _block_eigvals(block: np.ndarray) -> np.ndarray:
     return eigendecompose(block).eigenvalues
 
 
+def _stack_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of every matrix of a stack, one row each."""
+    return _solve_stack(stack)[0]
+
+
 def _merged(parts: Sequence[np.ndarray]) -> np.ndarray:
     """The sorted union of the blocks' eigenvalues: the spectrum."""
     values = np.concatenate(parts)
     return values[np.lexsort((values.imag, values.real))]
 
 
-def _as_family(build: Callable[[float], np.ndarray]) -> Callable[[float], tuple[np.ndarray]]:
-    """A builder of one matrix as a family of one block."""
-    return lambda g: (build(g),)
+# Bytes of one block's stack of matrices in one LAPACK call.  A real
+# block of 20 rows goes 81 grid points to a call, one of 100 rows 3 and
+# one of 160 rows 1: stacks of large blocks that outgrow the cache solve
+# slower than their matrices one by one.
+STACK_BYTES = 1 << 18
+
+
+def _stacked(family: Callable, gammas: np.ndarray):
+    """Yield ``(chunk, stacks)`` for consecutive chunks of ``gammas``:
+    ``stacks[k][i]`` is block k of ``family`` at ``chunk[i]``.
+
+    The first chunk is one point, which gives the size of the blocks;
+    later chunks hold as many points as keep every stack within
+    ``STACK_BYTES``.  Each gamma is built once.
+    """
+    start, size = 0, 1
+    while start < gammas.size:
+        chunk = gammas[start : start + size]
+        stacks = family(chunk)
+        yield chunk, stacks
+        start += chunk.size
+        size = max(1, STACK_BYTES // max(s[0].nbytes for s in stacks))
+
+
+def _one_block(build: Callable[[float], np.ndarray], g) -> tuple[np.ndarray]:
+    """A function of gamma giving one matrix, as a family of one block
+    (bound with ``partial``): the block ``build(g)``, or at an array of
+    gammas the stack of its matrices there, in the dtype numpy gives them
+    together."""
+    if np.ndim(g):
+        return (np.stack([np.asarray(build(x)) for x in g]),)
+    return (build(g),)
 
 
 def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -223,12 +288,13 @@ def sweep_matrix_family(
 ) -> SweepResult:
     """Sweep any gamma-parametrised matrix family with branch continuation.
 
-    ``build`` returns the matrix at gamma, which is solved as one block.
-    The sweep is serial, so ``build`` may be any callable, a lambda
+    ``build`` returns the matrix at gamma, which is solved as one block;
+    the matrices of a chunk of grid points are stacked and solved in one
+    call.  The sweep is serial, so ``build`` may be any callable, a lambda
     included; pooled sweeps of a lattice belong to ``sweep_spectrum``.
     """
     grid = _checked_grid(gamma_grid)
-    return _continue_branches(grid, _grid_eigvals(_as_family(build), grid, 1))[0]
+    return _continue_branches(grid, _grid_eigvals(partial(_one_block, build), grid, 1))[0]
 
 
 def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
@@ -282,8 +348,9 @@ def _continue_branches(
 
 
 def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None) -> list:
-    """Sorted eigenvalues at every grid point, solved in a process pool
-    when ``workers`` > 1 and the grid has 8 or more points.
+    """Sorted eigenvalues at every grid point (``_solve_points``), solved
+    in a process pool when ``workers`` > 1 and the grid has 8 or more
+    points.
 
     With ``weigh``, each point is solved once with eigenvectors instead,
     lifted with ``bases``, and gives ``(values, weigh(vectors, gamma))``.
@@ -301,12 +368,23 @@ def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None)
 
 
 def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.ndarray) -> list:
-    if weigh is None:
-        return [_merged([_block_eigvals(b) for b in build(g)]) for g in gammas]
+    """The points of ``_grid_eigvals`` at ``gammas``, each block solved as
+    stacks of ``_stacked`` chunks, one LAPACK call per block and chunk.
+
+    Every row is bit-identical to a solve of its block alone, and with
+    ``weigh`` every point's vectors are lifted and weighed on their own,
+    as ``_eigenpairs`` does.
+    """
     points = []
-    for g in gammas:
-        pairs = _eigenpairs(build, bases, g)
-        points.append((pairs.eigenvalues, weigh(pairs.right_eigenvectors, g)))
+    for chunk, stacks in _stacked(build, gammas):
+        if weigh is None:
+            rows = [_stack_eigvals(s) for s in stacks]
+            points += [_merged(parts) for parts in zip(*rows)]
+            continue
+        solved = [_solve_stack(s, want_vectors=True) for s in stacks]
+        for i, g in enumerate(chunk):
+            pairs = _lifted([Spectrum(v[i], w[i], g) for v, w in solved], bases, g)
+            points.append((pairs.eigenvalues, weigh(pairs.right_eigenvectors, g)))
     return points
 
 
@@ -317,26 +395,34 @@ def _family_for(spec: LatticeSpec) -> tuple[Callable, tuple[np.ndarray, ...]]:
     otherwise; their eigenvalues together are those of H, and
     ``sector_bases`` lifts their eigenvectors to the site basis.  gamma
     enters every block linearly, so each call is ``b0 + g * s`` from the
-    blocks at gamma = 0 and 1, bit-identical to a fresh build.  The
-    builder pickles, so pool workers can build blocks themselves.
+    blocks at gamma = 0 and 1, bit-identical to a fresh build; at an
+    array of gammas it gives each block's stack over them.  The family
+    pickles, so pool workers can build blocks themselves.
     """
     b0 = sector_blocks(spec.with_gamma(0.0))
     slope = tuple(b1 - b for b1, b in zip(sector_blocks(spec.with_gamma(1.0)), b0))
     return partial(_affine_blocks, b0, slope), sector_bases(spec)
 
 
-def _affine_blocks(b0: tuple, slope: tuple, g: float) -> tuple[np.ndarray, ...]:
-    return tuple(b + g * s for b, s in zip(b0, slope))
+def _affine_blocks(b0: tuple, slope: tuple, g) -> tuple[np.ndarray, ...]:
+    return tuple(b + np.multiply.outer(g, s) for b, s in zip(b0, slope))
 
 
 def _eigenpairs(blocks: Callable, bases: tuple[np.ndarray, ...] | None, gamma: float) -> Spectrum:
     """Sorted eigenvalues and site-basis right eigenvectors at gamma.
 
-    Each block is solved on its own.  With ``bases`` (the sector blocks
-    of ``_family_for``) its unit eigenvectors are lifted to H with its
-    basis; a callable's one block needs no lift.
+    Each block is solved on its own, and ``_lifted`` joins them.
     """
-    parts = [eigendecompose(b, want_vectors=True, gamma=gamma) for b in blocks(gamma)]
+    return _lifted([eigendecompose(b, want_vectors=True) for b in blocks(gamma)], bases, gamma)
+
+
+def _lifted(parts: list[Spectrum], bases: tuple[np.ndarray, ...] | None, gamma: float) -> Spectrum:
+    """The spectrum of H, with vectors, from each block's own.
+
+    With ``bases`` (the sector blocks of ``_family_for``) each block's
+    unit eigenvectors are lifted to H with its basis; a callable's one
+    block needs no lift.
+    """
     values = np.concatenate([p.eigenvalues for p in parts])
     vectors = [p.right_eigenvectors for p in parts]
     if bases is not None:
@@ -504,8 +590,9 @@ SLOW_STEPS = 3
 
 
 def _scan_and_refine(
-    family: Callable[[float], tuple[np.ndarray, ...]],
+    family: Callable,
     grid: np.ndarray,
+    scan: Callable[[np.ndarray], Sequence],
     solve: Callable[[np.ndarray], object],
     label: Callable[[object], object],
     signed: Callable[[object, object], tuple[float, float] | None],
@@ -513,9 +600,13 @@ def _scan_and_refine(
 ) -> tuple[list[dict], list[tuple[int, float, float]]]:
     """Bracket every change of each block's label, on that block alone.
 
-    Every block of ``family(g)`` is solved once per grid point with
-    ``solve``; ``label`` maps a result to the block's label there, or to
-    None where it carries none, and such grid points are skipped.  Each
+    ``family(g)`` gives the blocks at gamma g, and at an array of gammas
+    each block's stack over them.  The scan solves every block once per
+    grid point, in ``_stacked`` chunks: ``scan(stack)`` gives one result
+    per matrix of a stack, in one LAPACK call, each the result that
+    ``solve`` gives for its matrix alone.  ``label`` maps a result to
+    the block's label there, or to None where it carries none, and such
+    grid points are skipped.  Each
     interval between consecutive labelled grid points of one block whose
     labels differ is refined with one ``solve`` of that block per probe,
     keeping every part whose end labels differ, until it is at most
@@ -538,8 +629,11 @@ def _scan_and_refine(
     which block k was solved to its result, and each bracket is
     ``(k, a, b)``.
     """
-    scan = [[solve(block) for block in family(g)] for g in grid]
-    solved = [dict(zip(grid, results)) for results in zip(*scan)]
+    solved = None
+    for chunk, stacks in _stacked(family, grid):
+        solved = solved or [{} for _ in stacks]
+        for at, stack in zip(solved, stacks):
+            at.update(zip(chunk, scan(stack)))
     work = []
     for k, results in enumerate(solved):
         labelled = [(g, lab) for g, r in results.items() if (lab := label(r)) is not None]
@@ -618,7 +712,7 @@ def _search_grid(spec, gamma_range, steps: int, least: int, name: str) -> tuple:
         raise ValueError(f"{name} must be at least {least}")
     grid = np.linspace(lo, hi, steps + 1)
     if callable(spec):
-        blocks = _as_family(spec)
+        blocks = partial(_one_block, spec)
         return blocks, None, blocks, grid
     blocks, bases = _family_for(spec)
     scanned = blocks
@@ -626,6 +720,13 @@ def _search_grid(spec, gamma_range, steps: int, least: int, name: str) -> tuple:
         b0, slope = blocks.args
         scanned = partial(_affine_blocks, b0[:1], slope[:1])
     return blocks, bases, scanned, grid
+
+
+def _refuse_detuned(spec) -> None:
+    """Both EP searches rest on PT symmetry, which a spec with delta != 0
+    does not have."""
+    if not callable(spec) and spec.delta != 0.0:
+        raise ValueError(f"EP searches need a PT-symmetric lattice (delta = 0), got delta = {spec.delta}")
 
 
 def locate_exceptional_points(
@@ -679,11 +780,13 @@ def locate_exceptional_points(
     Returns a list of :class:`ExceptionalPoint` sorted by gamma (several
     entries may share one gamma when a cluster of pairs coalesces
     together).  Gap minima without a count change, such as avoided
-    crossings, are not EPs and are not reported.
+    crossings, are not EPs and are not reported.  A detuned spec
+    (delta != 0) is not PT-symmetric and raises ``ValueError``.
     """
+    _refuse_detuned(spec)
     blocks, bases, scanned, grid = _search_grid(spec, gamma_range, coarse_steps, 1, "coarse_steps")
     solved, brackets = _scan_and_refine(
-        scanned, grid, _block_eigvals, _broken_count, _pair_discriminants, BRACKET_TOL
+        scanned, grid, _stack_eigvals, _block_eigvals, _broken_count, _pair_discriminants, BRACKET_TOL
     )
 
     def spectrum(g: float) -> np.ndarray:
@@ -821,10 +924,11 @@ def locate_zero_energy_eps(
     is ``-S even S^dagger`` with N rows, so its determinant is the even
     block's: only the even block is scanned and refined, and each of its
     records stands for both blocks, as two equal records.  This scans the
-    sign of ``Re det`` of each block on ``scan_steps``
-    intervals (one ``slogdet`` LU factorisation per grid point and
-    block) and refines every sign change on that block alone, one
-    ``slogdet`` per probe, down to adjacent doubles.  Probes go by
+    sign of ``Re det`` of each block on ``scan_steps`` intervals (one
+    ``slogdet`` call per block on each chunk of grid points, which LU
+    factorises every matrix of the stack) and refines every sign change
+    on that block alone, one ``slogdet`` per probe, down to adjacent
+    doubles.  Probes go by
     Illinois false position on ``Re det`` of the block, which the
     ``slogdet`` gives as its sign times ``exp(log |det|)``; the sign at
     each probe decides which part stays.  That takes about 12 probes
@@ -837,26 +941,31 @@ def locate_zero_energy_eps(
 
     Two filters then remain.  The block's broken count, by the rule of
     ``locate_exceptional_points`` (``IM_TOL``), must differ between
-    gamma* - 1e-7 and gamma* + 1e-7; the difference is the record's
+    gamma* - 1e-7 and gamma* + 1e-7 (one stack of the two matrices);
+    the difference is the record's
     ``n_broken_change`` and its sign the kind.  That discards an ordinary
     band crossing (a real eigenvalue passing through zero and staying
     real), and the real part of a complex determinant changing sign with
     no coalescence at all (``diag(exp(i*g), 1)`` at g = pi/2, for a
     family without the E -> -conj(E) symmetry).  And the midpoint of
-    the block's two eigenvalues nearest zero at gamma*, from a
-    values-only solve, must be within ``ZERO_ENERGY_TOL`` of 0, which
-    discards a coalescence elsewhere that meets such a sign change
-    before any eigenvector is solved for it.
+    the block's two eigenvalues nearest zero at gamma* must be within
+    ``ZERO_ENERGY_TOL`` of 0, which discards a coalescence elsewhere
+    that meets such a sign change.  That block is solved once at gamma*,
+    with eigenvectors, and the record reuses the solve; the other
+    blocks' eigenvectors are solved only for a kept record.
     Zeros that do not change a block's sign, and pairs of sign changes of
     one block inside one scan step, are invisible at the chosen
     resolution; pass a finer ``scan_steps`` to resolve them.  The
-    record's eigenvectors are solved on every block and lifted to the
-    site basis of H.  No branch matching runs, so scipy is not loaded.
+    record's eigenvectors are lifted to the site basis of H.  No branch
+    matching runs, so scipy is not loaded.  A detuned spec (delta != 0)
+    is not PT-symmetric and raises ``ValueError``, and a non-finite
+    matrix raises ``EigensolverError``.
     """
+    _refuse_detuned(spec)
     blocks, bases, scanned, grid = _search_grid(spec, gamma_range, scan_steps, 2, "scan_steps")
     # an exact zero of a block's determinant carries no sign
     label = lambda det: float(np.sign(det[0])) or None
-    _, brackets = _scan_and_refine(scanned, grid, _slogdet, label, _scaled_dets, 0.0)
+    _, brackets = _scan_and_refine(scanned, grid, _slogdets, _slogdet, label, _scaled_dets, 0.0)
     # the odd block of a chiral swap brackets the even block's sign changes
     copies = 1 if scanned is blocks else 2
 
@@ -865,14 +974,19 @@ def locate_zero_energy_eps(
         # gamma_star is refined to adjacent doubles, so a 1e-7 probe lands
         # cleanly on either side of the coalescence
         lo, hi = gamma_star - 1e-7, gamma_star + 1e-7
-        before, after = (_broken_count(_block_eigvals(scanned(g)[k])) for g in (lo, hi))
+        before, after = map(_broken_count, _stack_eigvals(scanned(np.array([lo, hi]))[k]))
         if before == after:
             continue  # plain zero crossing, not a coalescence
-        values = _block_eigvals(scanned(gamma_star)[k])
+        own = eigendecompose(scanned(gamma_star)[k], want_vectors=True)
+        values = own.eigenvalues
         if abs(values[np.argsort(np.abs(values))[:2]].mean()) > ZERO_ENERGY_TOL:
-            continue  # a coalescence away from zero: no vectors are solved for it
+            continue  # a coalescence away from zero: no other block is solved for it
+        parts = [
+            own if j == k else eigendecompose(b, want_vectors=True)
+            for j, b in enumerate(blocks(gamma_star))
+        ]
         record = _pair_record(
-            _eigenpairs(blocks, bases, gamma_star),
+            _lifted(parts, bases, gamma_star),
             0.0,
             gamma_star=gamma_star,
             kind=EpKind.MERGE if after > before else EpKind.SPLIT,
@@ -884,11 +998,23 @@ def locate_zero_energy_eps(
     return points
 
 
+def _slogdets(stack: np.ndarray) -> list[tuple[float, float]]:
+    """Re det of every matrix of a stack as ``(Re sign, log |det|)``: the
+    sign of its phase, and its size on a log scale that cannot overflow.
+
+    One LAPACK call, each pair bit-identical to its matrix's alone.
+    numpy's ``slogdet`` does not check its input, so a matrix with a
+    non-finite entry raises ``EigensolverError`` here, as in ``eigvals``.
+    """
+    if not np.isfinite(stack).all():
+        n = stack.shape[-1]
+        raise EigensolverError(f"{n}x{n} matrix has non-finite entries; no determinant sign")
+    sign, logabs = np.linalg.slogdet(stack)
+    return list(zip(sign.real.tolist(), logabs.tolist()))
+
+
 def _slogdet(block: np.ndarray) -> tuple[float, float]:
-    """Re det of one block as ``(Re sign, log |det|)``: the sign of its
-    phase, and its size on a log scale that cannot overflow."""
-    sign, logabs = np.linalg.slogdet(block)
-    return float(sign.real), float(logabs)
+    return _slogdets(block[None])[0]
 
 
 def _scaled_dets(at_a: tuple[float, float], at_b: tuple[float, float]) -> tuple[float, float]:

@@ -38,10 +38,10 @@ def test_empty_document_is_the_default_config():
 
 
 def test_top_level_keys_resolve_without_sections():
-    config = parse_config("n_cells = 8\ndelta = 0.5\nexperiment = ep_search\n")
+    config = parse_config("n_cells = 8\ndelta = 0.5\nexperiment = zero_energy_trace\ntopology = twisted\n")
     assert config.lattice.n_cells == 8
     assert config.lattice.delta == 0.5
-    assert config.experiment == "ep_search"
+    assert config.experiment == "zero_energy_trace"
 
 
 def test_unknown_key_reports_the_line():
@@ -139,6 +139,12 @@ def test_grid_bounds_are_validated():
 def test_transport_experiments_need_open_boundaries():
     with pytest.raises(ConfigError, match="open or twisted"):
         parse_config("experiment = transmission_map\n")
+
+
+def test_ep_search_needs_delta_zero():
+    with pytest.raises(ConfigError, match="delta = 0"):
+        parse_config("experiment = ep_search\ndelta = 0.5\n")
+    assert parse_config("experiment = ep_search\ndelta = 0.0\n").experiment == "ep_search"
 
 
 def test_detangle_check_preconditions():
@@ -594,22 +600,23 @@ def test_weights_match_dense_eigenvectors(preset, tmp_path):
 
 
 def test_weighted_sweep_solves_each_gamma_once(tmp_path, monkeypatch):
-    # two vector solves per grid point (one per sector block), one branch
-    # match per step, and nothing else, ambiguous steps included
+    # two vector solves per grid point (one per sector block, each matrix
+    # of a stack counted), one branch match per step, and nothing else,
+    # ambiguous steps included
     solves = {True: 0, False: 0}
     matches = 0
-    eigendecompose, match_step = spectral.eigendecompose, spectral._match_step
+    solve_stack, match_step = spectral._solve_stack, spectral._match_step
 
-    def counted_solve(matrix, want_vectors=False, gamma=0.0):
-        solves[want_vectors] += 1
-        return eigendecompose(matrix, want_vectors, gamma)
+    def counted_solve(stack, want_vectors=False):
+        solves[want_vectors] += len(stack)
+        return solve_stack(stack, want_vectors)
 
     def counted_match(*args):
         nonlocal matches
         matches += 1
         return match_step(*args)
 
-    monkeypatch.setattr(spectral, "eigendecompose", counted_solve)
+    monkeypatch.setattr(spectral, "_solve_stack", counted_solve)
     monkeypatch.setattr(spectral, "_match_step", counted_match)
     count = 21
     argv = ["fig4", "--set", "n_cells=6", "--set", f"gamma_count={count}"]

@@ -147,12 +147,101 @@ def test_family_matches_fresh_builds(topology):
             # the EP searches build the even block alone where it maps onto the odd one
             scanned = spectral._search_grid(spec, (0.0, 1.0), 1, 1, "steps")[2]
             kept = 1 if chiral_swap(spec) is not None else 2
-            for g in (-1.7, -0.25, 0.0, 0.4, 2.3):
+            gammas = (-1.7, -0.25, 0.0, 0.4, 2.3)
+            stacks = blocks(np.array(gammas))  # one chunk, as the scans and sweeps build it
+            for i, g in enumerate(gammas):
                 fresh = sector_blocks(spec.with_gamma(g))
                 got = blocks(g)
                 assert isinstance(got, tuple) and len(got) == len(fresh)
                 assert [b.tobytes() for b in got] == [b.tobytes() for b in fresh]
+                assert [s[i].tobytes() for s in stacks] == [b.tobytes() for b in fresh]
                 assert [b.tobytes() for b in scanned(g)] == [b.tobytes() for b in fresh[:kept]]
+
+
+# Every topology at odd and even N (Moebius and twisted need even N), at
+# delta = 0 (real blocks) and 0.3 (complex blocks).
+STACK_SPECS = [
+    LatticeSpec(n_cells=n_cells, delta=delta, topology=topology)
+    for topology in BoundaryTopology
+    for n_cells in (6, 7)
+    if not (n_cells % 2 and topology in (BoundaryTopology.MOEBIUS, BoundaryTopology.TWISTED_OPEN))
+    for delta in (0.0, 0.3)
+]
+
+
+def stacks_of_four(monkeypatch, spec) -> None:
+    """Chunks of four grid points after the first, which is one point."""
+    monkeypatch.setattr(spectral, "STACK_BYTES", 4 * max(b.nbytes for b in sector_blocks(spec)))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=repr)
+def test_stacked_scans_match_per_point_solves(spec, extra, monkeypatch):
+    # grids one point shorter than a chunk, exactly one chunk, and one
+    # point longer; no label changes, so the scan is all that runs
+    stacks_of_four(monkeypatch, spec)
+    grid = np.linspace(0.1, 2.9, 5 + extra)
+    scanned = spectral._search_grid(spec, (0.0, 1.0), 1, 1, "steps")[2]
+    chunks = [chunk.size for chunk, _ in spectral._stacked(scanned, grid)]
+    assert chunks == {-1: [1, 3], 0: [1, 4], 1: [1, 4, 1]}[extra]
+    same = lambda result: 0
+    values, _ = spectral._scan_and_refine(
+        scanned, grid, spectral._stack_eigvals, spectral._block_eigvals, same, None, 0.0
+    )
+    dets, _ = spectral._scan_and_refine(scanned, grid, spectral._slogdets, spectral._slogdet, same, None, 0.0)
+    kept = 1 if chiral_swap(spec) is not None else 2
+    assert len(values) == len(dets) == kept
+    for g in grid:
+        for k, block in enumerate(sector_blocks(spec.with_gamma(g))[:kept]):
+            assert values[k][g].tobytes() == eigendecompose(block).eigenvalues.tobytes()
+            sign, logabs = np.linalg.slogdet(block)
+            assert repr(dets[k][g]) == repr((float(sign.real), float(logabs)))
+
+
+def column_moduli(vectors: np.ndarray, gamma: float) -> np.ndarray:
+    """A picklable ``weigh``: one row per eigenvector column."""
+    return np.abs(vectors).T * gamma
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=repr)
+def test_stacked_sweeps_match_per_point_solves(spec, workers, monkeypatch):
+    # 23 points: the pool splits them into 8 parts of 2 or 3 points, and
+    # a serial sweep into chunks of 1, 4, 4, 4, 4, 4 and 2
+    stacks_of_four(monkeypatch, spec)
+    grid = np.linspace(0.0, 3.0, 23)
+    fresh = lambda g: sector_blocks(spec.with_gamma(g))
+    spectra = [spectral._merged([eigendecompose(b).eigenvalues for b in fresh(g)]) for g in grid]
+    want = spectral._continue_branches(grid, spectra)[0]
+    got = sweep_spectrum(spec, grid, workers=workers)
+    assert got.branches.tobytes() == want.branches.tobytes()
+    assert (got.ambiguous_steps, got.continuation_residual) == (want.ambiguous_steps, want.continuation_residual)
+
+    bases = _family_for(spec)[1]
+    pairs = [spectral._eigenpairs(fresh, bases, g) for g in grid]
+    rows = [column_moduli(p.right_eigenvectors, g) for p, g in zip(pairs, grid)]
+    want, want_rows = spectral._continue_branches(grid, [p.eigenvalues for p in pairs], rows)
+    got, got_rows = spectral._weighted_sweep(spec, grid, column_moduli, workers=workers)
+    assert got.branches.tobytes() == want.branches.tobytes()
+    assert got_rows.tobytes() == want_rows.tobytes()
+
+
+def test_a_nan_grid_point_raises_from_searches_and_sweeps():
+    grid = np.linspace(1.5, 2.5, 61)
+    family = lambda g: np.full((2, 2), np.nan) if g == grid[7] else pt_dimer(g)
+    for search in (locate_exceptional_points, locate_zero_energy_eps):
+        with pytest.raises(spectral.EigensolverError, match="2x2"):
+            search(family, (1.5, 2.5), 60)
+    with pytest.raises(spectral.EigensolverError, match="2x2"):
+        sweep_matrix_family(family, grid)
+
+
+def test_searches_refuse_a_detuned_spec():
+    # delta != 0 breaks PT symmetry, which both searches rest on
+    spec = LatticeSpec(n_cells=20, delta=0.3)
+    for search in (locate_exceptional_points, locate_zero_energy_eps):
+        with pytest.raises(ValueError, match="delta = 0"):
+            search(spec, (0.0, 3.0))
 
 
 @pytest.mark.parametrize(
@@ -214,16 +303,17 @@ def test_sweep_workers_do_not_change_results():
 
 
 def test_pooled_sweep_builds_no_grid_blocks_in_the_parent(monkeypatch):
-    # A serial sweep builds each grid point once and nothing else.  Pool
-    # workers are forked, so their builds land in their own copies of
-    # ``built``, and the parent builds nothing.  ``wraps`` keeps the
-    # name, so the patched builder pickles by reference.
+    # A serial sweep builds each grid point once and nothing else, a
+    # chunk of them per call.  Pool workers are forked, so their builds
+    # land in their own copies of ``built``, and the parent builds
+    # nothing.  ``wraps`` keeps the name, so the patched function pickles
+    # by reference.
     built = []
     affine = spectral._affine_blocks
 
     @functools.wraps(affine)
     def counted(b0, slope, g):
-        built.append(float(g))
+        built.extend(np.atleast_1d(g).tolist())
         return affine(b0, slope, g)
 
     monkeypatch.setattr(spectral, "_affine_blocks", counted)
@@ -410,17 +500,37 @@ def test_synthetic_window_yields_merge_split_pair():
     assert abs(w.width - 1.0) < 1e-8
 
 
-def counted_block_solves(monkeypatch) -> list:
+def counted_solves(monkeypatch, vectors: bool) -> list:
+    """One entry per matrix that ``spectral`` solves, each matrix of a
+    stack included: values-only solves, and vector solves too when
+    ``vectors``."""
     calls = []
-    solve = spectral._block_eigvals
-    monkeypatch.setattr(spectral, "_block_eigvals", lambda block: calls.append(1) or solve(block))
+    solve = spectral._solve_stack
+
+    def counted(stack, want_vectors=False):
+        if vectors or not want_vectors:
+            calls.extend([1] * len(stack))
+        return solve(stack, want_vectors)
+
+    monkeypatch.setattr(spectral, "_solve_stack", counted)
     return calls
 
 
+def counted_block_solves(monkeypatch) -> list:
+    return counted_solves(monkeypatch, vectors=False)
+
+
 def counted_eigensolves(monkeypatch) -> list:
+    return counted_solves(monkeypatch, vectors=True)
+
+
+def counted_slogdets(monkeypatch) -> list:
+    """One entry per matrix that ``np.linalg.slogdet`` factorises."""
     calls = []
-    solve = spectral.eigendecompose
-    monkeypatch.setattr(spectral, "eigendecompose", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(
+        np.linalg, "slogdet", lambda a: calls.extend([1] * math.prod(np.shape(a)[:-2])) or slogdet(a)
+    )
     return calls
 
 
@@ -438,9 +548,7 @@ def test_even_ring_search_solves_one_mirror_block(monkeypatch):
 def test_even_ring_zero_energy_scan_solves_one_mirror_block(monkeypatch):
     # det(odd) = det(even) for the N x N blocks of an even N, so the scan
     # and the refine factor the even block alone; both blocks take 1214
-    calls = []
-    slogdet = np.linalg.slogdet
-    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(1) or slogdet(a))
+    calls = counted_slogdets(monkeypatch)
     points = locate_zero_energy_eps(LatticeSpec(n_cells=20), (0.0, 3.0), 601)
     assert points and all(abs(p.gamma_star - 2.0) < 1e-9 for p in points)
     assert len(calls) <= 1214 // 2
@@ -620,9 +728,7 @@ def twisted_det_signs(n_cells, gammas):
 
 
 def test_zero_energy_ep_on_dimer_family(monkeypatch):
-    calls = []
-    slogdet = np.linalg.slogdet
-    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(1) or slogdet(a))
+    calls = counted_slogdets(monkeypatch)
     points = locate_zero_energy_eps(pt_dimer, (1.5, 2.5), scan_steps=60)
     assert len(points) == 1
     p = points[0]
@@ -732,7 +838,7 @@ def test_zero_energy_scan_rejects_a_coalescence_away_from_zero(monkeypatch):
     build = spectral._pair_record
     monkeypatch.setattr(spectral, "_pair_record", lambda *a, **k: records.append(1) or build(*a, **k))
     assert locate_zero_energy_eps(family, (1.9, 2.1), scan_steps=21) == []
-    assert records == []  # rejected on its eigenvalues, before any vector solve
+    assert records == []  # rejected on its eigenvalues, before any record is built
 
 
 def test_zero_energy_scan_skips_the_zero_mode_at_gamma_zero():
