@@ -33,7 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -379,43 +379,106 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # Experiment execution and output.
+#
+# A table is written through one row template: each column gets the %-code
+# of its kind (float, int or str), worked out once from the types in the
+# column, and every row is one ``template % row``.  A column no %-code
+# writes as the format asks (non-finite JSON floats, JSON strings, values
+# of mixed or other types) is converted value by value to text for ``%s``.
 
 
-def _fmt(value) -> str:
+def _json_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+# How each output format writes a value of each kind: a %-code, or a
+# function to the text of the value.
+_WRITERS = {
+    "csv": {float: "%.15g", int: "%d", str: "%s"},
+    "json": {float: _json_float, int: "%d", str: json.dumps},
+}
+
+
+def _kind(t: type):
+    """float, int or str for a type its kind's writer takes as it is, else None."""
+    if t is float or t is np.float64:
+        return float
+    if t is int or t is bool or issubclass(t, np.integer):
+        return int
+    return str if t is str else None
+
+
+def _cell(writers: dict, value) -> str:
+    """One value of a column no %-code writes, as the text of its kind:
+    ints, numpy integers and bools as int, strings as str, anything else
+    through ``float``."""
     if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.15g}"
+        value = str.__str__(value)
+    elif isinstance(value, (int, np.integer)):
+        value = int(value)
+    else:
+        value = float(value)
+    write = writers[type(value)]
+    return write % value if isinstance(write, str) else write(value)
+
+
+def _column_codes(fmt: str, rows: list[tuple]) -> tuple[list[str], zip | list[tuple]]:
+    """The %-code of each column of a table, and the rows, as tuples, that
+    a template of those codes formats."""
+    writers = _WRITERS[fmt]
+    codes, cells = [], []
+    for i in range(len(rows[0]) if rows else 0):
+        column = list(map(itemgetter(i), rows))
+        types = set(map(type, column))
+        kinds = set(map(_kind, types))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        write = writers.get(kind)
+        if isinstance(write, str):
+            codes.append(write)
+            cells.append(column)
+        elif kind is float and types == {float} and all(map(math.isfinite, column)):
+            codes.append("%r")  # float.__repr__, as json.dump writes a finite float
+            cells.append(column)
+        else:
+            codes.append("%s")
+            cells.append(map(write or partial(_cell, writers), column))
+    return codes, zip(*cells) if cells else rows
 
 
 def emit_csv(path: Path, columns: list[str], rows: list[tuple]) -> None:
+    """Write a table as CSV: a header of the column names, then one line
+    per row, cells joined by commas.  Floats are written ``%.15g``
+    (``nan``, ``inf``, ``-inf`` and ``-0`` included), ints, numpy integers
+    and bools ``%d``, strings as they are; any other value through
+    ``float``.  No cell is quoted."""
+    codes, cells = _column_codes("csv", rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map((",".join(codes) + "\n").__mod__, cells))
 
 
 def emit_json(path: Path, schema: str, columns: list[str], rows: list[tuple]) -> None:
-    def clean(v):
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        if isinstance(v, str):
-            return v
-        v = float(v)
-        return v if math.isfinite(v) else None
-
-    payload = {
-        "schema": schema,
-        "columns": columns,
-        "rows": [[clean(v) for v in row] for row in rows],
-    }
+    """Write a table as the JSON object ``{"schema", "columns", "rows"}``,
+    laid out as ``json.dump(..., indent=1)`` lays it out, with a closing
+    newline.  Each row is a list.  Finite floats are written by
+    ``float.__repr__`` and non-finite ones as ``null``; ints, numpy
+    integers and bools as ints; strings JSON-encoded (ASCII, escaped);
+    any other value through ``float``."""
+    codes, cells = _column_codes("json", rows)
+    row = "  [\n   " + ",\n   ".join(codes) + "\n  ]" if codes else "  []"
+    cells = iter(cells)
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(
+            '{\n "schema": %s,\n "columns": %s,\n "rows": '
+            % (json.dumps(schema), json.dumps(columns, indent=1).replace("\n", "\n "))
+        )
+        first = next(cells, None)
+        if first is None:
+            fh.write("[]\n}\n")
+            return
+        fh.write("[\n" + row % first)
+        fh.writelines(map((",\n" + row).__mod__, cells))
+        fh.write("\n ]\n}\n")
 
 
 @dataclass
@@ -445,21 +508,22 @@ def _sweep_rows(config: ExperimentConfig):
     grid = config.gamma_grid.points()
     workers = config.resolved_workers()
     columns = ["gamma", "branch", "re_e", "im_e"]
-    weights = None
     if config.with_weights:
         columns += ["alpha_sq", "alpha_theta_sq"]
         sweep, weights = _weighted_sweep(spec, grid, partial(_point_weights, spec), workers=workers)
-        weights = weights.tolist()
     else:
         sweep = sweep_spectrum(spec, grid, workers=workers)
-    rows = []
-    for j, g in enumerate(grid):
-        for b in range(sweep.n_branches):
-            val = sweep.branches[b, j]
-            row = (float(g), b, val.real, val.imag)
-            if weights is not None:
-                row += tuple(weights[b][j])
-            rows.append(row)
+    n_branches, n_points = sweep.branches.shape
+    values = sweep.branches.T.ravel()  # gamma-major, branch-minor
+    cells = [
+        np.repeat(grid, n_branches).tolist(),
+        list(range(n_branches)) * n_points,
+        values.real.tolist(),
+        values.imag.tolist(),
+    ]
+    if config.with_weights:
+        cells += weights.transpose(1, 0, 2).reshape(-1, 2).T.tolist()
+    rows = list(zip(*cells))
     summary = {
         "continuation_residual": sweep.continuation_residual,
         "ambiguous_steps": len(sweep.ambiguous_steps),
@@ -508,10 +572,15 @@ def _map_rows(config: ExperimentConfig):
         workers=config.resolved_workers(),
     )
     columns = ["e", "gamma", "t", "r"]
-    rows = []
-    for i, e in enumerate(m.e_grid):
-        for j, g in enumerate(m.gamma_grid):
-            rows.append((float(e), float(g), float(m.t_values[i, j]), float(m.r_values[i, j])))
+    n_e, n_gamma = m.t_values.shape
+    rows = list(
+        zip(
+            np.repeat(m.e_grid, n_gamma).tolist(),
+            m.gamma_grid.tolist() * n_e,
+            m.t_values.ravel().tolist(),
+            m.r_values.ravel().tolist(),
+        )
+    )
     total = m.t_values.size
     summary = {"n_failed": m.n_failed, "n_resolved": m.n_resolved, "failure_rate": m.n_failed / total}
     return columns, rows, summary, m.n_failed
@@ -528,7 +597,7 @@ def _trace_rows(config: ExperimentConfig):
 def _detangle_rows(config: ExperimentConfig):
     report = detangled_transport_check(config.lattice, config.leads, config.e_grid.points())
     columns = ["e", "t"]
-    rows = [(float(e), float(t)) for e, t in zip(report.e_grid, report.transmission)]
+    rows = list(zip(report.e_grid.tolist(), report.transmission.tolist()))
     summary = {
         "contact_pattern": report.contact_pattern,
         "antiresonance_present": report.antiresonance_present,
@@ -550,7 +619,7 @@ _RUNNERS = {
 def run_experiment(config: ExperimentConfig, preset: str | None = None) -> RunManifest:
     """Run the configured experiment and write data plus manifest files."""
     validate_config(config)
-    started = time.time()
+    started = time.perf_counter()
     columns, rows, summary, n_failed = _RUNNERS[config.experiment](config)
 
     out = Path(config.out_path or f"{preset or config.experiment}.{config.out_format}")
@@ -561,18 +630,26 @@ def run_experiment(config: ExperimentConfig, preset: str | None = None) -> RunMa
         tables.append((trace_path, "zero_energy_trace", trace_cols, trace_rows))
         summary = dict(summary, zero_trace=trace_summary)
         n_failed += trace_failed
+    computed = time.perf_counter()
     for path, schema, table_columns, table_rows in tables:
         if config.out_format == "csv":
             emit_csv(path, table_columns, table_rows)
         else:
             emit_json(path, schema, table_columns, table_rows)
+    emitted = time.perf_counter()
     outputs = [path for path, *_ in tables]
+    summary = dict(
+        summary,
+        compute_s=round(computed - started, 6),
+        emit_s=round(emitted - computed, 6),
+        workers=config.resolved_workers(),
+    )
 
     manifest = RunManifest(
         experiment=config.experiment,
         version=__version__,
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        duration_s=round(time.time() - started, 6),
+        duration_s=round(time.perf_counter() - started, 6),
         n_failed=n_failed,
         outputs=[str(p) for p in outputs],
         checksums={str(p): _sha256(p) for p in outputs},

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptladder import (
     BoundaryTopology,
@@ -18,6 +22,7 @@ from ptladder import (
     build_real_space_hamiltonian,
     complex_rotation_angle,
     mode_weights,
+    transmission_map,
 )
 from ptladder import cli, spectral
 from ptladder.cli import (
@@ -295,6 +300,156 @@ def test_emitters_format_nan(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["schema"] == "demo"
     assert payload["rows"] == [[1.0, None], [2, 0.5]]
+
+
+# Frozen copies of the value-by-value writers the row templates replaced:
+# the oracle that emit_csv and emit_json must match byte for byte.
+def _oracle_fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if math.isnan(v):
+        return "nan"
+    return f"{v:.15g}"
+
+
+def _oracle_csv(path, columns, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_oracle_fmt(v) for v in row) + "\n")
+
+
+def _oracle_json(path, schema, columns, rows):
+    def clean(v):
+        if isinstance(v, (int, np.integer)):
+            return int(v)
+        if isinstance(v, str):
+            return v
+        v = float(v)
+        return v if math.isfinite(v) else None
+
+    payload = {"schema": schema, "columns": columns, "rows": [[clean(v) for v in row] for row in rows]}
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def _assert_emitters_match_oracle(directory, schema, columns, rows):
+    for name, emit, oracle, args in (
+        ("csv", emit_csv, _oracle_csv, (columns, rows)),
+        ("json", emit_json, _oracle_json, (schema, columns, rows)),
+    ):
+        got, want = directory / f"got.{name}", directory / f"want.{name}"
+        emit(got, *args)
+        oracle(want, *args)
+        assert got.read_bytes() == want.read_bytes(), (name, rows)
+
+
+_EDGE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.225e-308 / 3, 1e16, 1e-5, 1e15 + 0.5]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_INTS = st.one_of(
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+_COLUMN_CELLS = {
+    "float": _FLOATS,
+    "float64": _FLOATS.map(np.float64),
+    "int": _INTS,
+    "str": st.text(st.sampled_from('ab,"\\\'\t\u00e9\u20ac\U0001f600')),
+    "int-or-float": st.one_of(_FLOATS, _INTS),
+}
+_COLUMN_CELLS["any"] = st.one_of(*_COLUMN_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), max_size=5))
+    rows = draw(st.lists(st.tuples(*(_COLUMN_CELLS[k] for k in kinds)), max_size=6))
+    return [f"{k}_{i}" for i, k in enumerate(kinds)], rows
+
+
+@given(table=_tables())
+@settings(max_examples=300, deadline=None)
+def test_emitters_match_the_value_by_value_oracle(table, tmp_path_factory):
+    columns, rows = table
+    _assert_emitters_match_oracle(tmp_path_factory.mktemp("emit"), "demo\u00e9", columns, rows)
+
+
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        (["a", "b"], []),
+        ([], []),
+        ([], [(), ()]),
+        (["x"], [(1.0,), (2,), (np.int64(3),), (True,), (np.float64(math.nan),)]),
+        (["x", "y"], [(np.float32(0.1), np.bool_(True)), (np.uint64(2**64 - 1), np.float64(-0.0))]),
+    ],
+    ids=["empty-rows", "no-columns", "empty-tuples", "mixed-column", "other-numpy-types"],
+)
+def test_emitters_match_the_oracle_on_edge_tables(columns, rows, tmp_path):
+    _assert_emitters_match_oracle(tmp_path, "demo", columns, rows)
+
+
+def test_emitters_match_the_oracle_on_an_ep_search_table(tmp_path):
+    # kind is a string and gamma_star an np.float64, whose repr under
+    # numpy 2 is not a JSON number
+    config = parse_config("experiment = ep_search\ntopology = moebius\nn_cells = 8\n")
+    columns, rows, _, _ = cli._ep_rows(config)
+    assert rows and all(type(row[0]) is np.float64 and type(row[3]) is str for row in rows)
+    _assert_emitters_match_oracle(tmp_path, "ep_search", columns, rows)
+    assert json.loads((tmp_path / "got.json").read_text())["rows"][0][3] == "MergePoint"
+
+
+def test_table_rows_match_the_per_cell_loops():
+    # the rows come from numpy columns; the per-cell loops they replaced
+    # are the reference, value and order
+    config = parse_config("n_cells = 4\ntopology = moebius\ngamma_count = 5\nwith_weights = true\nworkers = 1\n")
+    _, rows, _, _ = cli._sweep_rows(config)
+    grid = config.gamma_grid.points()
+    sweep, weights = spectral._weighted_sweep(
+        config.lattice, grid, partial(cli._point_weights, config.lattice), workers=1
+    )
+    want = [
+        (float(g), b, sweep.branches[b, j].real, sweep.branches[b, j].imag, *weights[b, j].tolist())
+        for j, g in enumerate(grid)
+        for b in range(sweep.n_branches)
+    ]
+    assert rows == want
+
+    config = parse_config(
+        "experiment = transmission_map\ntopology = twisted\nn_cells = 4\n"
+        "e_min = -1\ne_max = 1\ne_count = 3\ngamma_max = 1\ngamma_count = 2\nworkers = 1\n"
+    )
+    _, rows, _, _ = cli._map_rows(config)
+    m = transmission_map(
+        config.lattice, config.leads, config.e_grid.points(), config.gamma_grid.points()
+    )
+    want = [
+        (float(e), float(g), float(m.t_values[i, j]), float(m.r_values[i, j]))
+        for i, e in enumerate(m.e_grid)
+        for j, g in enumerate(m.gamma_grid)
+    ]
+    assert rows == want and all(type(v) is float for row in rows for v in row)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--set", "n_cells=6", "--set", "gamma_count=9", "--format", "json"],
+    ["fig6-twisted", "--set", "n_cells=4", "--set", "e_count=5", "--set", "gamma_count=3"],
+], ids=["fig4-json", "fig6-twisted-csv"])
+def test_manifest_reports_stage_seconds_and_workers(argv, tmp_path):
+    out = tmp_path / ("out.json" if "json" in argv else "out.csv")
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    summary = manifest["summary"]
+    assert summary["workers"] == 1
+    assert summary["compute_s"] >= 0 and summary["emit_s"] >= 0
+    assert summary["compute_s"] + summary["emit_s"] <= manifest["duration_s"] + 1e-6
+    for path in manifest["outputs"]:
+        assert manifest["checksums"][path] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_main_writes_data_and_manifest(tmp_path, capsys):
