@@ -60,7 +60,6 @@ the eigenvector solves of EP records stay one matrix per call.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -68,6 +67,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._pool import pool_map
 from .lattice import LatticeSpec, chiral_swap, sector_bases, sector_blocks
 
 __all__ = [
@@ -349,8 +349,8 @@ def _continue_branches(
 
 def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None) -> list:
     """Sorted eigenvalues at every grid point (``_solve_points``), solved
-    in a process pool when ``workers`` > 1 and the grid has 8 or more
-    points.
+    in the process-wide pool of ``_pool`` when ``workers`` > 1 and the
+    grid has 8 or more points.
 
     With ``weigh``, each point is solved once with eigenvectors instead,
     lifted with ``bases``, and gives ``(values, weigh(vectors, gamma))``.
@@ -362,9 +362,8 @@ def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None)
     solve = partial(_solve_points, build, bases, weigh)
     if workers <= 1 or grid.size < 8:
         return solve(grid)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(solve, np.array_split(grid, min(grid.size, 4 * workers)))
-        return [point for chunk in chunks for point in chunk]
+    chunks = pool_map(solve, np.array_split(grid, min(grid.size, 4 * workers)), workers)
+    return [point for chunk in chunks for point in chunk]
 
 
 def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.ndarray) -> list:

@@ -44,12 +44,11 @@ residual-checks every answer.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import pool_map
 from .lattice import (
     BoundaryTopology,
     LatticeSpec,
@@ -499,7 +498,8 @@ def transmission_map(
     The grid is flattened E-major, so lane ``i * len(gamma_grid) + j`` is
     cell ``(i, j)``, and cut into a multiple of ``workers`` near-equal
     chunks of at most ``LANES_PER_TASK`` lanes, one ``_map_column`` task
-    each.  Per-point solver failures become NaN cells and are counted;
+    each, run on the process-wide pool of ``_pool`` when ``workers`` > 1.
+    Per-point solver failures become NaN cells and are counted;
     they do not abort the map.  The kernel works every lane on its own,
     so the result is deterministic and independent of ``workers``.
     """
@@ -521,14 +521,13 @@ def transmission_map(
         if b > a
     ]
     n_failed = n_resolved = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(jobs) > 1 else None
-    with pool or nullcontext():
-        run = pool.map if pool else map
-        for start, t_chunk, r_chunk, failed, resolved in run(_map_column, jobs):
-            t_lanes[start : start + t_chunk.size] = t_chunk
-            r_lanes[start : start + r_chunk.size] = r_chunk
-            n_failed += failed
-            n_resolved += resolved
+    pooled = workers > 1 and len(jobs) > 1
+    results = pool_map(_map_column, jobs, workers) if pooled else map(_map_column, jobs)
+    for start, t_chunk, r_chunk, failed, resolved in results:
+        t_lanes[start : start + t_chunk.size] = t_chunk
+        r_lanes[start : start + r_chunk.size] = r_chunk
+        n_failed += failed
+        n_resolved += resolved
     return TransmissionMap(
         e_grid=energies,
         gamma_grid=gammas,

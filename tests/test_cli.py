@@ -782,6 +782,7 @@ def test_weighted_sweep_solves_each_gamma_once(tmp_path, monkeypatch):
     assert manifest["summary"]["ambiguous_steps"] > 0  # this grid has forks
 
 
+@pytest.mark.pool
 @pytest.mark.parametrize("preset", ["fig3", "fig4"])
 def test_weighted_output_is_identical_across_worker_counts(preset, tmp_path):
     # 9 points, so the pool engages (it stays serial below 8)

@@ -2,6 +2,9 @@
 
 import functools
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from ptladder import (
     sweep_matrix_family,
     sweep_spectrum,
 )
-from ptladder import spectral
+from ptladder import _pool, spectral
 from ptladder.spectral import _family_for
 
 
@@ -203,9 +206,19 @@ def column_moduli(vectors: np.ndarray, gamma: float) -> np.ndarray:
     return np.abs(vectors).T * gamma
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.fixture
+def fresh_pool():
+    """Pool workers hold the module state of their fork: start the test
+    with no pool, so that its first pooled call forks workers that see
+    its patches, and leave none of those workers behind."""
+    _pool.shutdown()
+    yield
+    _pool.shutdown()
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.pool)])
 @pytest.mark.parametrize("spec", STACK_SPECS, ids=repr)
-def test_stacked_sweeps_match_per_point_solves(spec, workers, monkeypatch):
+def test_stacked_sweeps_match_per_point_solves(spec, workers, monkeypatch, fresh_pool):
     # 23 points: the pool splits them into 8 parts of 2 or 3 points, and
     # a serial sweep into chunks of 1, 4, 4, 4, 4, 4 and 2
     stacks_of_four(monkeypatch, spec)
@@ -293,15 +306,82 @@ def test_sweep_continuity_residual_is_bounded_by_ep_kink():
     assert sweep.continuation_residual < 0.2
 
 
-def test_sweep_workers_do_not_change_results():
+@pytest.mark.pool
+@pytest.mark.parametrize("counts", [(2,), (2, 3, 2)], ids=["2", "2-3-2"])
+def test_sweep_workers_do_not_change_results(counts):
+    # one pool serves every call of a process, rebuilt for a new worker
+    # count; plain and weighted sweeps stay bit-identical to serial ones
     spec = LatticeSpec(n_cells=4, topology=BoundaryTopology.MOEBIUS)
     grid = np.linspace(0.0, 2.0, 41)
     one = sweep_spectrum(spec, grid, workers=1)
-    two = sweep_spectrum(spec, grid, workers=2)
-    np.testing.assert_array_equal(one.branches, two.branches)
-    assert one.ambiguous_steps == two.ambiguous_steps
+    one_weighted, one_rows = spectral._weighted_sweep(spec, grid, column_moduli, workers=1)
+    for workers in counts:
+        pooled = sweep_spectrum(spec, grid, workers=workers)
+        assert pooled.branches.tobytes() == one.branches.tobytes()
+        assert pooled.ambiguous_steps == one.ambiguous_steps
+        weighted, rows = spectral._weighted_sweep(spec, grid, column_moduli, workers=workers)
+        assert weighted.branches.tobytes() == one_weighted.branches.tobytes()
+        assert rows.tobytes() == one_rows.tobytes()
 
 
+@pytest.mark.pool
+def test_pool_workers_run_a_rebound_solve(monkeypatch, tmp_path):
+    # the sweep's task function is part of what a kept pool must match,
+    # as the map's is (test_transport): workers forked before it was
+    # rebound would run the original and leave no marks
+    spec = LatticeSpec(n_cells=4, topology=BoundaryTopology.MOEBIUS)
+    grid = np.linspace(0.0, 2.0, 41)
+    before = sweep_spectrum(spec, grid, workers=2)
+    solve = spectral._solve_points
+
+    @functools.wraps(solve)
+    def marked(build, bases, weigh, gammas):
+        (tmp_path / f"{os.getpid()}-{float(gammas[0])!r}").touch()
+        return solve(build, bases, weigh, gammas)
+
+    monkeypatch.setattr(spectral, "_solve_points", marked)
+    after = sweep_spectrum(spec, grid, workers=2)
+    assert after.branches.tobytes() == before.branches.tobytes()
+    marks = [path.name.split("-", 1) for path in tmp_path.iterdir()]
+    assert sorted(float(g) for _, g in marks) == [part[0] for part in np.array_split(grid, 8)]
+    assert os.getpid() not in {int(pid) for pid, _ in marks}
+
+
+@pytest.mark.pool
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_gets_its_own_pool():
+    # The fork below is made with the parent's pool running on purpose,
+    # hence the filter.  The child may neither use nor shut down its
+    # parent's pool, whose workers answer the parent alone.
+    spec = LatticeSpec(n_cells=4, topology=BoundaryTopology.MOEBIUS)
+    grid = np.linspace(0.0, 2.0, 41)
+    serial = sweep_spectrum(spec, grid, workers=1)
+    sweep_spectrum(spec, grid, workers=2)
+    pool = _pool._executor
+    workers = set(pool._processes)
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            child = sweep_spectrum(spec, grid, workers=2)
+            ok = child.branches.tobytes() == serial.branches.tobytes()
+            ok = ok and _pool._executor is not pool and not workers & set(_pool._executor._processes)
+            _pool.shutdown()
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while not (ended := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not ended[0]:  # a child sending work to its parent's pool waits forever
+        os.kill(pid, signal.SIGKILL)
+        ended = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
+    again = sweep_spectrum(spec, grid, workers=2)
+    assert again.branches.tobytes() == serial.branches.tobytes()
+    assert _pool._executor is pool and set(pool._processes) == workers
+
+
+@pytest.mark.pool
 def test_pooled_sweep_builds_no_grid_blocks_in_the_parent(monkeypatch):
     # A serial sweep builds each grid point once and nothing else, a
     # chunk of them per call.  Pool workers are forked, so their builds

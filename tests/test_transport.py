@@ -1,6 +1,15 @@
 """Two-terminal scattering tests: assembly oracle, solvers, maps, detangling."""
 
+import functools
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -22,7 +31,7 @@ from ptladder import (
     zero_energy_trace,
 )
 from ptladder.lattice import _bond_blocks
-from ptladder import transport
+from ptladder import _pool, spectral, transport
 from ptladder.transport import LANES_PER_TASK, _eliminate, _pivot_inverse
 
 OPEN = BoundaryTopology.OPEN
@@ -268,20 +277,129 @@ def _chunked_grid():
     return energies, gammas
 
 
-def test_map_workers_do_not_change_values():
+def gamma_moduli(vectors: np.ndarray, gamma: float) -> np.ndarray:
+    """A picklable ``weigh`` for a weighted sweep: one row per eigenvector column."""
+    return np.abs(vectors).T * gamma
+
+
+def _map_bytes(m) -> tuple:
+    return m.t_values.tobytes(), m.r_values.tobytes(), m.n_failed, m.n_resolved
+
+
+@pytest.mark.pool
+@pytest.mark.parametrize(
+    "calls", [(2, 3), (2, 3, 2), (2, "weighted sweep", 2)], ids=["2-3", "2-3-2", "2-sweep-2"]
+)
+def test_map_workers_do_not_change_values(calls):
+    # one pool serves every call of a process: it is rebuilt for a new
+    # worker count and shared with sweeps, and no map depends on either
     spec = LatticeSpec(n_cells=6, topology=OPEN)
     leads = LeadSpec()
     energies, gammas = _chunked_grid()
-    maps = [transmission_map(spec, leads, energies, gammas, workers=w) for w in (1, 2, 3)]
-    for m in maps[1:]:
-        assert m.t_values.tobytes() == maps[0].t_values.tobytes()
-        assert m.r_values.tobytes() == maps[0].r_values.tobytes()
-        assert (m.n_failed, m.n_resolved) == (maps[0].n_failed, maps[0].n_resolved)
-    assert maps[0].n_failed == 0
+    serial = transmission_map(spec, leads, energies, gammas, workers=1)
+    ring = LatticeSpec(n_cells=4, topology=BoundaryTopology.MOEBIUS)
+    grid = np.linspace(0.0, 2.0, 41)
+    for call in calls:
+        if call == "weighted sweep":
+            want, want_rows = spectral._weighted_sweep(ring, grid, gamma_moduli, workers=1)
+            got, got_rows = spectral._weighted_sweep(ring, grid, gamma_moduli, workers=2)
+            assert got.branches.tobytes() == want.branches.tobytes()
+            assert got_rows.tobytes() == want_rows.tobytes()
+        else:
+            pooled = transmission_map(spec, leads, energies, gammas, workers=call)
+            assert _map_bytes(pooled) == _map_bytes(serial)
+    assert serial.n_failed == 0
     for j, gamma in enumerate(gammas):
         column = transmission_map(spec, leads, energies, [gamma])
-        assert column.t_values[:, 0].tobytes() == maps[0].t_values[:, j].tobytes()
-        assert column.r_values[:, 0].tobytes() == maps[0].r_values[:, j].tobytes()
+        assert column.t_values[:, 0].tobytes() == serial.t_values[:, j].tobytes()
+        assert column.r_values[:, 0].tobytes() == serial.r_values[:, j].tobytes()
+
+
+@pytest.mark.pool
+def test_pool_workers_run_a_rebound_task_function(monkeypatch, tmp_path):
+    # Pool workers are forked, so they hold the task function of their
+    # fork: rebinding it must start a new pool.  ``wraps`` keeps the name,
+    # so the wrapper pickles by reference, and a worker forked before the
+    # rebinding would run the original and leave no marks.
+    spec, leads = LatticeSpec(n_cells=6, topology=OPEN), LeadSpec()
+    energies, gammas = _chunked_grid()
+    before = transmission_map(spec, leads, energies, gammas, workers=2)
+    column = transport._map_column
+
+    @functools.wraps(column)
+    def marked(args):
+        (tmp_path / f"{os.getpid()}-{args[3]}").touch()
+        return column(args)
+
+    monkeypatch.setattr(transport, "_map_column", marked)
+    after = transmission_map(spec, leads, energies, gammas, workers=2)
+    assert _map_bytes(after) == _map_bytes(before)
+    marks = [path.name.split("-") for path in tmp_path.iterdir()]
+    assert sorted(int(start) for _, start in marks) == [0, energies.size * gammas.size // 2]
+    assert os.getpid() not in {int(pid) for pid, _ in marks}
+
+
+@pytest.mark.pool
+def test_a_pool_with_a_killed_worker_is_replaced():
+    spec, leads = LatticeSpec(n_cells=6, topology=TWISTED), LeadSpec()
+    energies, gammas = _chunked_grid()
+    serial = transmission_map(spec, leads, energies, gammas, workers=1)
+    transmission_map(spec, leads, energies, gammas, workers=2)
+    pool = _pool._executor
+    worker = next(iter(pool._processes.values()))
+    os.kill(worker.pid, signal.SIGKILL)
+    assert wait([worker.sentinel], timeout=60)
+    try:
+        transmission_map(spec, leads, energies, gammas, workers=2)  # may find the pool broken
+    except BrokenProcessPool:
+        pass
+    again = transmission_map(spec, leads, energies, gammas, workers=2)
+    assert _pool._executor is not pool
+    assert _map_bytes(again) == _map_bytes(serial)
+
+
+@pytest.mark.pool
+def test_pool_workers_end_with_the_interpreter():
+    # The pool outlives every call but not the process: an interpreter
+    # that made pooled maps and sweeps exits cleanly and leaves no worker
+    # running.  The filter turns a fork() made while another thread runs
+    # (Python 3.12 warns of it) into an error.
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from ptladder import BoundaryTopology, LatticeSpec, LeadSpec, _pool, sweep_spectrum, transmission_map
+
+        ladder = LatticeSpec(n_cells=4, topology=BoundaryTopology.OPEN)
+        transmission_map(ladder, LeadSpec(), np.linspace(-3, 3, 97), np.linspace(0, 3, 43), workers=2)
+        pids = list(_pool._executor._processes)
+        sweep_spectrum(LatticeSpec(n_cells=4), np.linspace(0, 2, 21), workers=3)
+        print(*pids, *_pool._executor._processes)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(transport.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error:This process:DeprecationWarning", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 5
+
+    def running(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    deadline = time.monotonic() + 10
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(running, pids))
 
 
 def test_map_tasks_are_capped_chunks_covering_each_cell_once(monkeypatch):
