@@ -53,7 +53,6 @@ from .transport import (
     SingularSystemError,
     detangled_transport_check,
     transmission_map,
-    zero_energy_trace,
 )
 
 __all__ = [
@@ -587,11 +586,11 @@ def _map_rows(config: ExperimentConfig):
 
 
 def _trace_rows(config: ExperimentConfig):
-    trace = zero_energy_trace(config.lattice, config.leads, config.gamma_grid.points())
-    columns = ["gamma", "t"]
-    rows = [(g, t) for g, t in trace]
-    bad = sum(1 for _, t in trace if not math.isfinite(t))
-    return columns, rows, {"n_failed": bad}, bad
+    # the E = 0 row of a serial map is zero_energy_trace bit for bit, and it
+    # also counts the dense re-solves
+    m = transmission_map(config.lattice, config.leads, [0.0], config.gamma_grid.points())
+    rows = list(zip(m.gamma_grid.tolist(), m.t_values[0].tolist()))
+    return ["gamma", "t"], rows, {"n_failed": m.n_failed, "n_resolved": m.n_resolved}, m.n_failed
 
 
 def _detangle_rows(config: ExperimentConfig):

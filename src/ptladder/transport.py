@@ -28,12 +28,17 @@ wave a source ``(e^{iq} - e^{-iq}) G_in`` on the first cell.  One lane
 kernel solves it by block-Thomas elimination for many (E, gamma) pairs at
 once; a single solve is one lane, a map task a chunk of at most
 ``LANES_PER_TASK`` grid cells and a zero-energy trace one lane per gamma.
-The kernel holds each 2x2 block as four lane arrays in row-major order,
-takes each bond block as scalars (its zero entries drop out of every
-product) and inverts each pivot in closed form (adjugate over det).  A lane
-carries O(1) state through the sweep, since r and t need only psi_1 and
-psi_N; the per-cell pairs that back-substitution needs are kept only for
-a one-lane call, where a single solve wants its ``internal`` amplitudes.
+Every pivot of the sweep is complex symmetric (the on-site block, the
+self-energies and each ``H^T C^-1 H`` are), so the kernel holds a pivot
+as its upper triangle, three lane arrays, and inverts it in closed form
+with one reciprocal of its determinant.  It takes each bond block as
+scalars (its zero entries drop out of every product).  A lane carries
+O(1) state through the sweep: t needs only psi_N, and r only
+``G_in^T psi_1``, which the row vector ``u_i = G_in^T P_i`` and the sum
+``alpha = sum_i u_i g_i`` give (``_eliminate``); by the symmetry the
+source itself carries ``u_i``.  The per-cell pairs that back-substitution
+needs are kept only for a one-lane call, where a single solve wants its
+``internal`` amplitudes.
 A pivot that is singular or whose 1-norm condition estimate exceeds
 ``COND_LIMIT`` flags its lane, and a flagged lane is re-solved by dense
 partial-pivoting LU on the whole bordered system (minimum-norm least
@@ -77,11 +82,14 @@ __all__ = [
 COND_LIMIT = 1e12
 RESIDUAL_TOL = 1e-9
 # Longest run of lanes one transmission-map task solves; it bounds a
-# worker's kernel arrays on full 801x601 maps (about 3 MB at N = 100).
+# worker's kernel arrays on full 801x601 maps (a 1.7 MB peak at N = 100:
+# a lane holds a pivot's three entries, its source and alpha).
 # Shorter chunks cost more per lane; 8192 was within run-to-run noise.
 LANES_PER_TASK = 4096
 
 _OPEN_TOPOLOGIES = (BoundaryTopology.OPEN, BoundaryTopology.TWISTED_OPEN)
+# Row and column indices of the upper triangle (a, b, d) of a symmetric 2x2 block.
+_UPPER = (0, 0, 1), (0, 1, 1)
 
 
 class OutOfBandError(ValueError):
@@ -235,54 +243,50 @@ class ScatteringResult:
         )
 
 
-def _pivot_inverse(a, b, c, d) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Closed-form inverses of the 2x2 pivots ``[[a, b], [c, d]]``, and the lanes that fail.
+def _pivot_inverse(a, b, d) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Closed-form inverses of the symmetric 2x2 pivots ``[[a, b], [b, d]]``, and the lanes that fail.
 
-    The entries are lane arrays, and the inverse comes back as four lane
-    arrays in the same row-major order: the adjugate divided by det.  A
-    lane fails when det is non-finite or ``|det| < 1e-300``, or when the
-    1-norm condition ``norm1(C) norm1(adj) / |det|`` is non-finite or
-    above ``COND_LIMIT``; its inverse is then unusable.  No
-    floating-point warning escapes.
+    The entries are lane arrays.  One reciprocal ``w = 1/det`` of
+    ``det = a d - b^2`` gives ``(p, q, v) = (d w, b w, a w)``, and the
+    inverse is ``[[p, -q], [-q, v]]``.  A lane fails when det is
+    non-finite or ``|det| < 1e-300``, or when the 1-norm condition
+    ``norm1(C) norm1(adj) / |det|`` is non-finite or above ``COND_LIMIT``;
+    its inverse is then unusable.  No floating-point warning escapes.
     """
-    ma, mb, mc, md = np.abs(a), np.abs(b), np.abs(c), np.abs(d)
     with np.errstate(all="ignore"):
-        det = a * d - b * c
-        # b / -det is -b / det bit for bit, with one negation in place of two
-        size, neg_det = np.abs(det), -det
-        # norm1(C) is the largest column sum of |C|, norm1(adj) its largest row sum
-        cond = np.maximum(ma + mc, mb + md) * np.maximum(ma + mb, mc + md) / size
-        inv = d / det, b / neg_det, c / neg_det, a / det
-    return inv, ~(np.isfinite(det) & (size >= 1e-300) & (cond <= COND_LIMIT))
+        det = a * d - b * b
+        w, size = 1.0 / det, np.abs(det)
+        # norm1(C) and norm1(adj) are both m, the largest column sum of |C|;
+        # rounding is monotonic, so this is max(|a| + |b|, |b| + |d|) bit for bit
+        m = np.abs(b) + np.maximum(np.abs(a), np.abs(d))
+        cond = m * m / size
+        return (d * w, b * w, a * w), ~(np.isfinite(det) & (size >= 1e-300) & (cond <= COND_LIMIT))
 
 
-def _matvec(m, v) -> tuple:
-    """Row-major 2x2 block ``m`` times the pair ``v``, entry by entry."""
-    return m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]
+def _bond_terms(hop: np.ndarray) -> tuple[list, list]:
+    """The scalar terms of the bond block ``H`` in the sweep's two updates.
 
-
-def _bond_terms(hop: np.ndarray) -> tuple[list, list, list]:
-    """The scalar terms of the bond block ``H`` in the sweep's three products.
-
-    Lists of ``(scalar, entry)`` terms, one list per output entry in
-    row-major order: ``-T = C^-1 (-H)`` over the entries of ``C^-1``,
-    ``H^T (-T)`` over those of ``-T``, and the next source ``-H^T g``
-    over those of ``g``.  The signs sit in the scalars, and a zero entry
-    of ``H`` gives no term.
+    Lists of ``(scalar, index)`` terms: one per upper entry ``(j, k)`` of
+    ``-H^T C^-1 H`` over the pivot's inverse entries ``(p, q, v)``, and
+    one per entry of the next source ``-H^T g`` over those of ``g``.  A
+    zero scalar gives no term.
     """
-    col = [[(m, x) for m, x in enumerate(column) if x != 0] for column in hop.T.tolist()]
+    h = hop.tolist()
+    carry = [
+        (-h[0][j] * h[0][k], h[0][j] * h[1][k] + h[1][j] * h[0][k], -h[1][j] * h[1][k])
+        for j, k in zip(*_UPPER)
+    ]
     return (
-        [[(-s, 2 * k + m) for m, s in col[j]] for k in (0, 1) for j in (0, 1)],
-        [[(s, 2 * m + j) for m, s in col[k]] for k in (0, 1) for j in (0, 1)],
-        [[(-s, m) for m, s in col[k]] for k in (0, 1)],
+        [[(x, i) for i, x in enumerate(entry) if x != 0] for entry in carry],
+        [[(-h[m][k], m) for m in (0, 1) if h[m][k] != 0] for k in (0, 1)],
     )
 
 
-def _combine(terms: list, entries) -> np.ndarray | float:
-    """``sum(entries[i] * s for s, i in terms)``, left to right from the first
-    product, not from 0; 0.0 for no terms."""
-    products = (entries[i] * s for s, i in terms)
-    return sum(products, next(products, 0.0))
+def _combine(terms: list, entries, start=None):
+    """``start + sum(x * entries[i] for x, i in terms)``, left to right; without
+    ``start`` from the first product, and 0.0 for no terms at all."""
+    products = (x * entries[i] for x, i in terms)
+    return sum(products, next(products, 0.0) if start is None else start)
 
 
 def _eliminate(
@@ -291,20 +295,27 @@ def _eliminate(
     """``(r, t, psi, pivot)`` on lanes of ``spec.with_gamma(gamma)`` at energy E.
 
     ``energies`` and ``gammas`` broadcast to one (E, gamma) pair per lane.
-    One left-to-right block-Thomas sweep serves every lane: each 2x2 block
-    is four lane arrays in row-major order, worked by elementwise
-    arithmetic, and each pivot ``C_i`` is inverted in closed form
-    (``_pivot_inverse``).  With ``g_i = C_i^-1 s_i`` and
-    ``T_i = C_i^-1 H_i`` the amplitudes obey ``psi_i = g_i - T_i psi_{i+1}``,
-    so a lane carries only its pivot, its source and the expansion
-    ``psi_1 = acc + prod psi_N``, where ``acc = sum_i P_i g_i`` and
-    ``prod = P_N`` with ``P_i = (-T_1) ... (-T_{i-1})``: r and t follow
-    from ``psi_1`` and ``psi_N`` at the end of the sweep.  Each distinct
-    bond block ``H_i`` enters as scalar terms (``_bond_terms``), which
-    carry the signs of ``-T_i`` and ``-H_i^T g_i`` and skip its zero
-    entries.  A one-lane call, which is what a single solve makes, also
-    keeps the per-cell pairs ``(g_i, -T_i)`` and back-substitutes the
-    cell amplitudes into ``psi[lane, cell]``; ``psi`` is None otherwise.
+    One left-to-right block-Thomas sweep serves every lane, by elementwise
+    arithmetic on lane arrays.  Every pivot ``C_i`` is complex symmetric:
+    the on-site block is (a ``ValueError`` otherwise), so are the lead
+    self-energies, and ``H^T C^-1 H`` is for any bond ``H``.  So a pivot
+    is its upper triangle ``(a, b, d)``, three lane arrays, and is
+    inverted with one reciprocal (``_pivot_inverse``).  With
+    ``g_i = C_i^-1 s_i`` and ``T_i = C_i^-1 H_i`` the amplitudes obey
+    ``psi_i = g_i - T_i psi_{i+1}``, so ``psi_1 = sum_i P_i g_i`` with
+    ``P_i = (-T_1) ... (-T_{i-1})`` and ``g_N = psi_N``: t follows from
+    ``psi_N``, and r needs only ``G_in^T psi_1 = alpha = sum_i u_i g_i``
+    with the row vector ``u_i = G_in^T P_i``.  As every ``C_i`` is
+    symmetric, ``u_i^T`` obeys the source's own recursion
+    ``s_{i+1} = -H_i^T g_i``, and ``s_1 = drive G_in`` with
+    ``drive = e^{iq} - e^{-iq}``: the source is ``drive u_i^T``, so a lane
+    carries only its pivot, its source and the sum of ``s_i . g_i``, which
+    is ``drive alpha`` (the code's ``alpha``), and no 2x2 product.  Each distinct bond block enters as
+    scalar terms (``_bond_terms``), which carry the signs and skip its
+    zero entries; only the upper triangle of the next pivot is formed.  A
+    one-lane call, which is what a single solve makes, also keeps the
+    per-cell pairs ``(g_i, T_i)`` and back-substitutes the cell
+    amplitudes into ``psi[lane, cell]``; ``psi`` is None otherwise.
     ``pivot[lane]`` is the first cell whose pivot failed the guard, or
     -1; a flagged lane carries unusable values.  Lanes outside the lead
     band are flagged at cell 0.
@@ -318,47 +329,45 @@ def _eliminate(
     scale = 2.0 / leads.v0
 
     # On-site block of spec.with_gamma(gamma), minus E: gamma enters it linearly.
-    h0 = unit_cell_blocks(spec.with_gamma(0.0)).h0[..., None]
-    slope = unit_cell_blocks(spec.with_gamma(1.0)).h0[..., None] - h0
-    h0e = (h0 + gammas * slope - energies * np.eye(2)[..., None]).reshape(4, -1)
+    h0 = unit_cell_blocks(spec.with_gamma(0.0)).h0
+    slope = unit_cell_blocks(spec.with_gamma(1.0)).h0 - h0
+    if not (np.array_equal(h0, h0.T) and np.array_equal(slope, slope.T)):
+        raise ValueError("the lane kernel needs a symmetric on-site block")
+    h0e = (h0[..., None] + gammas * slope[..., None] - energies * np.eye(2)[..., None])[_UPPER]
 
     def self_energy(g: np.ndarray) -> np.ndarray:
-        return -scale * eiq * np.outer(g, g).reshape(4, 1)
+        return -scale * eiq * np.outer(g, g)[_UPPER][:, None]
 
     pivot = np.full(energies.size, -1)
     bonds = _bond_blocks(spec, unit_cell_blocks(spec))
     # each distinct bond block (the list repeats one object) becomes scalars once
     terms = {key: _bond_terms(hop) for key, hop in {id(hop): hop for hop in bonds}.items()}
     carried = h0e + self_energy(leads.g_in)
-    source = (eiq - np.conj(eiq)) * leads.g_in[:, None]
-    acc, prod = (0.0, 0.0), (1.0, 0.0, 0.0, 1.0)
+    drive = eiq - np.conj(eiq)
+    source, alpha = drive * leads.g_in[:, None], 0.0
     pairs = [] if energies.size == 1 else None
     with np.errstate(all="ignore"):
-        for cell, hop in enumerate(bonds):
-            inv, bad = _pivot_inverse(*carried)
+        for cell, hop in enumerate([*bonds, None]):
+            if hop is None:
+                carried = carried + self_energy(leads.g_out)
+            (p, q, v), bad = _pivot_inverse(*carried)
             if bad.any():
                 pivot[bad & (pivot < 0)] = cell
-            t_terms, carry_terms, source_terms = terms[id(hop)]
-            g = _matvec(inv, source)
-            neg_t = [_combine(k, inv) for k in t_terms]
-            acc = [a + p for a, p in zip(acc, _matvec(prod, g))]
-            prod = [p * neg_t[j] + q * neg_t[2 + j] for p, q in (prod[:2], prod[2:]) for j in (0, 1)]
-            carried = [h + _combine(k, neg_t) for h, k in zip(h0e, carry_terms)]
-            source = [_combine(k, g) for k in source_terms]
-            if pairs is not None:
-                pairs.append((g, neg_t))
-        inv, bad = _pivot_inverse(*(c + s for c, s in zip(carried, self_energy(leads.g_out))))
-        if bad.any():
-            pivot[bad & (pivot < 0)] = spec.n_cells - 1
-        last = _matvec(inv, source)
-        first = [a + p for a, p in zip(acc, _matvec(prod, last))]
-        r = -1.0 - scale * (leads.g_in[0] * first[0] + leads.g_in[1] * first[1])
-        t = -scale * (leads.g_out[0] * last[0] + leads.g_out[1] * last[1])
+            g = p * source[0] - q * source[1], v * source[1] - q * source[0]
+            alpha = alpha + source[0] * g[0] + source[1] * g[1]
+            if hop is not None:
+                carry_terms, source_terms = terms[id(hop)]
+                carried = [_combine(k, (p, q, v), h) for h, k in zip(h0e, carry_terms)]
+                source = [_combine(k, g) for k in source_terms]
+                if pairs is not None:
+                    pairs.append((np.array(g), np.array([[p, -q], [-q, v]])[..., 0] @ hop))
+        r = -1.0 - scale * alpha / drive
+        t = -scale * (leads.g_out[0] * g[0] + leads.g_out[1] * g[1])
         psi = None
         if pairs is not None:
-            psi = [last]
-            for g, neg_t in reversed(pairs):
-                psi.append([a + p for a, p in zip(g, _matvec(neg_t, psi[-1]))])
+            psi = [np.array(g)]
+            for g, t_cell in reversed(pairs):
+                psi.append(g - t_cell @ psi[-1])
             psi = np.array(psi[::-1]).transpose(2, 0, 1)
     return r, t, psi, pivot
 

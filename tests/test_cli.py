@@ -23,6 +23,7 @@ from ptladder import (
     complex_rotation_angle,
     mode_weights,
     transmission_map,
+    zero_energy_trace,
 )
 from ptladder import cli, spectral
 from ptladder.cli import (
@@ -662,6 +663,24 @@ def test_zero_energy_trace_json_output(tmp_path):
     assert payload["columns"] == ["gamma", "t"]
     assert len(payload["rows"]) == 5
     assert all(row[1] is not None for row in payload["rows"])
+
+
+def test_fig6_twisted_trace_counts_its_dense_resolves(tmp_path):
+    # the CI-size trace starts at gamma = 0, where a pivot is exactly
+    # singular: that point is re-solved densely, and the summary says so
+    out = tmp_path / "fig6.csv"
+    argv = ["fig6-twisted", "--workers", "1", "--out", str(out)]
+    for item in ("n_cells=10", "e_count=41", "gamma_count=9"):
+        argv += ["--set", item]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "fig6.manifest.json").read_text())
+    trace_summary = manifest["summary"]["zero_trace"]
+    assert trace_summary["n_failed"] == 0 and trace_summary["n_resolved"] >= 1
+
+    config = parse_config(manifest["config_text"])
+    _, rows, summary, _ = cli._trace_rows(config)
+    assert summary == trace_summary
+    assert rows == zero_energy_trace(config.lattice, config.leads, config.gamma_grid.points())
 
 
 def test_ep_search_cli_finds_the_ring_merges(tmp_path):

@@ -1,5 +1,6 @@
 """Two-terminal scattering tests: assembly oracle, solvers, maps, detangling."""
 
+import dataclasses
 import functools
 import math
 import os
@@ -162,13 +163,30 @@ def test_banded_fails_loudly_on_interior_resonance():
         assert auto.t == dense.t and auto.r == dense.r
 
 
+def _symmetric_entries(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+
+
+def _four_entry_guard(blocks: np.ndarray) -> np.ndarray:
+    """The 4-entry pivot guard the symmetric one replaced, kept as its reference."""
+    a, b, c, d = blocks.reshape(-1, 4).T
+    ma, mb, mc, md = np.abs(a), np.abs(b), np.abs(c), np.abs(d)
+    with np.errstate(all="ignore"):
+        det = a * d - b * c
+        size = np.abs(det)
+        cond = np.maximum(ma + mc, mb + md) * np.maximum(ma + mb, mc + md) / size
+    return ~(np.isfinite(det) & (size >= 1e-300) & (cond <= transport.COND_LIMIT))
+
+
 def test_pivot_inverse_matches_linalg():
     rng = np.random.default_rng(5)
     blocks = rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2))
-    inv, bad = _pivot_inverse(*blocks.reshape(500, 4).T)
+    blocks = blocks + blocks.transpose(0, 2, 1)  # complex symmetric, like every pivot
+    (p, q, v), bad = _pivot_inverse(*_symmetric_entries(blocks))
     ref = np.linalg.inv(blocks)
     assert not bad.any()
-    err = np.abs(np.stack(inv, axis=1).reshape(500, 2, 2) - ref).max(axis=(1, 2))
+    inv = np.stack((p, -q, -q, v), axis=1).reshape(500, 2, 2)
+    err = np.abs(inv - ref).max(axis=(1, 2))
     assert np.all(err <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
 
 
@@ -179,31 +197,82 @@ def test_pivot_inverse_flags():
             [[1.0, 0.0], [0.0, 1e-301]],  # det below 1e-300
             [[1.0, 1.0], [1.0, 1.0 + 1e-13]],  # 1-norm condition above 1e12
             [[np.nan, 0.0], [0.0, 1.0]],
-            [[2.0, 1.0j], [0.5, 3.0]],
+            [[2.0, 0.5j], [0.5j, 3.0]],
         ],
         dtype=complex,
     )
-    _, bad = _pivot_inverse(*blocks.reshape(5, 4).T)
+    _, bad = _pivot_inverse(*_symmetric_entries(blocks))
     assert bad.tolist() == [True, True, True, True, False]
 
 
+def test_symmetric_guard_decides_as_the_four_entry_guard():
+    # [[1, 1], [1, 1 + eps]] has condition (2 + eps)^2 / eps, which crosses
+    # COND_LIMIT near eps = 4e-12; the phases, the scales and the tiny,
+    # singular and non-finite blocks reach every clause of the guard
+    rng = np.random.default_rng(7)
+    eps = np.linspace(3.9e-12, 4.1e-12, 4001)
+    near = np.ones((eps.size, 2, 2), dtype=complex)
+    near[:, 1, 1] += eps
+    near *= np.exp(1j * rng.uniform(0, 2 * np.pi, eps.size))[:, None, None]
+    generic = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
+    generic = generic + generic.transpose(0, 2, 1)
+    generic *= 10.0 ** rng.uniform(-160, 160, 2000)[:, None, None]
+    edge = np.array(
+        [
+            [[1.0, 2.0], [2.0, 4.0]],
+            [[1e-151, 0.0], [0.0, 1e-151]],
+            [[1e-149, 0.0], [0.0, 1e-149]],
+            [[1e200, 0.0], [0.0, 1e200]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+        ],
+        dtype=complex,
+    )
+    blocks = np.concatenate((near, generic, edge))
+    _, bad = _pivot_inverse(*_symmetric_entries(blocks))
+    assert np.array_equal(bad, _four_entry_guard(blocks))
+    assert 0 < bad[: eps.size].sum() < eps.size  # the limit falls inside the eps range
+    assert bad[eps.size : -edge.shape[0]].any() and not bad[eps.size : -edge.shape[0]].all()
+
+
+def test_kernel_needs_a_symmetric_on_site_block(monkeypatch):
+    def skewed(spec):
+        blocks = unit_cell_blocks(spec)
+        return dataclasses.replace(blocks, h0=blocks.h0 + np.array([[0.0, 0.1], [0.0, 0.0]]))
+
+    monkeypatch.setattr(transport, "unit_cell_blocks", skewed)
+    with pytest.raises(ValueError, match="symmetric on-site block"):
+        _eliminate(LatticeSpec(n_cells=4, topology=OPEN), LeadSpec(), [0.5, 1.0], 0.3)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
 @pytest.mark.parametrize(
     "topology, n_cells",
-    [(OPEN, 1), (OPEN, 2), (OPEN, 3), (OPEN, 21), (TWISTED, 2), (TWISTED, 4), (TWISTED, 20)],
+    [
+        (OPEN, 1),
+        (OPEN, 2),
+        (OPEN, 3),
+        (OPEN, 21),
+        (OPEN, 100),
+        (TWISTED, 2),
+        (TWISTED, 4),
+        (TWISTED, 20),
+        (TWISTED, 100),
+    ],
 )
 @pytest.mark.parametrize(
     "leads",
     [LeadSpec(), LeadSpec(upper_in=0.7, lower_out=1.3), LeadSpec(upper_in=0.0, upper_out=0.0)],
     ids=["symmetric", "asymmetric", "upper-off"],
 )
-def test_kernel_lanes_match_dense_solves(topology, n_cells, leads):
+def test_kernel_lanes_match_dense_solves(topology, n_cells, leads, delta):
     # many random (E, gamma) lanes in one call: the bonds enter as
-    # scalars, the crossed one included, and every contact pattern
-    # reaches the first and last pivot
+    # scalars, the crossed one included, every contact pattern reaches
+    # the first and last pivot, and a detuned on-site block stays symmetric
     rng = np.random.default_rng(100 + n_cells)
     energies = rng.uniform(-4.5, 4.5, 40)
     gammas = rng.uniform(0.0, 3.0, 40)
-    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+    spec = LatticeSpec(n_cells=n_cells, topology=topology, delta=delta)
     r, t, psi, pivot = _eliminate(spec, leads, energies, gammas)
     assert psi is None
     kept = np.flatnonzero(pivot < 0)
