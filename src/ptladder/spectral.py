@@ -28,12 +28,22 @@ the broken count does not depend on ``IM_TOL``.  Measured on one core
 (Moebius and circular N = 20 to 160, best of 7): the two complex N x N
 solves take 1.4 to 3.7 times less time than one 2N x 2N solve, and the
 two real ones another 2.1 to 3.5 times less.  A detuned spec (delta != 0)
-keeps complex blocks, and a callable family is solved as given, as a
-family of one block.
+keeps complex blocks.
 Eigenvectors are solved per block and lifted to the site basis of H by
 ``lattice.sector_bases``, and det H is the product of the block
 determinants, so no solve builds H itself.  ``branch_pair`` indexes the
 merged, sorted block spectrum, which is the spectrum of H.
+
+gamma enters every ladder only through the on-site +-i*gamma/2, so every
+family is affine in it, and a family is one of two kinds.  A spec is
+built from its blocks at gamma = 0 and 1 as ``b0 + g * slope``, bit for
+bit a fresh build.  A pair ``(h0, slope)`` of square matrices of one
+shape is the single block ``h0 + g * slope``, solved as given with no
+lift: the Bloch block of a spec at momentum k is the pair
+``(B(0), B(1) - B(0))`` for
+``B(g) = build_bloch_hamiltonian(spec.with_gamma(g), k)``, and the dense
+H of a spec is ``(H(0), H(1) - H(0))``.  Both kinds pickle, so both
+sweep in the pool.
 
 Rings and open ladders of even N are bipartite, and their chiral
 operator swaps the two blocks: the odd block is ``-S even S^dagger`` for
@@ -81,7 +91,6 @@ __all__ = [
     "ExceptionalPoint",
     "BrokenWindow",
     "eigendecompose",
-    "sweep_matrix_family",
     "sweep_spectrum",
     "classify_pt_phase",
     "locate_exceptional_points",
@@ -242,16 +251,6 @@ def _stacked(family: Callable, gammas: np.ndarray):
         size = max(1, STACK_BYTES // max(s[0].nbytes for s in stacks))
 
 
-def _one_block(build: Callable[[float], np.ndarray], g) -> tuple[np.ndarray]:
-    """A function of gamma giving one matrix, as a family of one block
-    (bound with ``partial``): the block ``build(g)``, or at an array of
-    gammas the stack of its matrices there, in the dtype numpy gives them
-    together."""
-    if np.ndim(g):
-        return (np.stack([np.asarray(build(x)) for x in g]),)
-    return (build(g),)
-
-
 def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Assign current eigenvalues to previous branches.
 
@@ -280,21 +279,6 @@ def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, b
         distinct = np.abs(cur[j1] - cur[j0]) > MATCHING_TOL
         ambiguous = bool(np.any(tie & distinct))
     return perm, float(matched.max()) if matched.size else 0.0, ambiguous
-
-
-def sweep_matrix_family(
-    build: Callable[[float], np.ndarray],
-    gamma_grid: Sequence[float],
-) -> SweepResult:
-    """Sweep any gamma-parametrised matrix family with branch continuation.
-
-    ``build`` returns the matrix at gamma, which is solved as one block;
-    the matrices of a chunk of grid points are stacked and solved in one
-    call.  The sweep is serial, so ``build`` may be any callable, a lambda
-    included; pooled sweeps of a lattice belong to ``sweep_spectrum``.
-    """
-    grid = _checked_grid(gamma_grid)
-    return _continue_branches(grid, _grid_eigvals(partial(_one_block, build), grid, 1))[0]
 
 
 def _checked_grid(gamma_grid: Sequence[float]) -> np.ndarray:
@@ -387,20 +371,44 @@ def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.nda
     return points
 
 
-def _family_for(spec: LatticeSpec) -> tuple[Callable, tuple[np.ndarray, ...]]:
-    """Builder of the mirror-sector blocks of H at gamma, and their bases.
+def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, tuple | None, Callable]:
+    """Builder of a family's blocks at gamma, their bases, and the builder
+    of the blocks a scan solves.
 
-    The blocks (``sector_blocks``) are real at delta = 0 and complex
-    otherwise; their eigenvalues together are those of H, and
-    ``sector_bases`` lifts their eigenvectors to the site basis.  gamma
-    enters every block linearly, so each call is ``b0 + g * s`` from the
-    blocks at gamma = 0 and 1, bit-identical to a fresh build; at an
-    array of gammas it gives each block's stack over them.  The family
-    pickles, so pool workers can build blocks themselves.
+    A spec's blocks are its mirror-sector blocks (``sector_blocks``),
+    real at delta = 0 and complex otherwise; their eigenvalues together
+    are those of H, and ``sector_bases`` lifts their eigenvectors to the
+    site basis.  gamma enters every block linearly, so each call is
+    ``b0 + g * s`` from the blocks at gamma = 0 and 1, bit-identical to a
+    fresh build; at an array of gammas it gives each block's stack over
+    them.  Where ``lattice.chiral_swap`` maps the even block onto the odd
+    one (rings and open ladders of even N), the scan builds the even
+    block alone, since the odd block's eigenvalues are minus its own and
+    its determinant is its own; otherwise it builds every block.  A pair
+    ``(h0, slope)`` is the one block ``h0 + g * slope``, without bases.
+    Both builders pickle, so pool workers can build blocks themselves.
     """
-    b0 = sector_blocks(spec.with_gamma(0.0))
-    slope = tuple(b1 - b for b1, b in zip(sector_blocks(spec.with_gamma(1.0)), b0))
-    return partial(_affine_blocks, b0, slope), sector_bases(spec)
+    if not isinstance(family, LatticeSpec):
+        blocks = partial(_affine_blocks, *_checked_pair(family))
+        return blocks, None, blocks
+    b0 = sector_blocks(family.with_gamma(0.0))
+    slope = tuple(b1 - b for b1, b in zip(sector_blocks(family.with_gamma(1.0)), b0))
+    blocks = partial(_affine_blocks, b0, slope)
+    scanned = blocks if chiral_swap(family) is None else partial(_affine_blocks, b0[:1], slope[:1])
+    return blocks, sector_bases(family), scanned
+
+
+def _checked_pair(pair) -> tuple[tuple[np.ndarray], tuple[np.ndarray]]:
+    """``((h0,), (slope,))`` of a pair ``(h0, slope)`` of square matrices
+    of one shape; anything else raises ``TypeError`` or ``ValueError``."""
+    form = "a family is a LatticeSpec or a pair (h0, slope) of matrices, the block h0 + g * slope"
+    try:
+        h0, slope = (np.asarray(m) for m in pair)
+    except (TypeError, ValueError):
+        raise TypeError(f"{form}, got a {type(pair).__name__}") from None
+    if h0.ndim != 2 or h0.shape[0] != h0.shape[1] or slope.shape != h0.shape:
+        raise ValueError(f"{form}; h0 and slope must be square, of one shape, got {h0.shape}, {slope.shape}")
+    return (h0,), (slope,)
 
 
 def _affine_blocks(b0: tuple, slope: tuple, g) -> tuple[np.ndarray, ...]:
@@ -419,8 +427,8 @@ def _lifted(parts: list[Spectrum], bases: tuple[np.ndarray, ...] | None, gamma: 
     """The spectrum of H, with vectors, from each block's own.
 
     With ``bases`` (the sector blocks of ``_family_for``) each block's
-    unit eigenvectors are lifted to H with its basis; a callable's one
-    block needs no lift.
+    unit eigenvectors are lifted to H with its basis; the one block of a
+    pair ``(h0, slope)`` needs no lift.
     """
     values = np.concatenate([p.eigenvalues for p in parts])
     vectors = [p.right_eigenvectors for p in parts]
@@ -432,20 +440,20 @@ def _lifted(parts: list[Spectrum], bases: tuple[np.ndarray, ...] | None, gamma: 
 
 
 def sweep_spectrum(
-    spec: LatticeSpec,
+    spec: LatticeSpec | tuple[np.ndarray, np.ndarray],
     gamma_grid: Sequence[float],
     *,
     workers: int = 1,
 ) -> SweepResult:
-    """Eigenvalue branches of a lattice over a gamma grid.
+    """Eigenvalue branches of a lattice, or of a pair, over a gamma grid.
 
-    Each grid point solves the two mirror-sector blocks of the
-    real-space Hamiltonian (real blocks at delta = 0).  For the Bloch
-    block at one momentum, sweep the callable
-    ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)`` with
-    ``sweep_matrix_family``.  With ``workers`` > 1 the grid is solved in
-    a process pool whose workers build their own blocks; the result does
-    not depend on ``workers``.
+    For a spec each grid point solves the two mirror-sector blocks of the
+    real-space Hamiltonian (real blocks at delta = 0).  A pair
+    ``(h0, slope)`` of square matrices is the one block ``h0 + g * slope``,
+    such as the Bloch block at momentum k, ``(B(0), B(1) - B(0))`` with
+    ``B(g) = build_bloch_hamiltonian(spec.with_gamma(g), k)``.  With
+    ``workers`` > 1 the grid is solved in a process pool whose workers
+    build their own blocks; the result does not depend on ``workers``.
     """
     grid = _checked_grid(gamma_grid)
     return _continue_branches(grid, _grid_eigvals(_family_for(spec)[0], grid, workers))[0]
@@ -467,7 +475,7 @@ def _weighted_sweep(
     ``rows[b, j]``, the row of branch b at ``gamma_grid[j]``.
     """
     grid = _checked_grid(gamma_grid)
-    blocks, bases = _family_for(spec)
+    blocks, bases, _ = _family_for(spec)
     points = _grid_eigvals(blocks, grid, workers, weigh=weigh, bases=bases)
     values = [v for v, _ in points]
     rows = [r for _, r in points]
@@ -491,29 +499,18 @@ class PhaseReport:
     labels: list[PhaseLabel]
     n_unbroken: int
     n_broken: int
-    tol: float
 
 
-def classify_pt_phase(spectrum: Spectrum | np.ndarray, tol: float = IM_TOL) -> PhaseReport:
-    """Label each eigenvalue unbroken (real within tol) or broken."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    values = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else np.asarray(spectrum)
-    labels = []
-    for v in np.atleast_1d(values):
-        v = complex(v)
-        broken = abs(v.imag) > tol
-        labels.append(
-            PhaseLabel(
-                phase=Phase.BROKEN if broken else Phase.UNBROKEN,
-                eigenvalue=v,
-                im_magnitude=abs(v.imag),
-            )
-        )
-    n_broken = sum(1 for l in labels if l.phase is Phase.BROKEN)
-    return PhaseReport(
-        labels=labels, n_unbroken=len(labels) - n_broken, n_broken=n_broken, tol=tol
-    )
+def classify_pt_phase(spectrum: Spectrum | np.ndarray) -> PhaseReport:
+    """Label each eigenvalue broken or unbroken by ``_broken``, the rule
+    of both EP searches: broken where its imaginary part exceeds ``IM_TOL``."""
+    values = np.atleast_1d(spectrum.eigenvalues if isinstance(spectrum, Spectrum) else np.asarray(spectrum))
+    labels = [
+        PhaseLabel(phase=Phase.BROKEN if broken else Phase.UNBROKEN, eigenvalue=v, im_magnitude=abs(v.imag))
+        for v, broken in zip(map(complex, values), _broken(values))
+    ]
+    n_broken = _broken_count(values)
+    return PhaseReport(labels=labels, n_unbroken=len(labels) - n_broken, n_broken=n_broken)
 
 
 class EpKind(Enum):
@@ -690,56 +687,39 @@ def _scan_and_refine(
     return solved, brackets
 
 
-def _search_grid(spec, gamma_range, steps: int, least: int, name: str) -> tuple:
-    """The block family, eigenvector bases, scanned family and grid of an
-    EP search.
+def _search_grid(family, gamma_range, steps: int, least: int, name: str) -> tuple:
+    """The block builder, eigenvector bases, scanned builder
+    (``_family_for``) and grid of an EP search.
 
-    A spec is searched on its mirror-sector blocks, a callable as a
-    family of one block.  The scan solves the blocks of ``scanned``,
-    which are those of ``blocks`` except where ``lattice.chiral_swap``
-    maps the even block onto the odd one (rings and open ladders of even
-    N): there ``scanned`` builds the even block alone, since the odd
-    block's eigenvalues are minus its own and its determinant is its own.
-    The grid splits ``gamma_range`` into ``steps`` intervals; ``name`` is
-    the caller's parameter for ``steps``, which must be at least
-    ``least``.
+    Both searches rest on PT symmetry, which a spec with delta != 0 does
+    not have.  The grid splits ``gamma_range`` into ``steps`` intervals;
+    ``name`` is the caller's parameter for ``steps``, which must be at
+    least ``least``.
     """
+    if isinstance(family, LatticeSpec) and family.delta != 0.0:
+        raise ValueError(f"EP searches need a PT-symmetric lattice (delta = 0), got delta = {family.delta}")
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
         raise ValueError(f"empty gamma range ({lo}, {hi})")
     if steps < least:
         raise ValueError(f"{name} must be at least {least}")
-    grid = np.linspace(lo, hi, steps + 1)
-    if callable(spec):
-        blocks = partial(_one_block, spec)
-        return blocks, None, blocks, grid
-    blocks, bases = _family_for(spec)
-    scanned = blocks
-    if chiral_swap(spec) is not None:
-        b0, slope = blocks.args
-        scanned = partial(_affine_blocks, b0[:1], slope[:1])
-    return blocks, bases, scanned, grid
-
-
-def _refuse_detuned(spec) -> None:
-    """Both EP searches rest on PT symmetry, which a spec with delta != 0
-    does not have."""
-    if not callable(spec) and spec.delta != 0.0:
-        raise ValueError(f"EP searches need a PT-symmetric lattice (delta = 0), got delta = {spec.delta}")
+    return (*_family_for(family), np.linspace(lo, hi, steps + 1))
 
 
 def locate_exceptional_points(
-    spec: LatticeSpec | Callable[[float], np.ndarray],
+    spec: LatticeSpec | tuple[np.ndarray, np.ndarray],
     gamma_range: tuple[float, float],
     coarse_steps: int = 400,
 ) -> list[ExceptionalPoint]:
     """Locate exceptional points of a lattice over a gamma range.
 
-    ``spec`` may also be a callable mapping gamma to a matrix, for
-    families that are not lattice Hamiltonians (such as the Bloch block
-    ``lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k)``); it is
-    searched as a family of one block.  For a spec, eigenvalues and the
-    EP eigenvectors come from its mirror-sector blocks, the vectors
+    ``spec`` may also be a pair ``(h0, slope)`` of square matrices, for
+    families that are not lattice Hamiltonians, such as the Bloch block
+    at momentum k, ``(B(0), B(1) - B(0))`` with
+    ``B(g) = build_bloch_hamiltonian(spec.with_gamma(g), k)``; it is
+    searched as the one block ``h0 + g * slope``.  For a spec,
+    eigenvalues and the EP eigenvectors come from its mirror-sector
+    blocks, the vectors
     lifted to the site basis of H.  On a ring or open ladder of even N
     (``lattice.chiral_swap``) the scan and the refine solve the even
     block alone: the odd block's eigenvalues are minus its own, so its
@@ -780,9 +760,10 @@ def locate_exceptional_points(
     entries may share one gamma when a cluster of pairs coalesces
     together).  Gap minima without a count change, such as avoided
     crossings, are not EPs and are not reported.  A detuned spec
-    (delta != 0) is not PT-symmetric and raises ``ValueError``.
+    (delta != 0) is not PT-symmetric and raises ``ValueError``, and so
+    does a pair that is not two square matrices of one shape; any other
+    family, a callable included, raises ``TypeError``.
     """
-    _refuse_detuned(spec)
     blocks, bases, scanned, grid = _search_grid(spec, gamma_range, coarse_steps, 1, "coarse_steps")
     solved, brackets = _scan_and_refine(
         scanned, grid, _stack_eigvals, _block_eigvals, _broken_count, _pair_discriminants, BRACKET_TOL
@@ -902,7 +883,7 @@ ZERO_ENERGY_TOL = 1e-6
 
 
 def locate_zero_energy_eps(
-    spec: LatticeSpec | Callable[[float], np.ndarray],
+    spec: LatticeSpec | tuple[np.ndarray, np.ndarray],
     gamma_range: tuple[float, float],
     scan_steps: int = 601,
 ) -> list[ExceptionalPoint]:
@@ -917,9 +898,10 @@ def locate_zero_energy_eps(
     coalescence is a sign change of det H.
 
     det H is the product of the determinants of the diagonal blocks (the
-    mirror sectors of a spec, real at delta = 0; a callable is one
-    block), and a zero-energy coalescence is a zero of one of them.  On a
-    ring or open ladder of even N (``lattice.chiral_swap``) the odd block
+    mirror sectors of a spec, real at delta = 0; a pair ``(h0, slope)``,
+    such as the Bloch block ``(B(0), B(1) - B(0))``, is the one block
+    ``h0 + g * slope``), and a zero-energy coalescence is a zero of one
+    of them.  On a ring or open ladder of even N (``lattice.chiral_swap``) the odd block
     is ``-S even S^dagger`` with N rows, so its determinant is the even
     block's: only the even block is scanned and refined, and each of its
     records stands for both blocks, as two equal records.  This scans the
@@ -945,7 +927,7 @@ def locate_zero_energy_eps(
     ``n_broken_change`` and its sign the kind.  That discards an ordinary
     band crossing (a real eigenvalue passing through zero and staying
     real), and the real part of a complex determinant changing sign with
-    no coalescence at all (``diag(exp(i*g), 1)`` at g = pi/2, for a
+    no coalescence at all (``diag(1.5 - g + i, 1)`` at g = 1.5, for a
     family without the E -> -conj(E) symmetry).  And the midpoint of
     the block's two eigenvalues nearest zero at gamma* must be within
     ``ZERO_ENERGY_TOL`` of 0, which discards a coalescence elsewhere
@@ -957,10 +939,10 @@ def locate_zero_energy_eps(
     resolution; pass a finer ``scan_steps`` to resolve them.  The
     record's eigenvectors are lifted to the site basis of H.  No branch
     matching runs, so scipy is not loaded.  A detuned spec (delta != 0)
-    is not PT-symmetric and raises ``ValueError``, and a non-finite
-    matrix raises ``EigensolverError``.
+    is not PT-symmetric and raises ``ValueError``, other families that
+    are not a spec or a pair raise as in ``locate_exceptional_points``,
+    and a non-finite matrix raises ``EigensolverError``.
     """
-    _refuse_detuned(spec)
     blocks, bases, scanned, grid = _search_grid(spec, gamma_range, scan_steps, 2, "scan_steps")
     # an exact zero of a block's determinant carries no sign
     label = lambda det: float(np.sign(det[0])) or None

@@ -248,10 +248,12 @@ def _pivot_inverse(a, b, d) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 
     The entries are lane arrays.  One reciprocal ``w = 1/det`` of
     ``det = a d - b^2`` gives ``(p, q, v) = (d w, b w, a w)``, and the
-    inverse is ``[[p, -q], [-q, v]]``.  A lane fails when det is
-    non-finite or ``|det| < 1e-300``, or when the 1-norm condition
-    ``norm1(C) norm1(adj) / |det|`` is non-finite or above ``COND_LIMIT``;
-    its inverse is then unusable.  No floating-point warning escapes.
+    inverse is ``[[p, -q], [-q, v]]``.  A lane fails when ``|det| < 1e-300``
+    or is NaN, or when the 1-norm condition ``norm1(C) norm1(adj) / |det|``
+    is NaN or above ``COND_LIMIT``; its inverse is then unusable.  That
+    covers a det that overflows: ``|det| <= m**2`` for the condition's
+    ``m``, so ``m * m`` overflows too and the condition is ``inf / inf``.
+    No floating-point warning escapes.
     """
     with np.errstate(all="ignore"):
         det = a * d - b * b
@@ -260,7 +262,7 @@ def _pivot_inverse(a, b, d) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         # rounding is monotonic, so this is max(|a| + |b|, |b| + |d|) bit for bit
         m = np.abs(b) + np.maximum(np.abs(a), np.abs(d))
         cond = m * m / size
-        return (d * w, b * w, a * w), ~(np.isfinite(det) & (size >= 1e-300) & (cond <= COND_LIMIT))
+        return (d * w, b * w, a * w), ~((size >= 1e-300) & (cond <= COND_LIMIT))
 
 
 def _bond_terms(hop: np.ndarray) -> tuple[list, list]:

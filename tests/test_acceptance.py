@@ -90,7 +90,7 @@ def test_02_ring_transition_sits_at_twice_the_rung_coupling():
             failures.append(f"coalescence cluster misses gamma = 2 by {dev:.2e}")
     for gamma, want_broken in ((1.99, False), (2.01, True)):
         h = build_real_space_hamiltonian(spec.with_gamma(gamma))
-        report = classify_pt_phase(eigendecompose(h, gamma=gamma), tol=1e-9)
+        report = classify_pt_phase(eigendecompose(h, gamma=gamma))
         if want_broken and report.n_broken == 0:
             failures.append(f"gamma={gamma}: expected broken eigenvalues, found none")
         if not want_broken and report.n_broken > 0:
@@ -155,7 +155,7 @@ def test_04_mode_weight_diagnostics():
 
     ring = LatticeSpec(n_cells=100, gamma=1.0)
     spectrum = eigendecompose(build_real_space_hamiltonian(ring), want_vectors=True, gamma=1.0)
-    report = classify_pt_phase(spectrum, tol=1e-9)
+    report = classify_pt_phase(spectrum)
     unbroken = [i for i, lab in enumerate(report.labels) if lab.phase is Phase.UNBROKEN]
     if len(unbroken) < 20:
         failures.append(f"only {len(unbroken)} unbroken ring states at gamma = 1")
@@ -176,7 +176,7 @@ def test_04_mode_weight_diagnostics():
         spectrum = eigendecompose(
             build_real_space_hamiltonian(spec_g), want_vectors=True, gamma=gamma
         )
-        phase = classify_pt_phase(spectrum, tol=1e-9)
+        phase = classify_pt_phase(spectrum)
         angle = complex_rotation_angle(mll.intra_hop, mll.delta, gamma)
         for i, lab in enumerate(phase.labels):
             if lab.phase is not Phase.BROKEN:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 import ptladder as pt
@@ -31,7 +32,6 @@ from ptladder import (
     locate_exceptional_points,
     locate_zero_energy_eps,
     sector_blocks,
-    sweep_matrix_family,
     sweep_spectrum,
 )
 from ptladder import _pool, spectral
@@ -60,6 +60,21 @@ def pairing_distance(a, b):
 def pt_dimer(gamma, d=1.0):
     # two-state gain/loss block; eigenvalues +-sqrt(d^2 - gamma^2/4)
     return np.array([[0.5j * gamma, -d], [-d, -0.5j * gamma]], dtype=complex)
+
+
+def pair_of(build):
+    """The pair ``(h0, slope)`` of a matrix family affine in gamma, from
+    its matrices at gamma = 0 and 1."""
+    h0 = build(0.0)
+    return h0, build(1.0) - h0
+
+
+def bloch_pair(spec, k):
+    return pair_of(lambda g: build_bloch_hamiltonian(spec.with_gamma(g), k))
+
+
+def dense_pair(spec):
+    return pair_of(lambda g: build_real_space_hamiltonian(spec.with_gamma(g)))
 
 
 def test_eigendecompose_matches_characteristic_polynomial():
@@ -146,9 +161,8 @@ def test_family_matches_fresh_builds(topology):
             continue
         for delta in (0.0, 0.3):
             spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
-            blocks, _ = _family_for(spec)
             # the EP searches build the even block alone where it maps onto the odd one
-            scanned = spectral._search_grid(spec, (0.0, 1.0), 1, 1, "steps")[2]
+            blocks, _, scanned = _family_for(spec)
             kept = 1 if chiral_swap(spec) is not None else 2
             gammas = (-1.7, -0.25, 0.0, 0.4, 2.3)
             stacks = blocks(np.array(gammas))  # one chunk, as the scans and sweeps build it
@@ -184,7 +198,7 @@ def test_stacked_scans_match_per_point_solves(spec, extra, monkeypatch):
     # point longer; no label changes, so the scan is all that runs
     stacks_of_four(monkeypatch, spec)
     grid = np.linspace(0.1, 2.9, 5 + extra)
-    scanned = spectral._search_grid(spec, (0.0, 1.0), 1, 1, "steps")[2]
+    scanned = _family_for(spec)[2]
     chunks = [chunk.size for chunk, _ in spectral._stacked(scanned, grid)]
     assert chunks == {-1: [1, 3], 0: [1, 4], 1: [1, 4, 1]}[extra]
     same = lambda result: 0
@@ -240,13 +254,38 @@ def test_stacked_sweeps_match_per_point_solves(spec, workers, monkeypatch, fresh
 
 
 def test_a_nan_grid_point_raises_from_searches_and_sweeps():
-    grid = np.linspace(1.5, 2.5, 61)
-    family = lambda g: np.full((2, 2), np.nan) if g == grid[7] else pt_dimer(g)
+    # a NaN in h0 puts one at every grid point
+    h0, slope = pair_of(pt_dimer)
+    h0[1, 0] = np.nan
     for search in (locate_exceptional_points, locate_zero_energy_eps):
         with pytest.raises(spectral.EigensolverError, match="2x2"):
-            search(family, (1.5, 2.5), 60)
+            search((h0, slope), (1.5, 2.5), 60)
     with pytest.raises(spectral.EigensolverError, match="2x2"):
-        sweep_matrix_family(family, grid)
+        sweep_spectrum((h0, slope), np.linspace(1.5, 2.5, 61))
+
+
+# The public functions that take a family, each called on a small grid.
+FAMILY_CALLS = (
+    lambda family: sweep_spectrum(family, [0.0, 1.0]),
+    lambda family: locate_exceptional_points(family, (0.0, 1.0), 4),
+    lambda family: locate_zero_energy_eps(family, (0.0, 1.0), 4),
+)
+
+
+@pytest.mark.parametrize("call", FAMILY_CALLS)
+def test_a_callable_or_other_non_pair_family_is_refused(call):
+    dense = lambda g: build_real_space_hamiltonian(LatticeSpec(n_cells=4, gamma=g))
+    square = np.eye(2)
+    for family in (pt_dimer, dense, (square,), (square, square, square), 3.0):
+        with pytest.raises(TypeError, match=r"pair \(h0, slope\)"):
+            call(family)
+
+
+@pytest.mark.parametrize("call", FAMILY_CALLS)
+def test_a_pair_of_unequal_or_nonsquare_matrices_is_refused(call):
+    for family in ((np.ones((2, 3)), np.ones((2, 3))), (np.eye(2), np.eye(3)), (np.ones(2), np.ones(2))):
+        with pytest.raises(ValueError, match=r"pair \(h0, slope\)"):
+            call(family)
 
 
 def test_searches_refuse_a_detuned_spec():
@@ -267,9 +306,9 @@ def test_searches_refuse_a_detuned_spec():
         (20, BoundaryTopology.TWISTED_OPEN, (0.0, 3.0), 400),
     ],
 )
-def test_sector_ep_search_matches_the_dense_callable(n_cells, topology, gamma_range, steps):
+def test_sector_ep_search_matches_the_dense_pair(n_cells, topology, gamma_range, steps):
     spec = LatticeSpec(n_cells=n_cells, topology=topology)
-    dense = lambda g: build_real_space_hamiltonian(spec.with_gamma(g))
+    dense = dense_pair(spec)
     bracket_tol = spectral.BRACKET_TOL
     sectors = locate_exceptional_points(spec, gamma_range, steps)
     reference = locate_exceptional_points(dense, gamma_range, steps)
@@ -287,9 +326,9 @@ def test_sector_ep_search_matches_the_dense_callable(n_cells, topology, gamma_ra
 
 
 @pytest.mark.parametrize("n_cells, steps", [(20, 200), (40, 400)])
-def test_sector_zero_energy_search_matches_the_dense_callable(n_cells, steps):
+def test_sector_zero_energy_search_matches_the_dense_pair(n_cells, steps):
     spec = LatticeSpec(n_cells=n_cells, topology=BoundaryTopology.TWISTED_OPEN)
-    dense = lambda g: build_real_space_hamiltonian(spec.with_gamma(g))
+    dense = dense_pair(spec)
     sectors = locate_zero_energy_eps(spec, (0.05, 1.95), steps)
     reference = locate_zero_energy_eps(dense, (0.05, 1.95), steps)
     assert len(sectors) == len(reference) > 0
@@ -322,6 +361,17 @@ def test_sweep_workers_do_not_change_results(counts):
         weighted, rows = spectral._weighted_sweep(spec, grid, column_moduli, workers=workers)
         assert weighted.branches.tobytes() == one_weighted.branches.tobytes()
         assert rows.tobytes() == one_rows.tobytes()
+
+
+@pytest.mark.pool
+def test_pooled_pair_sweep_matches_the_serial_one():
+    # a pair's builder pickles as a spec's does, so its sweep pools too
+    pair = dense_pair(LatticeSpec(n_cells=8, topology=BoundaryTopology.MOEBIUS))
+    grid = np.linspace(0.0, 2.0, 41)
+    serial = sweep_spectrum(pair, grid, workers=1)
+    pooled = sweep_spectrum(pair, grid, workers=2)
+    assert pooled.branches.tobytes() == serial.branches.tobytes()
+    assert pooled.ambiguous_steps == serial.ambiguous_steps
 
 
 @pytest.mark.pool
@@ -421,8 +471,8 @@ def test_sweep_rejects_bad_grids():
 
 def test_sweep_flags_genuine_fork_not_persistent_degeneracy():
     # an exact crossing out of a degenerate point cannot be disambiguated
-    fork = lambda g: np.diag([g, -g]).astype(complex)
-    sweep = sweep_matrix_family(fork, [-1.0, 0.0, 1.0])
+    fork = (np.zeros((2, 2), dtype=complex), np.diag([1.0, -1.0]).astype(complex))  # diag(g, -g)
+    sweep = sweep_spectrum(fork, [-1.0, 0.0, 1.0])
     assert sweep.ambiguous_steps == [1]
 
     # a ring carries exact +-k degeneracies everywhere; they must stay silent
@@ -434,7 +484,7 @@ def test_sweep_flags_genuine_fork_not_persistent_degeneracy():
 def test_bloch_sweep_tracks_two_branches():
     spec = LatticeSpec(n_cells=4)
     grid = np.linspace(0.0, 1.5, 16)
-    sweep = sweep_matrix_family(lambda g: build_bloch_hamiltonian(spec.with_gamma(g), 0.9), grid)
+    sweep = sweep_spectrum(bloch_pair(spec, 0.9), grid)
     assert sweep.n_branches == 2
     plus, minus = bloch_eigenvalues(spec.with_gamma(1.5), 0.9)
     assert pairing_distance(sweep.branches[:, -1], [plus, minus]) < 1e-12
@@ -442,22 +492,17 @@ def test_bloch_sweep_tracks_two_branches():
 
 def test_classify_phase_counts_across_transition():
     spec = LatticeSpec(n_cells=10)
-    below = classify_pt_phase(
-        eigendecompose(build_real_space_hamiltonian(spec.with_gamma(1.99))), tol=1e-9
-    )
-    above = classify_pt_phase(
-        eigendecompose(build_real_space_hamiltonian(spec.with_gamma(2.01))), tol=1e-9
-    )
+    below = classify_pt_phase(eigendecompose(build_real_space_hamiltonian(spec.with_gamma(1.99))))
+    above = classify_pt_phase(eigendecompose(build_real_space_hamiltonian(spec.with_gamma(2.01))))
     assert below.n_broken == 0 and below.n_unbroken == 20
     assert above.n_broken == 20 and above.n_unbroken == 0
     assert all(l.phase is Phase.BROKEN for l in above.labels)
 
 
 def test_classify_phase_accepts_plain_arrays():
-    report = classify_pt_phase(np.array([1.0, 1 + 5e-10j, 1 + 2e-6j]), tol=1e-9)
+    # broken by the searches' rule: an imaginary part beyond IM_TOL = 1e-9
+    report = classify_pt_phase(np.array([1.0, 1 + 5e-10j, 1 + 2e-6j]))
     assert report.n_broken == 1 and report.n_unbroken == 2
-    with pytest.raises(ValueError):
-        classify_pt_phase(np.array([1.0]), tol=-1.0)
 
 
 @given(gamma=st.floats(0.0, 3.0, allow_nan=False), n=st.integers(2, 8))
@@ -544,8 +589,7 @@ def test_transitions_hidden_from_the_whole_spectrum_count_are_found():
 
 def test_bloch_ep_at_band_center_momentum():
     spec = LatticeSpec(n_cells=4)
-    bloch = lambda g: build_bloch_hamiltonian(spec.with_gamma(g), math.pi / 2)
-    points = locate_exceptional_points(bloch, (1.5, 2.5), coarse_steps=20)
+    points = locate_exceptional_points(bloch_pair(spec, math.pi / 2), (1.5, 2.5), coarse_steps=20)
     assert len(points) == 1
     assert abs(points[0].gamma_star - 2.0) < 1e-9
     assert abs(points[0].energy_star) < 1e-4
@@ -564,8 +608,9 @@ def test_gap_exponent_is_square_root():
 
 
 def test_synthetic_window_yields_merge_split_pair():
-    # eigenvalues +-sqrt((g-1)(g-2)): broken exactly inside (1, 2)
-    family = lambda g: np.array([[0.0, 1.0], [(g - 1.0) * (g - 2.0), 0.0]], dtype=complex)
+    # [[g - 1.5, 0.5i], [0.5i, 1.5 - g]] has eigenvalues +-sqrt((g - 1.5)^2 - 1/4)
+    # = +-sqrt((g - 1)(g - 2)): broken exactly inside (1, 2)
+    family = (np.array([[-1.5, 0.5j], [0.5j, 1.5]]), np.diag([1.0, -1.0]).astype(complex))
     points = locate_exceptional_points(family, (0.5, 2.5), coarse_steps=50)
     assert [p.kind for p in points] == [EpKind.MERGE, EpKind.SPLIT]
     assert abs(points[0].gamma_star - 1.0) < 1e-9
@@ -641,7 +686,7 @@ def test_refine_cost_on_a_closed_form_family(monkeypatch):
     # more solves, false position on D a handful.
     calls = counted_block_solves(monkeypatch)
     bracket_tol = spectral.BRACKET_TOL
-    family = lambda g: np.array([[1.0, g], [-g, -1.0]])
+    family = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]]))  # [[1, g], [-g, -1]]
     points = locate_exceptional_points(family, (0.3, 1.7), 7)
     assert [p.kind for p in points] == [EpKind.MERGE]
     p = points[0]
@@ -650,29 +695,22 @@ def test_refine_cost_on_a_closed_form_family(monkeypatch):
     assert len(calls) <= 16
 
 
-def two_pair_block(x_lower, x_upper):
-    """One 4x4 block holding the pairs -1 +- sqrt(x_lower(g)) and
-    1 +- sqrt(x_upper(g)); each is real where its x > 0 and broken where
-    x < 0."""
+def root_pair(centre, x0):
+    """The pair of ``[[centre, 1], [x0 - g, centre]]``, whose eigenvalues
+    centre +- sqrt(x0 - g) are real below g = x0 and broken above it."""
+    return np.array([[centre, 1.0], [x0, centre]]), np.array([[0.0, 0.0], [-1.0, 0.0]])
 
-    def block(g):
-        return np.array(
-            [
-                [-1.0, 1.0, 0.0, 0.0],
-                [x_lower(g), -1.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 1.0],
-                [0.0, 0.0, x_upper(g), 1.0],
-            ]
-        )
 
-    return block
+def two_pair_block(lower, upper):
+    """One 4x4 block holding the 2x2 pairs ``lower`` and ``upper``."""
+    return block_diag(lower[0], upper[0]), block_diag(lower[1], upper[1])
 
 
 def test_refine_separates_two_eps_inside_one_coarse_step():
     # both pairs break inside the step (0.9, 1.1), 1e-4 apart, so the
     # block's count changes by 4 across it: bisection splits the step
     # until each part holds one of them
-    family = two_pair_block(lambda g: 1.00003 - g, lambda g: 1.00013 - g)
+    family = two_pair_block(root_pair(-1.0, 1.00003), root_pair(1.0, 1.00013))
     bracket_tol = spectral.BRACKET_TOL
     points = locate_exceptional_points(family, (0.3, 1.7), 7)
     assert [(p.kind, p.n_broken_change) for p in points] == [(EpKind.MERGE, 2)] * 2
@@ -682,13 +720,13 @@ def test_refine_separates_two_eps_inside_one_coarse_step():
 
 
 def test_refine_splits_a_bracket_at_a_probe_that_matches_neither_end():
-    # Across the step (0.9, 1.1) the upper pair breaks at 0.95 and heals
-    # at 1.09, and the lower pair breaks at 0.98.  The count goes
-    # 0 -> 2 -> 4 -> 2, so the ends read 0 and 2.  The lower pair's x is
-    # 0.88 at 0.9 and -0.12 at 1.1, so the line through its D crosses zero
-    # at 1.076, and a probe there (or at the midpoint) reads 4.
-    lower = lambda g: (0.98 - g) * np.exp(12.0 * (1.1 - g))
-    family = two_pair_block(lower, lambda g: (g - 0.95) * (g - 1.09))
+    # Across the step (0.9, 1.1) the upper pair 1 +- sqrt((g - 1.02)^2 - 0.07^2)
+    # breaks at 0.95 and heals at 1.09, and the lower pair -1 +- sqrt(0.98 - g)
+    # breaks at 0.98.  The count goes 0 -> 2 -> 4 -> 2, so the ends read 0
+    # and 2.  Only the lower pair flips across the step, and its D = 4 (0.98 - g)
+    # is linear, so the false-position probe lands just past 0.98 and reads 4.
+    upper = (np.array([[-0.02, 0.07j], [0.07j, 2.02]]), np.diag([1.0, -1.0]))  # g - 0.02 and 2.02 - g
+    family = two_pair_block(root_pair(-1.0, 0.98), upper)
     bracket_tol = spectral.BRACKET_TOL
     points = locate_exceptional_points(family, (0.3, 1.7), 7)
     want = [(0.95, EpKind.MERGE), (0.98, EpKind.MERGE), (1.09, EpKind.SPLIT)]
@@ -704,20 +742,36 @@ def test_refine_bisects_where_false_position_stalls(monkeypatch):
     # the end it is smaller at, probe after probe; the broken count flips
     # where |1 - g|^7 reaches IM_TOL^2, at g = 1 + 2.7e-3.  Bisection
     # takes over after SLOW_STEPS such probes, which bounds the search
-    # by a few times the cost of bisection alone (8 + 31 solves).
+    # by a few times the cost of bisection alone (8 + 31 solves).  No
+    # affine family has such an EP, so this drives the count search's
+    # scan and refine directly, on the grid and bracket (0.9, 1.1) of a
+    # 7-step search of (0.3, 1.7).
+    def family(g):
+        blocks = np.zeros(np.shape(g) + (2, 2))
+        blocks[..., 0, 1], blocks[..., 1, 0] = 1.0, (1.0 - np.asarray(g)) ** 7
+        return (blocks,)
+
     calls = counted_block_solves(monkeypatch)
     bracket_tol = spectral.BRACKET_TOL
-    family = lambda g: np.array([[0.0, 1.0], [(1.0 - g) ** 7, 0.0]])
-    points = locate_exceptional_points(family, (0.3, 1.7), 7)
-    assert [p.kind for p in points] == [EpKind.MERGE]
-    p = points[0]
-    assert p.bracket_hi - p.bracket_lo <= bracket_tol
-    assert abs(p.gamma_star - (1.0 + 1e-18 ** (1 / 7))) < 1e-9
+    solved, brackets = spectral._scan_and_refine(
+        family,
+        np.linspace(0.3, 1.7, 8),
+        spectral._stack_eigvals,
+        spectral._block_eigvals,
+        spectral._broken_count,
+        spectral._pair_discriminants,
+        bracket_tol,
+    )
+    [(k, a, b)] = brackets
+    assert 0.9 <= a < b <= 1.1 and b - a <= bracket_tol
+    assert spectral._broken_count(solved[k][b]) - spectral._broken_count(solved[k][a]) == 2  # a merge
+    assert abs(0.5 * (a + b) - (1.0 + 1e-18 ** (1 / 7))) < 1e-9
     assert len(calls) <= 8 + 3 * 31
 
 
 def test_avoided_crossing_is_not_an_ep():
-    family = lambda g: np.array([[g - 1.0, 0.05], [0.05, 1.0 - g]], dtype=complex)
+    # [[g - 1, 0.05], [0.05, 1 - g]]
+    family = (np.array([[-1.0, 0.05], [0.05, 1.0]], dtype=complex), np.diag([1.0, -1.0]))
     assert locate_exceptional_points(family, (0.0, 2.0), coarse_steps=100) == []
 
 
@@ -809,7 +863,7 @@ def twisted_det_signs(n_cells, gammas):
 
 def test_zero_energy_ep_on_dimer_family(monkeypatch):
     calls = counted_slogdets(monkeypatch)
-    points = locate_zero_energy_eps(pt_dimer, (1.5, 2.5), scan_steps=60)
+    points = locate_zero_energy_eps(pair_of(pt_dimer), (1.5, 2.5), scan_steps=60)
     assert len(points) == 1
     p = points[0]
     assert p.kind is EpKind.MERGE
@@ -863,7 +917,7 @@ def test_zero_energy_eps_match_a_transfer_matrix_oracle(n_cells):
 
 
 def test_zero_energy_scan_ignores_plain_band_crossing():
-    family = lambda g: np.diag([g - 1.0, 5.0]).astype(complex)
+    family = (np.diag([-1.0, 5.0]).astype(complex), np.diag([1.0, 0.0]))  # diag(g - 1, 5)
     assert locate_zero_energy_eps(family, (0.5, 1.5), scan_steps=60) == []
 
 
@@ -900,20 +954,21 @@ def test_zero_energy_sign_changes_that_cancel_in_det_h_are_found():
 
 
 def test_zero_energy_scan_needs_a_zero_not_just_a_real_part_sign_change():
-    family = lambda g: np.diag([np.exp(1j * g), 1.0])
-    assert np.cos(1.0) > 0 > np.cos(2.0)  # Re det H = cos(g) flips at pi/2
+    family = (np.diag([1.5 + 1j, 1.0]), np.diag([-1.0, 0.0]))  # diag(1.5 - g + i, 1)
+    # Re det H = 1.5 - g flips at 1.5, where |det H| >= 1
     assert locate_zero_energy_eps(family, (1.0, 2.0), scan_steps=60) == []
 
 
 def test_zero_energy_scan_rejects_a_coalescence_away_from_zero(monkeypatch):
-    # a PT dimer shifted to E = 0.5 merges at g = 2, where the phase of a
-    # third level turns Re det H through zero while |det H| = 0.25
+    # a PT dimer shifted to E = 0.5 merges at g = 2, where a third level
+    # 2 - g + i turns Re det H through zero while |det H| = 0.25
     def family(g):
         h = np.zeros((3, 3), dtype=complex)
         h[:2, :2] = pt_dimer(g) + 0.5 * np.eye(2)
-        h[2, 2] = 1j * np.exp(1j * (g - 2.0))
+        h[2, 2] = 2.0 - g + 1j
         return h
 
+    family = pair_of(family)
     records = []
     build = spectral._pair_record
     monkeypatch.setattr(spectral, "_pair_record", lambda *a, **k: records.append(1) or build(*a, **k))

@@ -205,6 +205,30 @@ def test_pivot_inverse_flags():
     assert bad.tolist() == [True, True, True, True, False]
 
 
+def test_pivot_inverse_flags_a_det_that_overflows_or_is_nan():
+    # finite, well-conditioned entries whose det overflows, infinite
+    # entries, and NaNs: the guard has no finite-det clause, and the
+    # condition clause and the size clause flag every one of them
+    blocks = np.array(
+        [
+            [[1e200, 0.0], [0.0, 1e200]],  # det = +inf
+            [[1e160, 1e160], [1e160, -1e160]],  # det = -inf, condition 2
+            [[1e200, 0.0], [0.0, 1e200j]],  # det = inf * i
+            [[1e200, 1e200], [1e200, 1e200]],  # det = inf - inf = NaN
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[0.0, np.inf], [np.inf, 0.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.nan, 0.0], [0.0, np.nan]],
+        ],
+        dtype=complex,
+    )
+    a, b, d = _symmetric_entries(blocks)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(a * d - b * b).any()
+    _, bad = _pivot_inverse(a, b, d)
+    assert bad.all()
+
+
 def test_symmetric_guard_decides_as_the_four_entry_guard():
     # [[1, 1], [1, 1 + eps]] has condition (2 + eps)^2 / eps, which crosses
     # COND_LIMIT near eps = 4e-12; the phases, the scales and the tiny,
