@@ -57,14 +57,15 @@ gamma* and the sweeps still solve both blocks.  The twisted ladder and
 odd N, whose chiral operator maps each block onto itself, and the
 Moebius ring, which has none, solve both blocks everywhere.
 
-Every gamma grid is solved in stacks: the scan of both EP searches and
-the sweeps build each block at a chunk of gammas at once and solve it
-with one ``eigvals``, ``eig`` or ``slogdet`` call, with at most
-``STACK_BYTES`` of matrices in each call.  numpy loops over a stack
-within that one call, so each matrix's result is bit-identical to a
-solve of that matrix alone (``eigendecompose``, which is a stack of
-one), and only numpy's per-call overhead goes.  The refine probes and
-the eigenvector solves of EP records stay one matrix per call.
+Every gamma grid is solved in stacks: the scan of the count search, the
+broken counts of the zero-energy search and the sweeps build each block
+at a chunk of gammas at once and solve it with one ``eigvals`` or
+``eig`` call, with at most ``STACK_BYTES`` of matrices in each call.
+numpy loops over a stack within that one call, so each matrix's result
+is bit-identical to a solve of that matrix alone (``eigendecompose``,
+which is a stack of one), and only numpy's per-call overhead goes.  The
+refine probes and the eigenvector solves of EP records stay one matrix
+per call.
 """
 
 from __future__ import annotations
@@ -585,55 +586,43 @@ def _pair_discriminants(at_a: np.ndarray, at_b: np.ndarray) -> tuple[float, floa
 SLOW_STEPS = 3
 
 
-def _scan_and_refine(
-    family: Callable,
-    grid: np.ndarray,
-    scan: Callable[[np.ndarray], Sequence],
-    solve: Callable[[np.ndarray], object],
-    label: Callable[[object], object],
-    signed: Callable[[object, object], tuple[float, float] | None],
-    width: float,
-) -> tuple[list[dict], list[tuple[int, float, float]]]:
-    """Bracket every change of each block's label, on that block alone.
+def _scan_and_refine(family: Callable, grid: np.ndarray) -> tuple[list[dict], list[tuple[int, float, float]]]:
+    """Bracket every change of each block's broken count, on that block alone.
 
     ``family(g)`` gives the blocks at gamma g, and at an array of gammas
     each block's stack over them.  The scan solves every block once per
-    grid point, in ``_stacked`` chunks: ``scan(stack)`` gives one result
-    per matrix of a stack, in one LAPACK call, each the result that
-    ``solve`` gives for its matrix alone.  ``label`` maps a result to
-    the block's label there, or to None where it carries none, and such
-    grid points are skipped.  Each
-    interval between consecutive labelled grid points of one block whose
-    labels differ is refined with one ``solve`` of that block per probe,
-    keeping every part whose end labels differ, until it is at most
-    ``width`` wide or a and b are adjacent doubles.  A probe m without a
-    label ends its bracket as (m, m).
+    grid point, in ``_stacked`` chunks of one LAPACK call each, every row
+    bit-identical to a solve of its matrix alone.  Each interval between
+    consecutive grid points of one block whose broken counts differ is
+    refined with one solve of that block per probe, keeping every part
+    whose end counts differ, until it is at most ``BRACKET_TOL`` wide or
+    a and b are adjacent doubles.
 
-    Labels alone decide which part stays.  ``signed(result_a, result_b)``
-    only places the next probe: it gives a smooth function at the two
-    ends, or None where there is none, and where its values have
-    opposite signs the probe goes where the line through them crosses
-    zero (Illinois false position: an end kept twice in a row has its
-    value halved), moved a quarter of ``width`` toward the farther end.
-    The probe bisects instead where ``signed`` gives no opposite signs,
-    where the line's zero does not fall strictly inside the bracket, and
-    once ``SLOW_STEPS`` false-position probes in a row have not halved
-    the bracket.  A probe whose label matches neither end splits the
-    bracket in two, and each part starts afresh.
+    Counts alone decide which part stays.  The discriminants of the one
+    pair that flips across the bracket (``_pair_discriminants``) only
+    place the next probe: where they have opposite signs the probe goes
+    where the line through them crosses zero (Illinois false position:
+    an end kept twice in a row has its value halved), moved a quarter of
+    ``BRACKET_TOL`` toward the farther end.  The probe bisects instead
+    where no single pair flips, where the line's zero does not fall
+    strictly inside the bracket, and once ``SLOW_STEPS`` false-position
+    probes in a row have not halved the bracket.  A probe whose count
+    matches neither end splits the bracket in two, and each part starts
+    afresh.
 
     Returns ``(solved, brackets)``: ``solved[k]`` maps every gamma at
-    which block k was solved to its result, and each bracket is
-    ``(k, a, b)``.
+    which block k was solved to its sorted eigenvalues, and each bracket
+    is ``(k, a, b)``.
     """
     solved = None
     for chunk, stacks in _stacked(family, grid):
         solved = solved or [{} for _ in stacks]
         for at, stack in zip(solved, stacks):
-            at.update(zip(chunk, scan(stack)))
+            at.update(zip(chunk, _stack_eigvals(stack)))
     work = []
-    for k, results in enumerate(solved):
-        labelled = [(g, lab) for g, r in results.items() if (lab := label(r)) is not None]
-        work += [(k, a, b) for (a, la), (b, lb) in zip(labelled, labelled[1:]) if la != lb]
+    for k, at in enumerate(solved):
+        counts = [(g, _broken_count(values)) for g, values in at.items()]
+        work += [(k, a, b) for (a, ca), (b, cb) in zip(counts, counts[1:]) if ca != cb]
 
     brackets = []
     while work:
@@ -644,11 +633,11 @@ def _scan_and_refine(
         slow, start = 0, b - a
         while True:
             mid = 0.5 * (a + b)
-            if b - a <= width or not a < mid < b:
+            if b - a <= BRACKET_TOL or not a < mid < b:
                 brackets.append((k, a, b))
                 break
             m = mid
-            ends = signed(at[a], at[b]) if slow < SLOW_STEPS else None
+            ends = _pair_discriminants(at[a], at[b]) if slow < SLOW_STEPS else None
             if ends is not None:
                 fa, fb = weight_a * ends[0], weight_b * ends[1]
                 if fa * fb < 0:
@@ -657,15 +646,12 @@ def _scan_and_refine(
                     # with both ends clear of the EP, where rounding can
                     # set the count either way
                     x = a + (b - a) * (fa / (fa - fb))
-                    x += 0.25 * width if x - a < b - x else -0.25 * width
+                    x += 0.25 * BRACKET_TOL if x - a < b - x else -0.25 * BRACKET_TOL
                     if a < x < b:
                         m = x
-            at[m] = solve(family(m)[k])
-            label_m = label(at[m])
-            if label_m is None:
-                brackets.append((k, m, m))
-                break
-            below, above = label_m != label(at[a]), label_m != label(at[b])
+            at[m] = _block_eigvals(family(m)[k])
+            count_m = _broken_count(at[m])
+            below, above = count_m != _broken_count(at[a]), count_m != _broken_count(at[b])
             if below and above:
                 work.append((k, m, b))
             if below:  # b moves to m, a stays
@@ -687,23 +673,19 @@ def _scan_and_refine(
     return solved, brackets
 
 
-def _search_grid(family, gamma_range, steps: int, least: int, name: str) -> tuple:
-    """The block builder, eigenvector bases, scanned builder
-    (``_family_for``) and grid of an EP search.
+def _search_family(family, gamma_range) -> tuple:
+    """The block builder, eigenvector bases and scanned builder
+    (``_family_for``) of an EP search, and the ends of its range.
 
     Both searches rest on PT symmetry, which a spec with delta != 0 does
-    not have.  The grid splits ``gamma_range`` into ``steps`` intervals;
-    ``name`` is the caller's parameter for ``steps``, which must be at
-    least ``least``.
+    not have.
     """
     if isinstance(family, LatticeSpec) and family.delta != 0.0:
         raise ValueError(f"EP searches need a PT-symmetric lattice (delta = 0), got delta = {family.delta}")
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
         raise ValueError(f"empty gamma range ({lo}, {hi})")
-    if steps < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return (*_family_for(family), np.linspace(lo, hi, steps + 1))
+    return (*_family_for(family), lo, hi)
 
 
 def locate_exceptional_points(
@@ -764,10 +746,10 @@ def locate_exceptional_points(
     does a pair that is not two square matrices of one shape; any other
     family, a callable included, raises ``TypeError``.
     """
-    blocks, bases, scanned, grid = _search_grid(spec, gamma_range, coarse_steps, 1, "coarse_steps")
-    solved, brackets = _scan_and_refine(
-        scanned, grid, _stack_eigvals, _block_eigvals, _broken_count, _pair_discriminants, BRACKET_TOL
-    )
+    if coarse_steps < 1:
+        raise ValueError("coarse_steps must be at least 1")
+    blocks, bases, scanned, lo, hi = _search_family(spec, gamma_range)
+    solved, brackets = _scan_and_refine(scanned, np.linspace(lo, hi, coarse_steps + 1))
 
     def spectrum(g: float) -> np.ndarray:
         # a bracket end is solved for its own block; the others are solved here
@@ -877,9 +859,14 @@ def _pair_record(mid: Spectrum, target: complex, **fields) -> ExceptionalPoint:
     )
 
 
-# A det sign change is a zero-energy EP only if the midpoint of its
-# block's two eigenvalues nearest 0 is within this of 0.
+# A zero of a block's determinant is a zero-energy EP only if the midpoint
+# of its block's two eigenvalues nearest 0 is within this of 0.
 ZERO_ENERGY_TOL = 1e-6
+# A root gamma of a block's pencil is real when its imaginary part is at
+# most this times the size of the range's ends.  A simple real root comes
+# out within about 1e-14 of the real axis, or on it, and a double root
+# that rounding splits into a conjugate pair about 1e-8 off it.
+REAL_ROOT_TOL = 1e-10
 
 
 def locate_zero_energy_eps(
@@ -890,118 +877,127 @@ def locate_zero_energy_eps(
     """Exceptional points pinned at E = 0: a real +-E pair merging at zero.
 
     Spectra with the E -> -conj(E) symmetry (bipartite ladders with
-    balanced gain/loss) coalesce symmetric real pairs exactly at E = 0.
-    At delta = 0 these ladders are PT-symmetric, so the spectrum is also
-    closed under conjugation and det H, the product of the eigenvalues,
-    is real.  A real pair (E, -E) contributes -E**2 < 0 to it and the
-    pair (iy, -iy) it turns into contributes +y**2 > 0, so a zero-energy
-    coalescence is a sign change of det H.
+    balanced gain/loss) coalesce symmetric real pairs exactly at E = 0,
+    where det H vanishes.  det H is the product of the determinants of
+    the diagonal blocks (the mirror sectors of a spec, real at delta = 0;
+    a pair ``(h0, slope)``, such as the Bloch block
+    ``(B(0), B(1) - B(0))``, is the one block ``h0 + g * slope``), so a
+    zero-energy coalescence is a real root of one block's determinant.
+    Each block is affine in gamma, ``b(g) = A + g * B``, so its roots are
+    the eigenvalues of one pencil, all found by one eigensolve per block
+    (``_pencil_roots``).  Near a zero-energy EP, ``E = +-c sqrt(gamma* -
+    gamma)``, so det b is linear in ``gamma* - gamma`` and gamma* is a
+    simple, well-conditioned root.  On a ring or open ladder of even N
+    (``lattice.chiral_swap``) the odd block is ``-S even S^dagger`` with
+    N rows, so its determinant is the even block's: only the even block's
+    pencil is solved, and each of its records stands for both blocks, as
+    two equal records.
 
-    det H is the product of the determinants of the diagonal blocks (the
-    mirror sectors of a spec, real at delta = 0; a pair ``(h0, slope)``,
-    such as the Bloch block ``(B(0), B(1) - B(0))``, is the one block
-    ``h0 + g * slope``), and a zero-energy coalescence is a zero of one
-    of them.  On a ring or open ladder of even N (``lattice.chiral_swap``) the odd block
-    is ``-S even S^dagger`` with N rows, so its determinant is the even
-    block's: only the even block is scanned and refined, and each of its
-    records stands for both blocks, as two equal records.  This scans the
-    sign of ``Re det`` of each block on ``scan_steps`` intervals (one
-    ``slogdet`` call per block on each chunk of grid points, which LU
-    factorises every matrix of the stack) and refines every sign change
-    on that block alone, one ``slogdet`` per probe, down to adjacent
-    doubles.  Probes go by
-    Illinois false position on ``Re det`` of the block, which the
-    ``slogdet`` gives as its sign times ``exp(log |det|)``; the sign at
-    each probe decides which part stays.  That takes about 12 probes
-    per sign change where bisection takes about 44.  A coalescence is
-    found when its own block's det sign differs across a coarse interval,
-    even where another block's sign change in the same interval leaves
-    the sign of det H unchanged.  Grid points where a block's
-    determinant vanishes exactly carry no sign for that block and are
-    skipped.
-
-    Two filters then remain.  The block's broken count, by the rule of
+    Every real root strictly inside ``gamma_range`` then passes two
+    filters.  The block's broken count, by the rule of
     ``locate_exceptional_points`` (``IM_TOL``), must differ between
-    gamma* - 1e-7 and gamma* + 1e-7 (one stack of the two matrices);
-    the difference is the record's
-    ``n_broken_change`` and its sign the kind.  That discards an ordinary
-    band crossing (a real eigenvalue passing through zero and staying
-    real), and the real part of a complex determinant changing sign with
-    no coalescence at all (``diag(1.5 - g + i, 1)`` at g = 1.5, for a
-    family without the E -> -conj(E) symmetry).  And the midpoint of
-    the block's two eigenvalues nearest zero at gamma* must be within
-    ``ZERO_ENERGY_TOL`` of 0, which discards a coalescence elsewhere
-    that meets such a sign change.  That block is solved once at gamma*,
-    with eigenvectors, and the record reuses the solve; the other
-    blocks' eigenvectors are solved only for a kept record.
-    Zeros that do not change a block's sign, and pairs of sign changes of
-    one block inside one scan step, are invisible at the chosen
-    resolution; pass a finer ``scan_steps`` to resolve them.  The
-    record's eigenvectors are lifted to the site basis of H.  No branch
-    matching runs, so scipy is not loaded.  A detuned spec (delta != 0)
-    is not PT-symmetric and raises ``ValueError``, other families that
-    are not a spec or a pair raise as in ``locate_exceptional_points``,
-    and a non-finite matrix raises ``EigensolverError``.
+    gamma* - 1e-7 and gamma* + 1e-7, the record's ``bracket_lo`` and
+    ``bracket_hi``; the difference is its ``n_broken_change`` and its sign
+    the kind.  These counts come from one stack per block over all its
+    roots, in ``_stacked`` chunks.  That discards an ordinary band
+    crossing (a real eigenvalue passing through zero and staying real)
+    and the twisted ladder's zero mode at gamma = 0, which breaks on both
+    sides.  And the midpoint of the block's two eigenvalues nearest zero
+    at gamma* must be within ``ZERO_ENERGY_TOL`` of 0, which discards a
+    coalescence elsewhere that meets such a root.  That block is solved
+    once at gamma*, with eigenvectors, and the record reuses the solve;
+    the other blocks' eigenvectors are solved only for a kept record.
+    The record's eigenvectors are lifted to the site basis of H.
+
+    No grid is scanned: the pencil sees every root, including pairs of
+    sign changes closer than any grid step.  ``scan_steps`` is kept for
+    callers that pass it and changes no result.  No branch matching
+    runs, so scipy is not loaded.  A detuned spec (delta != 0) is not
+    PT-symmetric and raises ``ValueError``, other families that are not
+    a spec or a pair raise as in ``locate_exceptional_points``, and a
+    non-finite matrix or a block whose determinant vanishes for every
+    gamma raises ``EigensolverError``.
     """
-    blocks, bases, scanned, grid = _search_grid(spec, gamma_range, scan_steps, 2, "scan_steps")
-    # an exact zero of a block's determinant carries no sign
-    label = lambda det: float(np.sign(det[0])) or None
-    _, brackets = _scan_and_refine(scanned, grid, _slogdets, _slogdet, label, _scaled_dets, 0.0)
-    # the odd block of a chiral swap brackets the even block's sign changes
+    blocks, bases, scanned, lo, hi = _search_family(spec, gamma_range)
+    # the odd block of a chiral swap has the even block's roots
     copies = 1 if scanned is blocks else 2
 
+    found = []
+    for k, (h0, slope) in enumerate(zip(*scanned.args)):
+        roots = _pencil_roots(h0, slope, lo, hi)
+        block = partial(_affine_blocks, (h0,), (slope,))
+        # the broken counts at gamma* -+ 1e-7, from one stack per chunk
+        probes = np.column_stack((roots - 1e-7, roots + 1e-7)).ravel()
+        counts = [_broken_count(v) for _, (stack,) in _stacked(block, probes) for v in _stack_eigvals(stack)]
+        found += [(g, k, before, after) for g, before, after in zip(roots, counts[::2], counts[1::2])]
+
     points = []
-    for gamma_star, k in sorted((0.5 * (a + b), k) for k, a, b in brackets):
-        # gamma_star is refined to adjacent doubles, so a 1e-7 probe lands
-        # cleanly on either side of the coalescence
-        lo, hi = gamma_star - 1e-7, gamma_star + 1e-7
-        before, after = map(_broken_count, _stack_eigvals(scanned(np.array([lo, hi]))[k]))
+    with_vectors = partial(eigendecompose, want_vectors=True)
+    for gamma_star, k, before, after in sorted(found):
         if before == after:
             continue  # plain zero crossing, not a coalescence
-        own = eigendecompose(scanned(gamma_star)[k], want_vectors=True)
+        own = with_vectors(scanned(gamma_star)[k])
         values = own.eigenvalues
         if abs(values[np.argsort(np.abs(values))[:2]].mean()) > ZERO_ENERGY_TOL:
             continue  # a coalescence away from zero: no other block is solved for it
-        parts = [
-            own if j == k else eigendecompose(b, want_vectors=True)
-            for j, b in enumerate(blocks(gamma_star))
-        ]
+        parts = [own if j == k else with_vectors(b) for j, b in enumerate(blocks(gamma_star))]
         record = _pair_record(
             _lifted(parts, bases, gamma_star),
             0.0,
             gamma_star=gamma_star,
             kind=EpKind.MERGE if after > before else EpKind.SPLIT,
-            bracket_lo=lo,
-            bracket_hi=hi,
+            bracket_lo=gamma_star - 1e-7,
+            bracket_hi=gamma_star + 1e-7,
             n_broken_change=after - before,
         )
         points += [record] * copies
     return points
 
 
-def _slogdets(stack: np.ndarray) -> list[tuple[float, float]]:
-    """Re det of every matrix of a stack as ``(Re sign, log |det|)``: the
-    sign of its phase, and its size on a log scale that cannot overflow.
+def _pencil_roots(h0: np.ndarray, slope: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The real gamma strictly inside (lo, hi) where det(h0 + gamma * slope)
+    vanishes, ascending, from one eigensolve.
 
-    One LAPACK call, each pair bit-identical to its matrix's alone.
-    numpy's ``slogdet`` does not check its input, so a matrix with a
-    non-finite entry raises ``EigensolverError`` here, as in ``eigvals``.
+    Where ``slope`` is a multiple of a unitary matrix, as every ladder's
+    is (the on-site +-i/2), the roots are the eigenvalues of
+    ``-solve(slope, h0)``, and that solve loses no accuracy.  The slope of
+    a spec's real block is 1/2 times a signed permutation, so the solve is
+    exact and real dgeev gives real roots an imaginary part of exactly 0,
+    bit for bit the same for any number of BLAS threads (an LU solve of a
+    dense matrix and complex zgeev are not, at 100 rows).  Any other slope,
+    a singular one included (``diag(g - 1, 5)`` has one), goes through the
+    pencil shifted to ``sigma = mid + i * width / 2`` of the range:
+    ``det(h0 + g * slope) = 0`` exactly where ``lam = -1 / (g - sigma)`` is
+    an eigenvalue of ``solve(h0 + sigma * slope, slope)``, so the roots are
+    ``sigma - 1 / lam`` for every ``lam != 0`` (``lam = 0`` is a root at
+    infinity).  ``h0 + sigma * slope`` is singular only at a root at the
+    complex sigma, as it is for a pencil whose determinant vanishes for
+    every gamma; that raises ``EigensolverError``, and so does a
+    non-finite matrix.  A root is real where its imaginary part is at most
+    ``REAL_ROOT_TOL`` times the larger of ``|lo|`` and ``|hi|``.  The
+    eigensolve is ``eigendecompose``'s, so it raises as that does, and
+    numpy alone solves it: scipy is not loaded.
     """
-    if not np.isfinite(stack).all():
-        n = stack.shape[-1]
-        raise EigensolverError(f"{n}x{n} matrix has non-finite entries; no determinant sign")
-    sign, logabs = np.linalg.slogdet(stack)
-    return list(zip(sign.real.tolist(), logabs.tolist()))
-
-
-def _slogdet(block: np.ndarray) -> tuple[float, float]:
-    return _slogdets(block[None])[0]
-
-
-def _scaled_dets(at_a: tuple[float, float], at_b: tuple[float, float]) -> tuple[float, float]:
-    """Re det at two bracket ends, both divided by the larger ``|det|``."""
-    top = max(at_a[1], at_b[1])
-    return at_a[0] * math.exp(at_a[1] - top), at_b[0] * math.exp(at_b[1] - top)
+    n = h0.shape[0]
+    if not (np.isfinite(h0).all() and np.isfinite(slope).all()):
+        raise EigensolverError(f"{n}x{n} pencil h0 + g * slope has non-finite entries")
+    gram = slope @ slope.conj().T
+    scale = gram[0, 0].real
+    if scale > 0 and np.allclose(gram, scale * np.eye(n), rtol=0.0, atol=1e-12 * scale):
+        roots = eigendecompose(-np.linalg.solve(slope, h0)).eigenvalues
+    else:
+        sigma = 0.5 * (lo + hi) + 0.5j * (hi - lo)
+        try:
+            shifted = np.linalg.solve(h0 + sigma * slope, slope)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(
+                f"{n}x{n} pencil h0 + g * slope is singular at the shift g = {sigma}, "
+                f"as it is where its determinant vanishes for every g: {exc}"
+            ) from exc
+        lam = eigendecompose(shifted).eigenvalues
+        roots = sigma - 1.0 / lam[lam != 0]
+    real = np.abs(roots.imag) <= REAL_ROOT_TOL * max(abs(lo), abs(hi))
+    return np.sort(roots.real[real & (lo < roots.real) & (roots.real < hi)])
 
 
 @dataclass(frozen=True)

@@ -195,24 +195,19 @@ def stacks_of_four(monkeypatch, spec) -> None:
 @pytest.mark.parametrize("spec", STACK_SPECS, ids=repr)
 def test_stacked_scans_match_per_point_solves(spec, extra, monkeypatch):
     # grids one point shorter than a chunk, exactly one chunk, and one
-    # point longer; no label changes, so the scan is all that runs
+    # point longer; no count changes, so the scan is all that runs
     stacks_of_four(monkeypatch, spec)
     grid = np.linspace(0.1, 2.9, 5 + extra)
     scanned = _family_for(spec)[2]
     chunks = [chunk.size for chunk, _ in spectral._stacked(scanned, grid)]
     assert chunks == {-1: [1, 3], 0: [1, 4], 1: [1, 4, 1]}[extra]
-    same = lambda result: 0
-    values, _ = spectral._scan_and_refine(
-        scanned, grid, spectral._stack_eigvals, spectral._block_eigvals, same, None, 0.0
-    )
-    dets, _ = spectral._scan_and_refine(scanned, grid, spectral._slogdets, spectral._slogdet, same, None, 0.0)
+    monkeypatch.setattr(spectral, "_broken_count", lambda values: 0)
+    values, brackets = spectral._scan_and_refine(scanned, grid)
     kept = 1 if chiral_swap(spec) is not None else 2
-    assert len(values) == len(dets) == kept
+    assert len(values) == kept and brackets == []
     for g in grid:
         for k, block in enumerate(sector_blocks(spec.with_gamma(g))[:kept]):
             assert values[k][g].tobytes() == eigendecompose(block).eigenvalues.tobytes()
-            sign, logabs = np.linalg.slogdet(block)
-            assert repr(dets[k][g]) == repr((float(sign.real), float(logabs)))
 
 
 def column_moduli(vectors: np.ndarray, gamma: float) -> np.ndarray:
@@ -649,13 +644,12 @@ def counted_eigensolves(monkeypatch) -> list:
     return counted_solves(monkeypatch, vectors=True)
 
 
-def counted_slogdets(monkeypatch) -> list:
-    """One entry per matrix that ``np.linalg.slogdet`` factorises."""
+def counted_pencils(monkeypatch) -> list:
+    """The size of every block whose pencil ``spectral`` solves, one
+    eigensolve each."""
     calls = []
-    slogdet = np.linalg.slogdet
-    monkeypatch.setattr(
-        np.linalg, "slogdet", lambda a: calls.extend([1] * math.prod(np.shape(a)[:-2])) or slogdet(a)
-    )
+    roots = spectral._pencil_roots
+    monkeypatch.setattr(spectral, "_pencil_roots", lambda h0, *rest: calls.append(len(h0)) or roots(h0, *rest))
     return calls
 
 
@@ -671,12 +665,16 @@ def test_even_ring_search_solves_one_mirror_block(monkeypatch):
 
 
 def test_even_ring_zero_energy_scan_solves_one_mirror_block(monkeypatch):
-    # det(odd) = det(even) for the N x N blocks of an even N, so the scan
-    # and the refine factor the even block alone; both blocks take 1214
-    calls = counted_slogdets(monkeypatch)
+    # det(odd) = det(even) for the N x N blocks of an even N, so the search
+    # solves the pencil of the even block alone; a twisted ladder has no
+    # chiral swap and solves both
+    calls = counted_pencils(monkeypatch)
     points = locate_zero_energy_eps(LatticeSpec(n_cells=20), (0.0, 3.0), 601)
     assert points and all(abs(p.gamma_star - 2.0) < 1e-9 for p in points)
-    assert len(calls) <= 1214 // 2
+    assert calls == [20]
+    calls.clear()
+    assert locate_zero_energy_eps(LatticeSpec(n_cells=20, topology=BoundaryTopology.TWISTED_OPEN), (0.0, 2.0))
+    assert calls == [20, 20]
 
 
 def test_refine_cost_on_a_closed_form_family(monkeypatch):
@@ -753,15 +751,7 @@ def test_refine_bisects_where_false_position_stalls(monkeypatch):
 
     calls = counted_block_solves(monkeypatch)
     bracket_tol = spectral.BRACKET_TOL
-    solved, brackets = spectral._scan_and_refine(
-        family,
-        np.linspace(0.3, 1.7, 8),
-        spectral._stack_eigvals,
-        spectral._block_eigvals,
-        spectral._broken_count,
-        spectral._pair_discriminants,
-        bracket_tol,
-    )
+    solved, brackets = spectral._scan_and_refine(family, np.linspace(0.3, 1.7, 8))
     [(k, a, b)] = brackets
     assert 0.9 <= a < b <= 1.1 and b - a <= bracket_tol
     assert spectral._broken_count(solved[k][b]) - spectral._broken_count(solved[k][a]) == 2  # a merge
@@ -862,7 +852,7 @@ def twisted_det_signs(n_cells, gammas):
 
 
 def test_zero_energy_ep_on_dimer_family(monkeypatch):
-    calls = counted_slogdets(monkeypatch)
+    calls = counted_pencils(monkeypatch)
     points = locate_zero_energy_eps(pair_of(pt_dimer), (1.5, 2.5), scan_steps=60)
     assert len(points) == 1
     p = points[0]
@@ -870,9 +860,8 @@ def test_zero_energy_ep_on_dimer_family(monkeypatch):
     assert abs(p.gamma_star - 2.0) < 1e-8
     assert abs(p.energy_star) < 1e-8
     assert p.self_orthogonality < 1e-4
-    # 61 scan points, then false position on Re det = gamma^2 / 4 - 1
-    # down to adjacent doubles; bisection takes about 45 probes for that
-    assert len(calls) <= 61 + 8
+    # the roots of det = gamma^2 / 4 - 1 from one pencil eigensolve
+    assert calls == [2]
 
 
 def transfer_det_at_zero_energy(n_cells, gamma):
@@ -1001,3 +990,98 @@ def test_zero_energy_eps_agree_with_the_count_search():
             want.n_broken_change,
         )
         assert abs(got.gamma_star - want.gamma_star) <= 1e-8
+
+
+def transfer_det_signs(n_cells, gammas):
+    """Sign of ``transfer_det_at_zero_energy`` at every gamma of an array:
+    the same products of 4x4 transfer matrices, taken for all gammas at
+    once.  It is det H(E = 0) up to a factor that does not depend on
+    gamma, so its sign changes are those of det H."""
+    gammas = np.asarray(gammas, dtype=float)
+    h0 = np.zeros((gammas.size, 2, 2), dtype=complex)
+    h0[:, 0, 0], h0[:, 1, 1] = 0.5j * gammas, -0.5j * gammas
+    h0[:, 0, 1] = h0[:, 1, 0] = -1.0
+    straight, crossed = -np.eye(2), -np.array([[0.0, 1.0], [1.0, 0.0]])
+    product = np.broadcast_to(np.eye(4, dtype=complex), (gammas.size, 4, 4))
+    back = np.zeros((2, 2))
+    for n in range(1, n_cells + 1):
+        bond = crossed if n == n_cells // 2 else straight
+        forward = np.linalg.inv(bond) if n < n_cells else np.eye(2)
+        step = np.zeros((gammas.size, 4, 4), dtype=complex)
+        step[:, :2, :2] = -forward @ h0
+        step[:, :2, 2:] = -forward @ back
+        step[:, 2:, :2] = np.eye(2)
+        product = step @ product
+        back = bond.T
+    return np.sign(np.linalg.det(product[:, :2, :2]).real)
+
+
+@pytest.mark.parametrize("n_cells", [20, 40, 100])
+def test_zero_energy_eps_are_the_sign_changes_of_a_fine_det_scan(n_cells):
+    # one record in every step of a 20001-point grid where det H changes
+    # sign, and none elsewhere: the tolerance that decides which pencil
+    # roots are real drops no transition.  The real blocks of a spec give
+    # real roots an imaginary part of exactly 0.  The complex dense pair
+    # gives them one near rounding, and keeps them all too; with its first
+    # row tripled (the same roots, a slope no longer a multiple of a
+    # unitary matrix) it goes through the shifted pencil.
+    twisted = LatticeSpec(n_cells=n_cells, topology=BoundaryTopology.TWISTED_OPEN)
+    grid = np.linspace(0.0, 2.0, 20001)
+    sample = grid[::500]
+    np.testing.assert_array_equal(
+        transfer_det_signs(n_cells, sample), [np.sign(transfer_det_at_zero_energy(n_cells, g)) for g in sample]
+    )
+    signs = transfer_det_signs(n_cells, grid)
+    kept = np.nonzero(signs)[0]
+    changes = kept[1:][signs[kept[1:]] != signs[kept[:-1]]]
+    stars = [p.gamma_star for p in locate_zero_energy_eps(twisted, (0.0, 2.0))]
+    assert len(stars) == changes.size > 0
+    # each star lies in the step that ends at its sign change
+    np.testing.assert_array_equal(np.searchsorted(grid, stars), changes)
+    h0, slope = dense_pair(twisted)
+    tripled = np.diag([3.0] + [1.0] * (len(h0) - 1))
+    for pair in ((h0, slope), (tripled @ h0, tripled @ slope)):
+        roots = spectral._pencil_roots(*pair, 0.0, 2.0)
+        assert set(changes) <= set(np.searchsorted(grid, roots))
+
+
+def test_zero_energy_records_do_not_depend_on_scan_steps():
+    twisted = LatticeSpec(n_cells=100, topology=BoundaryTopology.TWISTED_OPEN)
+    coarse = locate_zero_energy_eps(twisted, (0.0, 2.0), 2)
+    assert len(coarse) == 33
+    assert repr(coarse) == repr(locate_zero_energy_eps(twisted, (0.0, 2.0), 601))
+
+
+@pytest.mark.parametrize(
+    "n_cells, topology",
+    [(n, BoundaryTopology.CIRCULAR) for n in (20, 100)] + [(n, BoundaryTopology.OPEN) for n in (21, 100)],
+)
+def test_pencil_roots_without_a_record_fail_a_filter(n_cells, topology):
+    # band crossings of E = 0 are real roots of det H that are no EP: the
+    # broken count of their block, or the midpoint of its two eigenvalues
+    # nearest zero, rules each of them out
+    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+    stars = {p.gamma_star for p in locate_zero_energy_eps(spec, (0.0, 3.0))}
+    scanned = _family_for(spec)[2]
+    rejected = 0
+    for k, (h0, slope) in enumerate(zip(*scanned.args)):
+        for gamma in spectral._pencil_roots(h0, slope, 0.0, 3.0):
+            if gamma in stars:
+                continue
+            rejected += 1
+            before, after = (
+                spectral._broken_count(eigendecompose(scanned(g)[k]).eigenvalues)
+                for g in (gamma - 1e-7, gamma + 1e-7)
+            )
+            values = eigendecompose(scanned(gamma)[k]).eigenvalues
+            midpoint = abs(values[np.argsort(np.abs(values))[:2]].mean())
+            assert before == after or midpoint > spectral.ZERO_ENERGY_TOL, gamma
+    assert rejected > 0
+
+
+def test_a_pencil_singular_at_every_gamma_is_refused():
+    # the second row of h0 + g * slope is zero for every g
+    h0 = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.5, 1.0, 3.0]])
+    slope = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(spectral.EigensolverError, match="3x3"):
+        locate_zero_energy_eps((h0, slope), (0.0, 1.0))
