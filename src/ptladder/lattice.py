@@ -9,7 +9,8 @@ circular ring, a Moebius ring (the closing bond pair is crossed), an open
 ladder, and an open ladder with one crossed bond pair in the middle.
 ``_bond_blocks`` is the one place that puts that twist between cells N/2
 and N/2 + 1; the dense Hamiltonian, its sector blocks and the transport
-kernel all take their bonds from it.
+kernel all take their bonds from it, the kernel's mirror fold through
+``_half_bond_blocks``.
 
 All Hamiltonians produced here are complex symmetric (``M == M.T``
 exactly).  At ``delta == 0``, and only there, they are also PT-symmetric,
@@ -235,6 +236,29 @@ def _bond_blocks(spec: LatticeSpec, cells: UnitCellBlocks) -> list[np.ndarray]:
     if spec.topology is BoundaryTopology.TWISTED_OPEN:
         hops[spec.n_cells // 2 - 1] = cells.h1_twist
     return hops
+
+
+def _half_bond_blocks(
+    spec: LatticeSpec, cells: UnitCellBlocks
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The bonds of the left mirror half and the middle bond, for N >= 2.
+
+    A state that is even or odd under the cell mirror ``n -> N+1-n`` is
+    fixed by the left cells 1..h, h = floor(N/2), of ``_mirror_sites``.
+    For even N = 2h the half is the h - 1 bonds among them, and the middle
+    bond ``H_h`` (cells h and h + 1, the crossed one on the twisted
+    ladder) meets cell h as ``+H_h`` or ``-H_h``, since
+    ``psi_{h+1} = +-psi_h``.  For odd N = 2h + 1 an odd state vanishes on
+    the centre cell, and an even one reaches it through the join
+    ``sqrt2 H_h``, appended to the half: with the centre holding
+    ``psi_centre / sqrt2``, as in ``sector_blocks``, the join stays one
+    block and its transpose.  The middle bond is then None.
+    """
+    bonds = _bond_blocks(spec, cells)
+    half = spec.n_cells // 2
+    if spec.n_cells % 2 == 0:
+        return bonds[: half - 1], bonds[half - 1]
+    return [*bonds[: half - 1], math.sqrt(2.0) * bonds[half - 1]], None
 
 
 def _mirror_sites(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

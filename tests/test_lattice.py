@@ -22,6 +22,7 @@ from ptladder import (
     sector_blocks,
     unit_cell_blocks,
 )
+from ptladder.lattice import _half_bond_blocks
 
 TOL = 1e-10
 
@@ -331,6 +332,44 @@ def test_sector_blocks_reproduce_the_dense_spectrum(topology, n, gamma):
     cost = np.abs(got[:, None] - want[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() < 1e-12 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize(
+    "topology, n",
+    [
+        (BoundaryTopology.OPEN, 2),
+        (BoundaryTopology.OPEN, 3),
+        (BoundaryTopology.OPEN, 7),
+        (BoundaryTopology.OPEN, 8),
+        (BoundaryTopology.TWISTED_OPEN, 2),
+        (BoundaryTopology.TWISTED_OPEN, 4),
+        (BoundaryTopology.TWISTED_OPEN, 10),
+    ],
+)
+def test_half_bonds_chain_the_mirror_sector_blocks(topology, n):
+    # the half-ladders the transport kernel folds onto are, cell by cell,
+    # the even and odd blocks of sector_blocks (in the site basis at delta != 0)
+    spec = LatticeSpec(n_cells=n, delta=0.3, gamma=0.8, topology=topology)
+    cells = unit_cell_blocks(spec)
+    half, middle = _half_bond_blocks(spec, cells)
+
+    def chain(bonds, last=0.0):
+        m = np.kron(np.eye(len(bonds) + 1), cells.h0)
+        for c, hop in enumerate(bonds):
+            m[2 * c : 2 * c + 2, 2 * c + 2 : 2 * c + 4] = hop
+            m[2 * c + 2 : 2 * c + 4, 2 * c : 2 * c + 2] = hop.T
+        m[-2:, -2:] += last
+        return m
+
+    even, odd = sector_blocks(spec)
+    if n % 2:
+        assert middle is None and len(half) == n // 2
+        np.testing.assert_array_equal(even, chain(half))
+        np.testing.assert_array_equal(odd, chain(half[:-1]))
+    else:
+        assert len(half) == n // 2 - 1
+        np.testing.assert_array_equal(even, chain(half, middle))
+        np.testing.assert_array_equal(odd, chain(half, -middle))
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])

@@ -31,7 +31,7 @@ from ptladder import (
     unit_cell_blocks,
     zero_energy_trace,
 )
-from ptladder.lattice import _bond_blocks
+from ptladder.lattice import _bond_blocks, _half_bond_blocks
 from ptladder import _pool, spectral, transport
 from ptladder.transport import LANES_PER_TASK, _eliminate, _pivot_inverse
 
@@ -131,11 +131,11 @@ def test_flux_conservation_hermitian_case():
 
 def test_banded_matches_dense_on_generic_instances():
     rng = np.random.default_rng(11)
-    sizes = set()
+    drawn = set()
     for _ in range(200):
         n = int(rng.integers(1, 41))
-        sizes.add(n)
         topology = TWISTED if (rng.random() < 0.5 and n % 2 == 0) else OPEN
+        drawn.add((topology, n))
         spec = LatticeSpec(n_cells=n, gamma=float(rng.uniform(0, 3)), topology=topology)
         e = float(rng.uniform(-4, 4))
         system = assemble_scattering_system(spec, LeadSpec(), e)
@@ -144,15 +144,19 @@ def test_banded_matches_dense_on_generic_instances():
         assert abs(banded.t - dense.t) < 1e-9
         assert abs(banded.r - dense.r) < 1e-9
         assert np.max(np.abs(banded.internal - dense.internal)) < 1e-9
-    assert 1 in sizes  # the single cell carries both self-energies
+    # the single cell carries both self-energies and keeps the full sweep; the
+    # mirror fold closes N = 2 at its first cell and odd N at the centre cell
+    assert {(OPEN, 1), (OPEN, 2), (TWISTED, 2)} <= drawn
+    assert any(topology is OPEN and n % 2 and n >= 3 for topology, n in drawn)
 
 
 def test_banded_fails_loudly_on_interior_resonance():
     # at gamma = 0 the dark antisymmetric chain makes a pivot exactly
-    # singular: the second one at E = 0 for N = 100, and the only one at
-    # E = d for N = 1.  Unpivoted elimination must refuse and name the
+    # singular: the second one at E = 0 for N = 100, the only one at E = d
+    # for N = 1 (no fold), and the mirror-even closing pivot C_1 + H_mid at
+    # E = 0 for N = 2.  Unpivoted elimination must refuse and name the
     # pivot while auto falls back to dense
-    for n, energy, cell in ((100, 0.0, 2), (1, 1.0, 1)):
+    for n, energy, cell in ((100, 0.0, 2), (1, 1.0, 1), (2, 0.0, 1)):
         spec = LatticeSpec(n_cells=n, topology=OPEN)
         system = assemble_scattering_system(spec, LeadSpec(), energy)
         with pytest.raises(SingularSystemError, match=f"pivot at cell {cell} of {n}"):
@@ -306,6 +310,68 @@ def test_kernel_lanes_match_dense_solves(topology, n_cells, leads, delta):
         dense = solve_scattering(system, method="dense")
         assert abs(r[lane] - dense.r) <= 1e-10
         assert abs(t[lane] - dense.t) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "topology, n_cells",
+    [(OPEN, 2), (OPEN, 3), (OPEN, 20), (OPEN, 21), (TWISTED, 2), (TWISTED, 20), (TWISTED, 100)],
+)
+def test_mirrored_leads_fold_to_the_full_sweep(topology, n_cells, monkeypatch):
+    # an out-coupling one ulp above the in-coupling is not mirrored, so it
+    # takes the full sweep, and only mirrored leads fold at the middle.
+    # Where the two part by more than 1e-9, the fold is the one that holds
+    # the dense solve: the full sweep drifts near gamma = 2d on twisted N = 100
+    halves = []
+
+    def recording(*args):
+        halves.append(args)
+        return _half_bond_blocks(*args)
+
+    monkeypatch.setattr(transport, "_half_bond_blocks", recording)
+    energies, gammas = np.linspace(-4.0, 4.0, 801), np.array([0.0, 0.7, 1.5, 1.995, 2.6])
+    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+    r, t, _, pivot = _eliminate(spec, LeadSpec(), energies[:, None], gammas)
+    assert len(halves) == 1
+    skewed = LeadSpec(upper_out=np.nextafter(1.0, 2.0))
+    r_full, t_full, _, pivot_full = _eliminate(spec, skewed, energies[:, None], gammas)
+    assert len(halves) == 1
+    kept = (pivot < 0) & (pivot_full < 0)
+    assert np.count_nonzero(kept) >= r.size - 3
+    apart = kept & (np.maximum(np.abs(r - r_full), np.abs(t - t_full)) > 1e-9)
+    for lane in np.flatnonzero(apart):
+        i, j = divmod(lane, gammas.size)
+        system = assemble_scattering_system(spec.with_gamma(gammas[j]), LeadSpec(), energies[i])
+        dense = solve_scattering(system, method="dense")
+        assert abs(r[lane] - dense.r) <= 1e-10 and abs(t[lane] - dense.t) <= 1e-10
+
+
+def test_fold_holds_the_dense_solve_near_gamma_2d():
+    # lanes of the full twisted N = 100 map next to the collective EP at
+    # gamma = 2d where the unfolded sweep was off the dense solve by
+    # 3.8e-9 to 7.9e-7, mostly in R; the fold's kernel, with no dense
+    # re-solve, stays within 1e-10
+    energies, gammas = np.linspace(-4.0, 4.0, 801), np.linspace(0.0, 3.0, 601)
+    lanes = [(297, 399), (503, 399), (293, 399), (507, 399), (272, 399), (528, 399), (395, 393), (494, 394)]
+    i, j = np.array(lanes).T
+    spec, leads = LatticeSpec(n_cells=100, topology=TWISTED), LeadSpec()
+    t_lanes, r_lanes, failed, resolved = transport._lane_probabilities(spec, leads, energies[i], gammas[j])
+    assert (failed, resolved) == (0, 0)
+    for lane, (e, g) in enumerate(zip(energies[i], gammas[j])):
+        dense = solve_scattering(assemble_scattering_system(spec.with_gamma(g), leads, e), method="dense")
+        assert abs(t_lanes[lane] - dense.transmission_prob) <= 1e-10
+        assert abs(r_lanes[lane] - dense.reflection_prob) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "topology, n_cells",
+    [(OPEN, 1), (OPEN, 2), (OPEN, 3), (OPEN, 20), (OPEN, 21), (TWISTED, 2), (TWISTED, 20), (TWISTED, 100)],
+)
+def test_mirrored_hermitian_maps_conserve_flux(topology, n_cells):
+    # at gamma = 0 the ladder is Hermitian, so R + T = 1 on every lane of
+    # the folded map, the densely re-solved dark-state lanes included
+    m = transmission_map(LatticeSpec(n_cells=n_cells, topology=topology), LeadSpec(), np.linspace(-4, 4, 801), [0.0])
+    assert m.n_failed == 0
+    assert np.abs(m.r_values + m.t_values - 1.0).max() <= 1e-10
 
 
 def test_lanes_do_not_depend_on_their_neighbours():
