@@ -47,6 +47,7 @@ __all__ = [
     "sector_blocks",
     "sector_bases",
     "chiral_swap",
+    "chiral_halves",
     "analytic_cll_spectrum",
     "analytic_oll_spectrum",
     "analytic_mll_spectrum",
@@ -202,15 +203,15 @@ def build_real_space_hamiltonian(spec: LatticeSpec) -> np.ndarray:
 def _assemble(spec: LatticeSpec, blocks: UnitCellBlocks) -> np.ndarray:
     # A lower bond block is the transpose of its upper one: H is symmetric
     # in the site basis, and in the real basis the bond blocks are diagonal.
+    # ham[c, :, e, :] is the block from cell c to cell e; bonds are added,
+    # not set, so that the N = 2 ring keeps its doubled bond.
     n = spec.n_cells
-    ham = np.zeros((2 * n, 2 * n), dtype=blocks.h0.dtype)
-
-    for c in range(n):
-        ham[2 * c : 2 * c + 2, 2 * c : 2 * c + 2] = blocks.h0
-
-    for c, hop in enumerate(_bond_blocks(spec, blocks)):
-        ham[2 * c : 2 * c + 2, 2 * c + 2 : 2 * c + 4] += hop
-        ham[2 * c + 2 : 2 * c + 4, 2 * c : 2 * c + 2] += hop.T
+    ham = np.zeros((n, 2, n, 2), dtype=blocks.h0.dtype)
+    cells = np.arange(n)
+    ham[cells, :, cells, :] = blocks.h0
+    hops = np.array(_bond_blocks(spec, blocks)).reshape(-1, 2, 2)
+    ham[cells[:-1], :, cells[1:], :] += hops
+    ham[cells[1:], :, cells[:-1], :] += hops.transpose(0, 2, 1)
 
     if spec.topology in _RING_TOPOLOGIES:
         closing = (
@@ -218,10 +219,10 @@ def _assemble(spec: LatticeSpec, blocks: UnitCellBlocks) -> np.ndarray:
             if spec.topology is BoundaryTopology.CIRCULAR
             else blocks.h1_twist
         )
-        ham[2 * (n - 1) : 2 * n, 0:2] += closing
-        ham[0:2, 2 * (n - 1) : 2 * n] += closing.T
+        ham[n - 1, :, 0, :] += closing
+        ham[0, :, n - 1, :] += closing.T
 
-    return ham
+    return ham.reshape(2 * n, 2 * n)
 
 
 def _bond_blocks(spec: LatticeSpec, cells: UnitCellBlocks) -> list[np.ndarray]:
@@ -389,6 +390,57 @@ def chiral_swap(spec: LatticeSpec) -> np.ndarray | None:
     if spec.delta == 0:
         return np.kron(signs, np.array([[0.0, -1.0], [-1.0, 0.0]]))
     return np.kron(signs, np.array([[0.0, -1j], [1j, 0.0]]))
+
+
+def chiral_halves(
+    spec: LatticeSpec, blocks: tuple[np.ndarray, ...]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+    """Halves ``(A, B)`` of each block, where Gamma maps every block onto itself.
+
+    ``blocks`` are matrices in the basis of ``sector_blocks(spec)`` at
+    delta = 0: the blocks at some gamma, or their slope in gamma.  On the
+    twisted ladder and the open ladder of odd N the chiral operator
+    ``Gamma = (+) s_n sigma_y`` (``chiral_swap``; the twisted ladder's
+    ``s_n`` repeats its sign across the twist) commutes with the cell
+    mirror, so it maps each sector onto itself; in the real basis it acts
+    on block cell c
+    (the left cells, then an odd N's centre cell, which is ladder cell c)
+    as ``-s_c sigma_x`` with ``s_c = (-1)**c``.  Its +1 and -1
+    eigenvectors in cell c are ``(1, -s_c)`` and ``(1, s_c)``; as the
+    columns of ``P = [P+, P-]`` they are orthogonal with squared norm 2,
+    so ``P^-1 = P^T / 2``, and since Gamma anticommutes with H every block
+    becomes ``P^-1 b P = [[0, A], [B, 0]]`` with ``A = P+^T b P- / 2`` and
+    ``B = P-^T b P+ / 2``.  Each entry of A or B is half a signed sum of
+    the four entries of one 2x2 cell block.  The blocks at gamma = 0 and
+    their slope hold only +-d, +-t, their sums, sqrt2 times them and
+    +-1/2, and in each cell block two of the four cancel or are zero, so
+    on the default ladders (d = t = 1) their split is exact:
+    ``b = (P+ A P-^T + P- B P+^T) / 2`` bit for bit.
+    The eigenvalues of ``[[0, A], [B, 0]]`` are ``+-sqrt(mu)`` for the
+    eigenvalues mu of ``A B``.
+
+    Returns None where Gamma does not map each block onto itself: on the
+    Moebius ring (no Gamma), the circular ring of odd N (not bipartite),
+    wherever ``chiral_swap`` applies (Gamma swaps the blocks), and at
+    delta != 0, where the blocks are not written in the real basis.
+    """
+    if spec.delta != 0 or not (
+        spec.topology is BoundaryTopology.TWISTED_OPEN
+        or spec.topology is BoundaryTopology.OPEN and spec.n_cells % 2
+    ):
+        return None
+    halves = []
+    for block in blocks:
+        m = block.shape[0] // 2
+        s = (-1.0) ** np.arange(m)
+        # x[i, j][c, d] is entry (i, j) of the 2x2 block from cell c to cell d;
+        # A = (x00 - S x11 S + x01 S - S x10) / 2 for S = diag(s), and B
+        # takes the second pair of terms with the opposite sign
+        x = block.reshape(m, 2, m, 2).transpose(1, 3, 0, 2)
+        even = x[0, 0] - s[:, None] * x[1, 1] * s
+        odd = x[0, 1] * s - s[:, None] * x[1, 0]
+        halves.append((0.5 * (even + odd), 0.5 * (even - odd)))
+    return tuple(halves)
 
 
 def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:

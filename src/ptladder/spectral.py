@@ -53,9 +53,24 @@ and for N x N blocks with N even its determinant is the even block's.
 Both EP searches therefore build and solve the even block alone on such
 a spec and take the odd block's eigenvalues as ``-values``; this halves
 their scan and refine solves.  The eigenvector solve of a record at
-gamma* and the sweeps still solve both blocks.  The twisted ladder and
-odd N, whose chiral operator maps each block onto itself, and the
-Moebius ring, which has none, solve both blocks everywhere.
+gamma* and the sweeps still solve both blocks.
+
+On the twisted ladder and the open ladder of odd N the chiral operator
+maps each block onto itself, and ``lattice.chiral_halves`` writes each
+block as ``[[0, A], [B, 0]]``, exactly.  Its eigenvalues are
+``E = +-sqrt(mu)`` for the eigenvalues mu of ``A B``, which has half
+the block's rows.  Both EP searches solve these halves: the count
+search scans and refines mu, counting each broken mu as its two broken
+E (``_broken``), so that an E pair and its -E partner coalesce as one
+mu pair and false position works on it; the zero-energy search takes
+its roots from the pencils of A and B, since ``det = +-det A det B``,
+and its broken counts from mu.  mu is good to about eps times its
+largest value, so ``+-sqrt(mu)`` cannot tell a real E from a broken one
+where a mu is within rounding of 0, as on the twisted ladder's zero
+mode at gamma = 0; such a point is counted on the block itself.
+Bracket ends and records are solved on the blocks themselves.  The
+Moebius ring, which has no chiral operator, solves both blocks
+everywhere, as does a pair ``(h0, slope)``.
 
 Every gamma grid is solved in stacks: the scan of the count search, the
 broken counts of the zero-energy search and the sweeps build each block
@@ -79,7 +94,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._pool import pool_map
-from .lattice import LatticeSpec, chiral_swap, sector_bases, sector_blocks
+from .lattice import LatticeSpec, chiral_halves, chiral_swap, sector_bases, sector_blocks
 
 __all__ = [
     "EigensolverError",
@@ -252,14 +267,9 @@ def _stacked(family: Callable, gammas: np.ndarray):
         size = max(1, STACK_BYTES // max(s[0].nbytes for s in stacks))
 
 
-def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Assign current eigenvalues to previous branches.
-
-    Returns (permutation, max matched distance, ambiguity flag).  A step
-    is ambiguous when some branch sees two nearly equidistant candidates
-    whose values actually differ: ties between numerically identical
-    candidates (persistent symmetry degeneracies, e.g. the plus/minus
-    momentum pairs of a ring) are harmless relabelings and stay silent.
+def _assignment(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that assigns current eigenvalues to previous
+    branches with the least total distance, and the distances.
 
     scipy is imported here, at the first match, so importing the package
     (and runs that never match branches) does not load it.
@@ -270,7 +280,20 @@ def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, b
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty_like(cols)
     perm[rows] = cols
-    matched = cost[rows, cols]
+    return perm, cost
+
+
+def _match_step(prev: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Assign current eigenvalues to previous branches (``_assignment``).
+
+    Returns (permutation, max matched distance, ambiguity flag).  A step
+    is ambiguous when some branch sees two nearly equidistant candidates
+    whose values actually differ: ties between numerically identical
+    candidates (persistent symmetry degeneracies, e.g. the plus/minus
+    momentum pairs of a ring) are harmless relabelings and stay silent.
+    """
+    perm, cost = _assignment(prev, cur)
+    matched = cost[np.arange(perm.size), perm]
     ambiguous = False
     if cost.shape[1] > 1:
         order = np.argsort(cost, axis=1)
@@ -385,9 +408,14 @@ def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, tuple | None, Ca
     them.  Where ``lattice.chiral_swap`` maps the even block onto the odd
     one (rings and open ladders of even N), the scan builds the even
     block alone, since the odd block's eigenvalues are minus its own and
-    its determinant is its own; otherwise it builds every block.  A pair
+    its determinant is its own.  Where ``lattice.chiral_halves`` splits
+    every block into ``[[0, A], [B, 0]]`` (twisted ladders and open
+    ladders of odd N), the scan builds ``_squared_blocks``, each block's
+    ``A B`` at half its size, from the split of the blocks at gamma = 0
+    and of their slope.  Otherwise it builds every block.  A pair
     ``(h0, slope)`` is the one block ``h0 + g * slope``, without bases.
-    Both builders pickle, so pool workers can build blocks themselves.
+    The block builder pickles, so pool workers can build blocks
+    themselves.
     """
     if not isinstance(family, LatticeSpec):
         blocks = partial(_affine_blocks, *_checked_pair(family))
@@ -395,7 +423,14 @@ def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, tuple | None, Ca
     b0 = sector_blocks(family.with_gamma(0.0))
     slope = tuple(b1 - b for b1, b in zip(sector_blocks(family.with_gamma(1.0)), b0))
     blocks = partial(_affine_blocks, b0, slope)
-    scanned = blocks if chiral_swap(family) is None else partial(_affine_blocks, b0[:1], slope[:1])
+    halves = chiral_halves(family, b0)
+    if halves is not None:
+        (a0, c0), (a1, c1) = zip(*halves), zip(*chiral_halves(family, slope))
+        scanned = partial(_squared_blocks, a0, a1, c0, c1)
+    elif chiral_swap(family) is not None:
+        scanned = partial(_affine_blocks, b0[:1], slope[:1])
+    else:
+        scanned = blocks
     return blocks, sector_bases(family), scanned
 
 
@@ -414,6 +449,13 @@ def _checked_pair(pair) -> tuple[tuple[np.ndarray], tuple[np.ndarray]]:
 
 def _affine_blocks(b0: tuple, slope: tuple, g) -> tuple[np.ndarray, ...]:
     return tuple(b + np.multiply.outer(g, s) for b, s in zip(b0, slope))
+
+
+def _squared_blocks(a0: tuple, a1: tuple, b0: tuple, b1: tuple, g) -> tuple[np.ndarray, ...]:
+    """``A(g) B(g)`` of every block ``[[0, A(g)], [B(g), 0]]``, with
+    ``A(g) = a0 + g * a1`` and ``B(g) = b0 + g * b1``: its eigenvalues
+    are mu = E**2 for the block's eigenvalues E = +-sqrt(mu)."""
+    return tuple(a @ b for a, b in zip(_affine_blocks(a0, a1, g), _affine_blocks(b0, b1, g)))
 
 
 def _eigenpairs(blocks: Callable, bases: tuple[np.ndarray, ...] | None, gamma: float) -> Spectrum:
@@ -543,37 +585,54 @@ class ExceptionalPoint:
     n_broken_change: int
 
 
-def _broken(values: np.ndarray) -> np.ndarray:
-    """Which eigenvalues are broken: the one rule both EP searches use."""
+def _broken(values: np.ndarray, squared: bool = False) -> np.ndarray:
+    """Which eigenvalues are broken: the one rule both EP searches use.
+
+    With ``squared`` the values are mu = E**2 of ``_squared_blocks``, and
+    each stands for the pair E = +-sqrt(mu), broken together where
+    sqrt(mu) is: a real mu crossing 0 breaks its pair, and two negative
+    mu that collide and leave the real axis break nothing new.
+    """
+    if squared:
+        values = np.sqrt(values)
     return np.abs(values.imag) > IM_TOL
 
 
-def _broken_count(values: np.ndarray) -> int:
-    return int(np.count_nonzero(_broken(values)))
+def _broken_count(values: np.ndarray, squared: bool = False):
+    """The number of broken E along the last axis of ``values``
+    (``_broken``): an int for one spectrum, an array for a stack of them.
+    Each broken mu counts as its two E."""
+    counts = np.count_nonzero(_broken(values, squared), axis=-1) * (2 if squared else 1)
+    return counts if counts.ndim else int(counts)
 
 
-def _matched_flips(at_a: np.ndarray, at_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``at_b`` matched to ``at_a`` (``_match_step``), and the indices of
-    the eigenvalues that flip between real and broken across the two."""
-    at_b = at_b[_match_step(at_a, at_b)[0]]
-    return at_b, np.nonzero(_broken(at_a) != _broken(at_b))[0]
+def _matched_flips(at_a: np.ndarray, at_b: np.ndarray, squared: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``at_b`` matched to ``at_a`` (``_assignment``), and the indices of
+    the values that flip between real and broken across the two."""
+    at_b = at_b[_assignment(at_a, at_b)[0]]
+    return at_b, np.nonzero(_broken(at_a, squared) != _broken(at_b, squared))[0]
 
 
-def _pair_discriminants(at_a: np.ndarray, at_b: np.ndarray) -> tuple[float, float] | None:
+def _pair_discriminants(at_a: np.ndarray, at_b: np.ndarray, squared: bool = False) -> tuple[float, float] | None:
     """``D = (E1 - E2)**2`` of the one pair that flips across a bracket,
     at both ends, or None unless exactly one pair flips.
 
     D is ``|E1 - E2|**2`` where the pair is real and ``-|E1 - E2|**2``
     where it is broken, so its sign follows the count even where
     rounding scatters the pair near its EP.  The pair splits like
-    ``sqrt(gamma - gamma*)``, so D is linear in gamma near the EP.
+    ``sqrt(gamma - gamma*)``, so D is linear in gamma near the EP.  With
+    ``squared`` the values are mu = E**2: D is taken of the pair of mu
+    that flips, and where one mu flips alone, crossing 0 as its E pair
+    meets at zero energy, its real part takes D's place, linear there too.
     """
-    at_b, flips = _matched_flips(at_a, at_b)
+    at_b, flips = _matched_flips(at_a, at_b, squared)
+    if squared and flips.size == 1:
+        return at_a[flips[0]].real, at_b[flips[0]].real
     if flips.size != 2:
         return None
     ends = []
     for pair in (at_a[flips], at_b[flips]):
-        broken = _broken(pair)
+        broken = _broken(pair, squared)
         if broken[0] != broken[1]:
             return None
         gap = abs(pair[0] - pair[1]) ** 2
@@ -581,26 +640,62 @@ def _pair_discriminants(at_a: np.ndarray, at_b: np.ndarray) -> tuple[float, floa
     return ends[0], ends[1]
 
 
+# A mu within this of 0, relative to the largest |mu| of its spectrum, is
+# within rounding of 0 (eig(A B) is good to about eps * |A| |B| in mu),
+# and +-sqrt(mu) cannot tell a real E from a broken one there.
+MU_ROUNDING = 1e-13
+
+
+def _counts(values: np.ndarray, gammas, k: int, direct: Callable | None) -> list[int]:
+    """Broken counts (``_broken_count``) of a stack of block k's spectra
+    at ``gammas``, one int each.
+
+    Without ``direct`` the values are eigenvalues E.  With it they are
+    mu = E**2 of ``_squared_blocks``, counted by the mu rule, except
+    where some mu is within ``MU_ROUNDING`` of 0: rounding there moves
+    sqrt(mu) by far more than ``IM_TOL``, as on the twisted ladder's zero
+    mode at gamma = 0, whose mu = -(c gamma)**2 stays below the rounding
+    of mu for |gamma| up to about 1e-6.  Such spectra are counted on the
+    block itself, ``direct(g)[k]``, in one stack.
+    """
+    if direct is None:
+        return _broken_count(values).tolist()
+    counts = _broken_count(values, squared=True)
+    size = np.abs(values)
+    near = size.min(axis=-1) <= MU_ROUNDING * size.max(axis=-1)
+    if near.any():
+        counts[near] = _broken_count(_stack_eigvals(direct(np.asarray(gammas)[near])[k]))
+    return counts.tolist()
+
+
 # False-position probes in a row that may leave a bracket more than half
 # as wide as before them; the next probe bisects.
 SLOW_STEPS = 3
 
 
-def _scan_and_refine(family: Callable, grid: np.ndarray) -> tuple[list[dict], list[tuple[int, float, float]]]:
+def _scan_and_refine(
+    family: Callable, grid: np.ndarray, direct: Callable | None = None
+) -> tuple[list[dict], list[tuple[int, float, float, int]]]:
     """Bracket every change of each block's broken count, on that block alone.
 
     ``family(g)`` gives the blocks at gamma g, and at an array of gammas
-    each block's stack over them.  The scan solves every block once per
-    grid point, in ``_stacked`` chunks of one LAPACK call each, every row
-    bit-identical to a solve of its matrix alone.  Each interval between
+    each block's stack over them.  With ``direct``, the builder of the
+    blocks themselves, the family is ``_squared_blocks``: its blocks are
+    ``A B`` at half the size, their eigenvalues mu are counted by the mu
+    rule of ``_broken``, and ``direct`` counts a point where a mu is
+    within rounding of 0 (``_counts``).  The scan solves every block once
+    per grid point, in ``_stacked`` chunks of one LAPACK call each, every
+    row bit-identical to a solve of its matrix alone, and counts each
+    chunk's values in one call.  Each interval between
     consecutive grid points of one block whose broken counts differ is
     refined with one solve of that block per probe, keeping every part
     whose end counts differ, until it is at most ``BRACKET_TOL`` wide or
     a and b are adjacent doubles.
 
     Counts alone decide which part stays.  The discriminants of the one
-    pair that flips across the bracket (``_pair_discriminants``) only
-    place the next probe: where they have opposite signs the probe goes
+    pair that flips across the bracket (``_pair_discriminants``, or of
+    the one mu that crosses 0) only place the next probe: where they
+    have opposite signs the probe goes
     where the line through them crosses zero (Illinois false position:
     an end kept twice in a row has its value halved), moved a quarter of
     ``BRACKET_TOL`` toward the farther end.  The probe bisects instead
@@ -611,33 +706,35 @@ def _scan_and_refine(family: Callable, grid: np.ndarray) -> tuple[list[dict], li
     afresh.
 
     Returns ``(solved, brackets)``: ``solved[k]`` maps every gamma at
-    which block k was solved to its sorted eigenvalues, and each bracket
-    is ``(k, a, b)``.
+    which block k was solved to its sorted eigenvalues (mu with
+    ``direct``), and each bracket is ``(k, a, b, change)``, with
+    ``change`` the count at b minus the count at a.
     """
-    solved = None
+    squared = direct is not None
+    solved = counted = None
     for chunk, stacks in _stacked(family, grid):
         solved = solved or [{} for _ in stacks]
-        for at, stack in zip(solved, stacks):
-            at.update(zip(chunk, _stack_eigvals(stack)))
-    work = []
-    for k, at in enumerate(solved):
-        counts = [(g, _broken_count(values)) for g, values in at.items()]
-        work += [(k, a, b) for (a, ca), (b, cb) in zip(counts, counts[1:]) if ca != cb]
+        counted = counted or [{} for _ in stacks]
+        for k, stack in enumerate(stacks):
+            values = _stack_eigvals(stack)
+            solved[k].update(zip(chunk, values))
+            counted[k].update(zip(chunk, _counts(values, chunk, k, direct)))
+    work = [(k, a, b) for k, count in enumerate(counted) for a, b in zip(grid, grid[1:]) if count[a] != count[b]]
 
     brackets = []
     while work:
         k, a, b = work.pop()
-        at = solved[k]
+        at, count = solved[k], counted[k]
         weight_a = weight_b = 1.0
         kept = 0  # -1 when a stayed at the last probe, +1 when b did
         slow, start = 0, b - a
         while True:
             mid = 0.5 * (a + b)
             if b - a <= BRACKET_TOL or not a < mid < b:
-                brackets.append((k, a, b))
+                brackets.append((k, a, b, count[b] - count[a]))
                 break
             m = mid
-            ends = _pair_discriminants(at[a], at[b]) if slow < SLOW_STEPS else None
+            ends = _pair_discriminants(at[a], at[b], squared) if slow < SLOW_STEPS else None
             if ends is not None:
                 fa, fb = weight_a * ends[0], weight_b * ends[1]
                 if fa * fb < 0:
@@ -650,8 +747,8 @@ def _scan_and_refine(family: Callable, grid: np.ndarray) -> tuple[list[dict], li
                     if a < x < b:
                         m = x
             at[m] = _block_eigvals(family(m)[k])
-            count_m = _broken_count(at[m])
-            below, above = count_m != _broken_count(at[a]), count_m != _broken_count(at[b])
+            [count[m]] = _counts(at[m][None], [m], k, direct)
+            below, above = count[m] != count[a], count[m] != count[b]
             if below and above:
                 work.append((k, m, b))
             if below:  # b moves to m, a stays
@@ -706,7 +803,12 @@ def locate_exceptional_points(
     (``lattice.chiral_swap``) the scan and the refine solve the even
     block alone: the odd block's eigenvalues are minus its own, so its
     broken count and its brackets are the even block's, and at the
-    bracket ends its values are taken as ``-values``.
+    bracket ends its values are taken as ``-values``.  On a twisted
+    ladder or an open ladder of odd N (``lattice.chiral_halves``) they
+    solve each block's ``A B``, at half its size, and count its
+    eigenvalues mu = E**2 (see the module docstring); the blocks
+    themselves are solved at the ends of each bracket of mu, for the
+    blocks that bracketed it, and at gamma* for the record.
 
     Scans ``coarse_steps`` intervals for changes of each block's
     broken-eigenvalue count: an eigenvalue is broken where its imaginary
@@ -735,8 +837,10 @@ def locate_exceptional_points(
     (the ring's collective EP) is one bracket, and so is a transition
     split into two brackets by a grid point or probe that lands exactly
     on it (up to ``2 * BRACKET_TOL`` wide).  Each joined bracket
-    is resolved on the whole spectrum at its two ends, so
-    ``n_broken_change``, ``energy_star`` and ``branch_pair`` refer to H.
+    is resolved on the whole spectrum at its two ends (on the halves, on
+    the blocks whose brackets it joined, as the other blocks keep their
+    counts across it), so ``n_broken_change``, ``energy_star`` and
+    ``branch_pair`` refer to H.
 
     Returns a list of :class:`ExceptionalPoint` sorted by gamma (several
     entries may share one gamma when a cluster of pairs coalesces
@@ -749,9 +853,13 @@ def locate_exceptional_points(
     if coarse_steps < 1:
         raise ValueError("coarse_steps must be at least 1")
     blocks, bases, scanned, lo, hi = _search_family(spec, gamma_range)
-    solved, brackets = _scan_and_refine(scanned, np.linspace(lo, hi, coarse_steps + 1))
+    squared = scanned.func is _squared_blocks
+    solved, brackets = _scan_and_refine(scanned, np.linspace(lo, hi, coarse_steps + 1), blocks if squared else None)
 
-    def spectrum(g: float) -> np.ndarray:
+    def spectrum(g: float, own: set[int]) -> np.ndarray:
+        if squared:  # mu located the bracket; its own blocks are solved at its ends
+            at = blocks(g)
+            return _merged([_block_eigvals(at[k]) for k in sorted(own)])
         # a bracket end is solved for its own block; the others are solved here
         for k, at in enumerate(solved):
             if g not in at:
@@ -762,17 +870,16 @@ def locate_exceptional_points(
         return _merged(parts)
 
     points = []
-    for a, b in _join_brackets(brackets, solved):
-        points.extend(_resolve_transition(blocks, bases, a, spectrum(a), b, spectrum(b)))
+    for a, b, own in _join_brackets(brackets):
+        points.extend(_resolve_transition(blocks, bases, a, spectrum(a, own), b, spectrum(b, own)))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
     return points
 
 
-def _join_brackets(
-    brackets: list[tuple[int, float, float]], solved: list[dict]
-) -> list[tuple[float, float]]:
+def _join_brackets(brackets: list[tuple[int, float, float, int]]) -> list[tuple[float, float, set[int]]]:
     """Join brackets, of any blocks, that overlap or touch and change the
-    count in the same direction.
+    count in the same direction; each joined bracket comes with the set
+    of blocks whose brackets it joined.
 
     Both blocks bracket a transition they share, such as the ring's
     collective EP.  And a grid point or probe that lands exactly on an
@@ -781,14 +888,14 @@ def _join_brackets(
     about sqrt(eps).  One transition is then refined into two brackets
     that meet at that point.
     """
-    joined: list[tuple[float, float, int]] = []
-    for k, a, b in sorted(brackets, key=lambda t: t[1]):
-        change = _broken_count(solved[k][b]) - _broken_count(solved[k][a])
+    joined: list[tuple[float, float, int, set[int]]] = []
+    for k, a, b, change in sorted(brackets, key=lambda t: t[1]):
         if joined and a <= joined[-1][1] and change * joined[-1][2] > 0:
-            joined[-1] = (joined[-1][0], max(b, joined[-1][1]), change)
+            lo, hi, _, own = joined[-1]
+            joined[-1] = (lo, max(b, hi), change, own | {k})
         else:
-            joined.append((a, b, change))
-    return [(a, b) for a, b, _ in joined]
+            joined.append((a, b, change, {k}))
+    return [(a, b, own) for a, b, _, own in joined]
 
 
 def _resolve_transition(blocks, bases, a: float, vals_a: np.ndarray, b: float, vals_b: np.ndarray):
@@ -891,7 +998,10 @@ def locate_zero_energy_eps(
     (``lattice.chiral_swap``) the odd block is ``-S even S^dagger`` with
     N rows, so its determinant is the even block's: only the even block's
     pencil is solved, and each of its records stands for both blocks, as
-    two equal records.
+    two equal records.  On a twisted ladder or an open ladder of odd N
+    each block is ``[[0, A], [B, 0]]`` (``lattice.chiral_halves``), whose
+    determinant is ``+-det A det B``: the pencils of A and B, at half the
+    block's size, give its roots.
 
     Every real root strictly inside ``gamma_range`` then passes two
     filters.  The block's broken count, by the rule of
@@ -899,7 +1009,8 @@ def locate_zero_energy_eps(
     gamma* - 1e-7 and gamma* + 1e-7, the record's ``bracket_lo`` and
     ``bracket_hi``; the difference is its ``n_broken_change`` and its sign
     the kind.  These counts come from one stack per block over all its
-    roots, in ``_stacked`` chunks.  That discards an ordinary band
+    roots, in ``_stacked`` chunks, of the block or, for halves, of its
+    ``A B`` (``_counts``).  That discards an ordinary band
     crossing (a real eigenvalue passing through zero and staying real)
     and the twisted ladder's zero mode at gamma = 0, which breaks on both
     sides.  And the midpoint of the block's two eigenvalues nearest zero
@@ -919,16 +1030,20 @@ def locate_zero_energy_eps(
     gamma raises ``EigensolverError``.
     """
     blocks, bases, scanned, lo, hi = _search_family(spec, gamma_range)
+    # halves count their spectra by mu, and on the blocks where a mu is about 0
+    direct = blocks if scanned.func is _squared_blocks else None
     # the odd block of a chiral swap has the even block's roots
-    copies = 1 if scanned is blocks else 2
+    copies = len(blocks.args[0]) // len(scanned.args[0])
 
     found = []
-    for k, (h0, slope) in enumerate(zip(*scanned.args)):
-        roots = _pencil_roots(h0, slope, lo, hi)
-        block = partial(_affine_blocks, (h0,), (slope,))
+    for k, pencils in enumerate(zip(*scanned.args)):
+        # (h0, slope) of a block, or (a0, a1, b0, b1) of its halves: det of
+        # [[0, A], [B, 0]] is +-det A det B, so its roots are A's and B's
+        roots = np.sort(np.concatenate([_pencil_roots(h0, s, lo, hi) for h0, s in zip(pencils[::2], pencils[1::2])]))
+        block = partial(scanned.func, *((m,) for m in pencils))
         # the broken counts at gamma* -+ 1e-7, from one stack per chunk
         probes = np.column_stack((roots - 1e-7, roots + 1e-7)).ravel()
-        counts = [_broken_count(v) for _, (stack,) in _stacked(block, probes) for v in _stack_eigvals(stack)]
+        counts = [c for chunk, (stack,) in _stacked(block, probes) for c in _counts(_stack_eigvals(stack), chunk, k, direct)]
         found += [(g, k, before, after) for g, before, after in zip(roots, counts[::2], counts[1::2])]
 
     points = []
@@ -936,11 +1051,12 @@ def locate_zero_energy_eps(
     for gamma_star, k, before, after in sorted(found):
         if before == after:
             continue  # plain zero crossing, not a coalescence
-        own = with_vectors(scanned(gamma_star)[k])
+        at_star = blocks(gamma_star)
+        own = with_vectors(at_star[k])
         values = own.eigenvalues
         if abs(values[np.argsort(np.abs(values))[:2]].mean()) > ZERO_ENERGY_TOL:
             continue  # a coalescence away from zero: no other block is solved for it
-        parts = [own if j == k else with_vectors(b) for j, b in enumerate(blocks(gamma_star))]
+        parts = [own if j == k else with_vectors(b) for j, b in enumerate(at_star)]
         record = _pair_record(
             _lifted(parts, bases, gamma_star),
             0.0,
@@ -983,7 +1099,7 @@ def _pencil_roots(h0: np.ndarray, slope: np.ndarray, lo: float, hi: float) -> np
         raise EigensolverError(f"{n}x{n} pencil h0 + g * slope has non-finite entries")
     gram = slope @ slope.conj().T
     scale = gram[0, 0].real
-    if scale > 0 and np.allclose(gram, scale * np.eye(n), rtol=0.0, atol=1e-12 * scale):
+    if scale > 0 and np.abs(gram - scale * np.eye(n)).max() <= 1e-12 * scale:
         roots = eigendecompose(-np.linalg.solve(slope, h0)).eigenvalues
     else:
         sigma = 0.5 * (lo + hi) + 0.5j * (hi - lo)

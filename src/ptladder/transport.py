@@ -221,7 +221,9 @@ def assemble_scattering_system(
     a[0, 0] = 0.5 * leads.v0
     a[0, 1:3] = leads.g_in
     b[0] = -0.5 * leads.v0
-    a[1:-1, 1:-1] = build_real_space_hamiltonian(spec) - energy * np.eye(2 * n)
+    a[1:-1, 1:-1] = build_real_space_hamiltonian(spec)
+    sites = np.arange(1, dim - 1)
+    a[sites, sites] -= energy
     a[1:3, 0] = eiq * leads.g_in
     b[1:3] = -emiq * leads.g_in
     a[2 * n - 1 : 2 * n + 1, dim - 1] = eiq * leads.g_out

@@ -17,6 +17,7 @@ from ptladder import (
     bloch_eigenvalues,
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
+    chiral_halves,
     chiral_swap,
     sector_bases,
     sector_blocks,
@@ -505,3 +506,78 @@ def test_chiral_swap_maps_the_even_block_onto_the_odd_one(topology, n, delta):
 def test_chiral_swap_is_none_where_gamma_keeps_each_sector(topology, n):
     for delta in (0.0, 0.3):
         assert chiral_swap(LatticeSpec(n_cells=n, delta=delta, topology=topology)) is None
+
+
+def chiral_split_bases(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``P+`` and ``P-``: the +1 and -1 eigenvectors ``(1, -s_c)``
+    and ``(1, s_c)`` of Gamma in block cell c, with ``s_c = (-1)**c``."""
+    s = (-1.0) ** np.arange(m)
+    plus, minus = np.zeros((2 * m, m)), np.zeros((2 * m, m))
+    plus[0::2], plus[1::2] = np.eye(m), np.diag(-s)
+    minus[0::2], minus[1::2] = np.eye(m), np.diag(s)
+    return plus, minus
+
+
+HALVES_CASES = [(BoundaryTopology.TWISTED_OPEN, n) for n in (2, 20, 100)] + [
+    (BoundaryTopology.OPEN, n) for n in (1, 3, 21, 101)
+]
+
+
+@pytest.mark.parametrize("topology, n", HALVES_CASES)
+def test_chiral_halves_reproduce_the_self_mapped_blocks(topology, n):
+    # the blocks at gamma = 0 and their slope, which the EP searches split,
+    # and the blocks at a gamma that is a short binary fraction
+    spec = LatticeSpec(n_cells=n, topology=topology)
+    b0 = sector_blocks(spec)
+    slope = tuple(b1 - b for b1, b in zip(sector_blocks(spec.with_gamma(1.0)), b0))
+    for blocks in (b0, slope, sector_blocks(spec.with_gamma(0.75))):
+        halves = chiral_halves(spec, blocks)
+        at_gamma = blocks is not b0 and blocks is not slope
+        assert len(halves) == len(blocks)
+        for block, (a, b) in zip(blocks, halves):
+            m = block.shape[0] // 2
+            assert a.shape == b.shape == (m, m)
+            plus, minus = chiral_split_bases(m)
+            # Gamma anticommutes with the block: no entry within one eigenspace
+            assert not (plus.T @ block @ plus).any() and not (minus.T @ block @ minus).any()
+            rebuilt = 0.5 * (plus @ a @ minus.T + minus @ b @ plus.T)
+            assert (rebuilt + 0.0).tobytes() == (block + 0.0).tobytes()
+            # the split of b0 and slope holds only entries the block already has
+            assert at_gamma or set(np.abs(a).ravel()) | set(np.abs(b).ravel()) <= set(np.abs(block).ravel()) | {0.0}
+
+
+@pytest.mark.parametrize("topology, n", HALVES_CASES)
+def test_chiral_halves_square_to_the_block_spectrum(topology, n):
+    # +-sqrt(eig(A B)) is the block's spectrum, away from E = 0 and from EPs
+    for gamma in (0.3, 1.1, 2.7):
+        spec = LatticeSpec(n_cells=n, gamma=gamma, topology=topology)
+        blocks = sector_blocks(spec)
+        for block, (a, b) in zip(blocks, chiral_halves(spec, blocks)):
+            direct = np.linalg.eigvals(block)
+            roots = np.sqrt(np.linalg.eigvals(a @ b).astype(complex))
+            squared = np.concatenate([roots, -roots])
+            clear = np.abs(direct) > 1e-3
+            if len(direct) > 1:
+                gaps = np.abs(direct[:, None] - direct[None, :]) + np.eye(len(direct))
+                clear &= gaps.min(axis=1) > 1e-3
+            assert clear.sum() >= len(direct) // 2
+            nearest = np.abs(direct[clear, None] - squared[None, :]).min(axis=1)
+            assert nearest.max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "topology, n",
+    [(BoundaryTopology.CIRCULAR, n) for n in (2, 3, 20, 21)]
+    + [(BoundaryTopology.MOEBIUS, n) for n in (2, 20)]
+    + [(BoundaryTopology.OPEN, n) for n in (2, 20)],
+)
+def test_chiral_halves_are_none_off_the_self_mapped_ladders(topology, n):
+    # rings have a chiral swap (even N) or no Gamma (odd N), Moebius has
+    # none, and an even open ladder's Gamma swaps its blocks
+    for delta in (0.0, 0.3):
+        spec = LatticeSpec(n_cells=n, delta=delta, topology=topology)
+        assert chiral_halves(spec, sector_blocks(spec)) is None
+    # a detuned self-mapped ladder keeps complex blocks in the site basis
+    spec = LatticeSpec(n_cells=20, delta=0.3, topology=BoundaryTopology.TWISTED_OPEN)
+    assert chiral_halves(spec, sector_blocks(spec)) is None
+

@@ -26,6 +26,7 @@ from ptladder import (
     broken_windows,
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
+    chiral_halves,
     chiral_swap,
     classify_pt_phase,
     eigendecompose,
@@ -161,18 +162,31 @@ def test_family_matches_fresh_builds(topology):
             continue
         for delta in (0.0, 0.3):
             spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
-            # the EP searches build the even block alone where it maps onto the odd one
+            # the EP searches build the even block alone where it maps onto
+            # the odd one, and each block's A B where Gamma splits it
             blocks, _, scanned = _family_for(spec)
             kept = 1 if chiral_swap(spec) is not None else 2
+            split = chiral_halves(spec, sector_blocks(spec)) is not None
+            assert (scanned.func is spectral._squared_blocks) == split
             gammas = (-1.7, -0.25, 0.0, 0.4, 2.3)
             stacks = blocks(np.array(gammas))  # one chunk, as the scans and sweeps build it
+            scanned_stacks = scanned(np.array(gammas))
             for i, g in enumerate(gammas):
                 fresh = sector_blocks(spec.with_gamma(g))
                 got = blocks(g)
                 assert isinstance(got, tuple) and len(got) == len(fresh)
                 assert [b.tobytes() for b in got] == [b.tobytes() for b in fresh]
                 assert [s[i].tobytes() for s in stacks] == [b.tobytes() for b in fresh]
-                assert [b.tobytes() for b in scanned(g)] == [b.tobytes() for b in fresh[:kept]]
+                assert [s[i].tobytes() for s in scanned_stacks] == [b.tobytes() for b in scanned(g)]
+                if not split:
+                    assert [b.tobytes() for b in scanned(g)] == [b.tobytes() for b in fresh[:kept]]
+                    continue
+                # the split of b0 and slope is exact, but A(g) = a0 + g a1 rounds
+                # once where the split of a fresh block at g may round twice
+                squares = [a @ b for a, b in chiral_halves(spec, fresh)]
+                assert len(scanned(g)) == len(squares)
+                for got_square, want in zip(scanned(g), squares):
+                    np.testing.assert_allclose(got_square, want, rtol=0, atol=1e-14)
 
 
 # Every topology at odd and even N (Moebius and twisted need even N), at
@@ -186,9 +200,9 @@ STACK_SPECS = [
 ]
 
 
-def stacks_of_four(monkeypatch, spec) -> None:
-    """Chunks of four grid points after the first, which is one point."""
-    monkeypatch.setattr(spectral, "STACK_BYTES", 4 * max(b.nbytes for b in sector_blocks(spec)))
+def stacks_of_four(monkeypatch, blocks) -> None:
+    """Chunks of four grid points of ``blocks`` after the first, which is one point."""
+    monkeypatch.setattr(spectral, "STACK_BYTES", 4 * max(b.nbytes for b in blocks))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -196,17 +210,19 @@ def stacks_of_four(monkeypatch, spec) -> None:
 def test_stacked_scans_match_per_point_solves(spec, extra, monkeypatch):
     # grids one point shorter than a chunk, exactly one chunk, and one
     # point longer; no count changes, so the scan is all that runs
-    stacks_of_four(monkeypatch, spec)
-    grid = np.linspace(0.1, 2.9, 5 + extra)
     scanned = _family_for(spec)[2]
+    stacks_of_four(monkeypatch, scanned(0.0))
+    grid = np.linspace(0.1, 2.9, 5 + extra)
     chunks = [chunk.size for chunk, _ in spectral._stacked(scanned, grid)]
     assert chunks == {-1: [1, 3], 0: [1, 4], 1: [1, 4, 1]}[extra]
-    monkeypatch.setattr(spectral, "_broken_count", lambda values: 0)
-    values, brackets = spectral._scan_and_refine(scanned, grid)
+    monkeypatch.setattr(spectral, "IM_TOL", math.inf)  # nothing is broken
+    direct = _family_for(spec)[0] if scanned.func is spectral._squared_blocks else None
+    values, brackets = spectral._scan_and_refine(scanned, grid, direct)
     kept = 1 if chiral_swap(spec) is not None else 2
     assert len(values) == kept and brackets == []
     for g in grid:
-        for k, block in enumerate(sector_blocks(spec.with_gamma(g))[:kept]):
+        # the family's blocks are its fresh sector blocks (test_family_matches_fresh_builds)
+        for k, block in enumerate(scanned(g)):
             assert values[k][g].tobytes() == eigendecompose(block).eigenvalues.tobytes()
 
 
@@ -230,7 +246,7 @@ def fresh_pool():
 def test_stacked_sweeps_match_per_point_solves(spec, workers, monkeypatch, fresh_pool):
     # 23 points: the pool splits them into 8 parts of 2 or 3 points, and
     # a serial sweep into chunks of 1, 4, 4, 4, 4, 4 and 2
-    stacks_of_four(monkeypatch, spec)
+    stacks_of_four(monkeypatch, sector_blocks(spec))
     grid = np.linspace(0.0, 3.0, 23)
     fresh = lambda g: sector_blocks(spec.with_gamma(g))
     spectra = [spectral._merged([eigendecompose(b).eigenvalues for b in fresh(g)]) for g in grid]
@@ -317,7 +333,17 @@ def test_sector_ep_search_matches_the_dense_pair(n_cells, topology, gamma_range,
         assert abs(got.gamma_star - want.gamma_star) <= bracket_tol
         # the ring's collective EP scatters its cluster by about sqrt(eps)
         assert abs(got.energy_star - want.energy_star) <= 1e-5
-        assert abs(got.self_orthogonality - want.self_orthogonality) <= 1e-5
+        # self-orthogonality grows like sqrt(|gamma - gamma_EP|), by about 1e-5
+        # across 1e-11, so the dense pair's is taken at got's own gamma*
+        assert abs(got.self_orthogonality - self_orthogonality(dense, got.gamma_star, got.energy_star)) <= 1e-5
+
+
+def self_orthogonality(pair, gamma, energy):
+    """``|v^T v| / ||v||^2`` of the lower-index eigenvector of the pair's
+    two eigenvalues nearest ``energy`` at ``gamma``, as a record takes it."""
+    mid = spectral._eigenpairs(_family_for(pair)[0], None, gamma)
+    v = mid.right_eigenvectors[:, min(np.argsort(np.abs(mid.eigenvalues - energy))[:2])]
+    return abs(v @ v) / np.vdot(v, v).real
 
 
 @pytest.mark.parametrize("n_cells, steps", [(20, 200), (40, 400)])
@@ -667,14 +693,15 @@ def test_even_ring_search_solves_one_mirror_block(monkeypatch):
 def test_even_ring_zero_energy_scan_solves_one_mirror_block(monkeypatch):
     # det(odd) = det(even) for the N x N blocks of an even N, so the search
     # solves the pencil of the even block alone; a twisted ladder has no
-    # chiral swap and solves both
+    # chiral swap, and solves the pencils of both blocks' halves A and B,
+    # since det [[0, A], [B, 0]] = +-det A det B
     calls = counted_pencils(monkeypatch)
     points = locate_zero_energy_eps(LatticeSpec(n_cells=20), (0.0, 3.0), 601)
     assert points and all(abs(p.gamma_star - 2.0) < 1e-9 for p in points)
     assert calls == [20]
     calls.clear()
     assert locate_zero_energy_eps(LatticeSpec(n_cells=20, topology=BoundaryTopology.TWISTED_OPEN), (0.0, 2.0))
-    assert calls == [20, 20]
+    assert calls == [10, 10, 10, 10]
 
 
 def test_refine_cost_on_a_closed_form_family(monkeypatch):
@@ -752,9 +779,9 @@ def test_refine_bisects_where_false_position_stalls(monkeypatch):
     calls = counted_block_solves(monkeypatch)
     bracket_tol = spectral.BRACKET_TOL
     solved, brackets = spectral._scan_and_refine(family, np.linspace(0.3, 1.7, 8))
-    [(k, a, b)] = brackets
+    [(k, a, b, change)] = brackets
     assert 0.9 <= a < b <= 1.1 and b - a <= bracket_tol
-    assert spectral._broken_count(solved[k][b]) - spectral._broken_count(solved[k][a]) == 2  # a merge
+    assert spectral._broken_count(solved[k][b]) - spectral._broken_count(solved[k][a]) == change == 2  # a merge
     assert abs(0.5 * (a + b) - (1.0 + 1e-18 ** (1 / 7))) < 1e-9
     assert len(calls) <= 8 + 3 * 31
 
@@ -1060,23 +1087,51 @@ def test_pencil_roots_without_a_record_fail_a_filter(n_cells, topology):
     # band crossings of E = 0 are real roots of det H that are no EP: the
     # broken count of their block, or the midpoint of its two eigenvalues
     # nearest zero, rules each of them out
+    # (odd N splits its blocks into halves, whose pencils hold the roots;
+    # both filters are checked here on the blocks themselves)
     spec = LatticeSpec(n_cells=n_cells, topology=topology)
     stars = {p.gamma_star for p in locate_zero_energy_eps(spec, (0.0, 3.0))}
-    scanned = _family_for(spec)[2]
+    blocks, _, scanned = _family_for(spec)
     rejected = 0
-    for k, (h0, slope) in enumerate(zip(*scanned.args)):
-        for gamma in spectral._pencil_roots(h0, slope, 0.0, 3.0):
+    for k, pencils in enumerate(zip(*scanned.args)):
+        roots = np.concatenate([spectral._pencil_roots(h0, s, 0.0, 3.0) for h0, s in zip(pencils[::2], pencils[1::2])])
+        for gamma in roots:
             if gamma in stars:
                 continue
             rejected += 1
             before, after = (
-                spectral._broken_count(eigendecompose(scanned(g)[k]).eigenvalues)
-                for g in (gamma - 1e-7, gamma + 1e-7)
+                spectral._broken_count(eigendecompose(blocks(g)[k]).eigenvalues) for g in (gamma - 1e-7, gamma + 1e-7)
             )
-            values = eigendecompose(scanned(gamma)[k]).eigenvalues
+            values = eigendecompose(blocks(gamma)[k]).eigenvalues
             midpoint = abs(values[np.argsort(np.abs(values))[:2]].mean())
             assert before == after or midpoint > spectral.ZERO_ENERGY_TOL, gamma
     assert rejected > 0
+
+
+@pytest.mark.parametrize(
+    "n_cells, topology",
+    [(n, BoundaryTopology.TWISTED_OPEN) for n in (20, 40, 100)] + [(n, BoundaryTopology.OPEN) for n in (21, 101)],
+)
+def test_half_pencil_candidates_are_the_full_pencils(n_cells, topology):
+    # det [[0, A], [B, 0]] = +-det A det B: the roots of A's and B's pencils,
+    # counted by mu at gamma* -+ 1e-7, keep the same candidates as the whole
+    # block's pencil counted on the block itself
+    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+    blocks, _, scanned = _family_for(spec)
+    assert scanned.func is spectral._squared_blocks
+    for k, (a0, a1, b0, b1) in enumerate(zip(*scanned.args)):
+        full = spectral._pencil_roots(blocks.args[0][k], blocks.args[1][k], 0.0, 3.0)
+        half = np.sort(np.concatenate([spectral._pencil_roots(a0, a1, 0.0, 3.0), spectral._pencil_roots(b0, b1, 0.0, 3.0)]))
+
+        def kept(roots, family, direct):
+            probes = np.column_stack((roots - 1e-7, roots + 1e-7)).ravel()
+            counts = spectral._counts(spectral._stack_eigvals(family(probes)[k]), probes, k, direct)
+            return roots[np.array(counts[::2]) != np.array(counts[1::2])]
+
+        want = kept(full, blocks, None)
+        got = kept(half, scanned, blocks)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=5e-14)
 
 
 def test_a_pencil_singular_at_every_gamma_is_refused():
