@@ -25,6 +25,19 @@ the site-basis columns of that basis, to lift block eigenvectors to H.
 Rings and open ladders of even N are bipartite: their chiral operator
 anticommutes with H and swaps the two blocks, and ``chiral_swap`` gives
 the signed permutation that maps the even block onto minus the odd one.
+
+Circular and open ladders are orientable: every bond is ``-t I``.  At
+``delta == 0`` each of their sector blocks is then the Kronecker sum
+``T_b (x) I + I (x) h(gamma)`` of the mirror block ``T_b`` of the chain's
+hopping and the real cell block ``h(gamma) = [[-d, -gamma/2], [gamma/2,
+d]]``, bit for bit, so its eigenvalues are ``tau + e`` for every
+eigenvalue tau of ``T_b`` and e of h (Horn & Johnson, *Topics in Matrix
+Analysis*, 1991, sec. 4.4).  Every level pair of H is a copy of h's, and
+all of them coalesce at gamma = 2d; ``kronecker_cell`` gives h.  The
+Moebius closure and the twist cross one bond pair, ``-t diag(1, -1)`` in
+the real basis, which differs from ``-t I`` in one entry: the blocks of
+these non-orientable ladders are that Kronecker sum plus a rank-one term,
+which couples the levels and makes their transitions.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ __all__ = [
     "sector_bases",
     "chiral_swap",
     "chiral_halves",
+    "kronecker_cell",
     "analytic_cll_spectrum",
     "analytic_oll_spectrum",
     "analytic_mll_spectrum",
@@ -343,20 +357,25 @@ def sector_bases(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
     are the mirror combinations ``(|n> +- |N+1-n>)/sqrt2`` (and the
     centre cell of an odd N), real for delta != 0; at delta = 0 every
     cell is then rotated by ``V = [[1, i], [1, -i]]/sqrt2``.  Unlike the
-    blocks, the bases do not depend on gamma.
+    blocks, the bases do not depend on gamma.  ``_sector_basis`` builds
+    one of them.
     """
+    return tuple(_sector_basis(spec, b) for b in range(1 if spec.n_cells == 1 else 2))
+
+
+def _sector_basis(spec: LatticeSpec, block: int) -> np.ndarray:
+    """``sector_bases(spec)[block]`` alone: block 0 is mirror-even, 1 odd."""
     left, right, middle = _mirror_sites(spec.n_cells)
     pairs = np.arange(left.size)
-    even = np.zeros((spec.n_sites, left.size + middle.size))
-    odd = np.zeros((spec.n_sites, left.size))
-    even[left, pairs] = even[right, pairs] = odd[left, pairs] = 1 / math.sqrt(2.0)
-    odd[right, pairs] = -1 / math.sqrt(2.0)
-    even[middle, left.size + np.arange(middle.size)] = 1.0
-    bases = (even, odd)
+    w = np.zeros((spec.n_sites, left.size + (middle.size if block == 0 else 0)))
+    w[left, pairs] = 1 / math.sqrt(2.0)
+    w[right, pairs] = (1.0 if block == 0 else -1.0) / math.sqrt(2.0)
+    if block == 0:
+        w[middle, left.size + np.arange(middle.size)] = 1.0
     if spec.delta == 0:
         v = np.array([[1, 1j], [1, -1j]]) / math.sqrt(2.0)
-        bases = tuple((v @ w.reshape(spec.n_cells, 2, -1)).reshape(w.shape) for w in bases)
-    return tuple(w for w in bases if w.size)
+        w = (v @ w.reshape(spec.n_cells, 2, -1)).reshape(w.shape)
+    return w
 
 
 def chiral_swap(spec: LatticeSpec) -> np.ndarray | None:
@@ -441,6 +460,34 @@ def chiral_halves(
         odd = x[0, 1] * s - s[:, None] * x[1, 0]
         halves.append((0.5 * (even + odd), 0.5 * (even - odd)))
     return tuple(halves)
+
+
+def kronecker_cell(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """The real cell pair ``(h(0), h(1) - h(0))`` of an orientable ladder, or None.
+
+    On circular and open ladders every bond block is ``-t I``, so the
+    mirror blocks of ``sector_blocks`` at delta = 0 are the Kronecker sum
+    ``T_b (x) I + I (x) h(gamma)`` with ``h(gamma) = h(0) + gamma (h(1) -
+    h(0)) = [[-d, -gamma/2], [gamma/2, d]]``, the cell block in the real
+    basis, and ``T_b`` the mirror block of the chain's N x N hopping
+    matrix (the N = 2 ring's doubled bond and an odd N's sqrt2 join
+    included), bit for bit.  The eigenvalues of each block are ``tau + e``
+    for the eigenvalues tau of ``T_b`` (real, since ``T_b`` is symmetric)
+    and e of ``h(gamma)``, ``+-sqrt(d**2 - gamma**2 / 4)``.  So a block's
+    broken count is its cell count times that of ``h(gamma)``: levels of
+    two pairs only cross, and every pair coalesces at gamma = 2d, all
+    together.
+
+    Returns None where that form breaks: the Moebius closure and the
+    twist cross one bond pair, ``-t diag(1, -1)`` in the real basis, which
+    adds a rank-one term to one block entry, and at delta != 0 the blocks
+    are not written in the real basis.
+    """
+    orientable = (BoundaryTopology.CIRCULAR, BoundaryTopology.OPEN)
+    if spec.delta != 0 or spec.topology not in orientable:
+        return None
+    h0 = _sector_cells(spec.with_gamma(0.0)).h0
+    return h0, _sector_cells(spec.with_gamma(1.0)).h0 - h0
 
 
 def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:

@@ -32,7 +32,11 @@ keeps complex blocks.
 Eigenvectors are solved per block and lifted to the site basis of H by
 ``lattice.sector_bases``, and det H is the product of the block
 determinants, so no solve builds H itself.  ``branch_pair`` indexes the
-merged, sorted block spectrum, which is the spectrum of H.
+merged, sorted block spectrum, which is the spectrum of H.  An EP record
+reads one eigenvector: at its gamma* the blocks that hold pairs are
+solved with eigenvectors, every other block for its eigenvalues alone
+(geev returns the same eigenvalues either way), and only the column the
+record reads is lifted, with the basis of its own block.
 
 gamma enters every ladder only through the on-site +-i*gamma/2, so every
 family is affine in it, and a family is one of two kinds.  A spec is
@@ -45,32 +49,42 @@ lift: the Bloch block of a spec at momentum k is the pair
 H of a spec is ``(H(0), H(1) - H(0))``.  Both kinds pickle, so both
 sweep in the pool.
 
+Circular and open ladders are orientable, and at delta = 0 each of their
+blocks is the Kronecker sum ``T_b (x) I + I (x) h`` of a chain block and
+the 2 x 2 cell block h of ``lattice.kronecker_cell``.  Every level pair
+of H is a copy of h's, so the broken count of H is N times h's, and its
+only change is the collective EP at gamma = 2d.  The count search scans
+and refines h alone there, and solves the blocks only at the ends of
+its bracket and at gamma*.  The Moebius closure and the twist add a
+rank-one term to one block entry, which couples the levels: those
+ladders are searched on their blocks.
+
 Rings and open ladders of even N are bipartite, and their chiral
 operator swaps the two blocks: the odd block is ``-S even S^dagger`` for
-the signed permutation S of ``lattice.chiral_swap``.  Its eigenvalues
-are minus the even block's, so its broken count is the even block's,
-and for N x N blocks with N even its determinant is the even block's.
-Both EP searches therefore build and solve the even block alone on such
-a spec and take the odd block's eigenvalues as ``-values``; this halves
-their scan and refine solves.  The eigenvector solve of a record at
-gamma* and the sweeps still solve both blocks.
+the signed permutation S of ``lattice.chiral_swap``.  For N x N blocks
+with N even its determinant is the even block's, so the zero-energy
+search solves the pencil of the even block alone on such a spec; this
+chiral swap serves that search alone, as the count search scans the
+cell block there.
 
 On the twisted ladder and the open ladder of odd N the chiral operator
 maps each block onto itself, and ``lattice.chiral_halves`` writes each
 block as ``[[0, A], [B, 0]]``, exactly.  Its eigenvalues are
 ``E = +-sqrt(mu)`` for the eigenvalues mu of ``A B``, which has half
-the block's rows.  Both EP searches solve these halves: the count
-search scans and refines mu, counting each broken mu as its two broken
-E (``_broken``), so that an E pair and its -E partner coalesce as one
-mu pair and false position works on it; the zero-energy search takes
-its roots from the pencils of A and B, since ``det = +-det A det B``,
-and its broken counts from mu.  mu is good to about eps times its
-largest value, so ``+-sqrt(mu)`` cannot tell a real E from a broken one
-where a mu is within rounding of 0, as on the twisted ladder's zero
-mode at gamma = 0; such a point is counted on the block itself.
-Bracket ends and records are solved on the blocks themselves.  The
-Moebius ring, which has no chiral operator, solves both blocks
-everywhere, as does a pair ``(h0, slope)``.
+the block's rows.  The EP searches solve these halves (the count search
+on the twisted ladder alone, as an open ladder scans its cell block):
+the count search scans and refines mu, counting each broken mu as its
+two broken E (``_broken``), so that an E pair and its -E partner
+coalesce as one mu pair and false position works on it; the zero-energy
+search takes its roots from the pencils of A and B, since
+``det = +-det A det B``, and its broken counts from mu.  mu is good to
+about eps times its largest value, so ``+-sqrt(mu)`` cannot tell a real
+E from a broken one where a mu is within rounding of 0, as on the
+twisted ladder's zero mode at gamma = 0; such a point is counted on the
+block itself.  Bracket ends and records are solved on the blocks
+themselves.  The Moebius ring, which has no chiral operator and no
+Kronecker form, solves both blocks everywhere, as does a pair
+``(h0, slope)``.
 
 Every gamma grid is solved in stacks: the scan of the count search, the
 broken counts of the zero-energy search and the sweeps build each block
@@ -88,13 +102,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._pool import pool_map
-from .lattice import LatticeSpec, chiral_halves, chiral_swap, sector_bases, sector_blocks
+from .lattice import (
+    LatticeSpec,
+    _sector_basis,
+    chiral_halves,
+    chiral_swap,
+    kronecker_cell,
+    sector_bases,
+    sector_blocks,
+)
 
 __all__ = [
     "EigensolverError",
@@ -361,7 +383,8 @@ def _grid_eigvals(build, grid: np.ndarray, workers: int, weigh=None, bases=None)
     grid has 8 or more points.
 
     With ``weigh``, each point is solved once with eigenvectors instead,
-    lifted with ``bases``, and gives ``(values, weigh(vectors, gamma))``.
+    lifted with ``bases`` (``sector_bases``), and gives
+    ``(values, weigh(vectors, gamma))``.
     Pool workers get chunks of gammas, with the builder (a picklable
     ``_family_for`` builder), ``bases`` and ``weigh`` sent once per
     chunk, and build their own blocks: the parent builds none, and no
@@ -379,8 +402,8 @@ def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.nda
     stacks of ``_stacked`` chunks, one LAPACK call per block and chunk.
 
     Every row is bit-identical to a solve of its block alone, and with
-    ``weigh`` every point's vectors are lifted and weighed on their own,
-    as ``_eigenpairs`` does.
+    ``weigh`` every point's vectors are lifted (``_lifted``) and weighed
+    on their own.
     """
     points = []
     for chunk, stacks in _stacked(build, gammas):
@@ -395,27 +418,31 @@ def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.nda
     return points
 
 
-def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, tuple | None, Callable]:
-    """Builder of a family's blocks at gamma, their bases, and the builder
-    of the blocks a scan solves.
+def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, Callable | None, Callable]:
+    """Builder of a family's blocks at gamma, of their bases, and of the
+    blocks a scan solves.
 
     A spec's blocks are its mirror-sector blocks (``sector_blocks``),
     real at delta = 0 and complex otherwise; their eigenvalues together
-    are those of H, and ``sector_bases`` lifts their eigenvectors to the
-    site basis.  gamma enters every block linearly, so each call is
+    are those of H, and block k's basis ``basis(k)`` (``sector_bases``)
+    lifts its eigenvectors to the site basis.  Each basis is built at its
+    first call, once per family, since the searches lift vectors only at
+    their records.  gamma enters every block linearly, so each call is
     ``b0 + g * s`` from the blocks at gamma = 0 and 1, bit-identical to a
     fresh build; at an array of gammas it gives each block's stack over
-    them.  Where ``lattice.chiral_swap`` maps the even block onto the odd
-    one (rings and open ladders of even N), the scan builds the even
-    block alone, since the odd block's eigenvalues are minus its own and
-    its determinant is its own.  Where ``lattice.chiral_halves`` splits
-    every block into ``[[0, A], [B, 0]]`` (twisted ladders and open
-    ladders of odd N), the scan builds ``_squared_blocks``, each block's
-    ``A B`` at half its size, from the split of the blocks at gamma = 0
-    and of their slope.  Otherwise it builds every block.  A pair
-    ``(h0, slope)`` is the one block ``h0 + g * slope``, without bases.
-    The block builder pickles, so pool workers can build blocks
-    themselves.
+    them.  The scanned builder serves the zero-energy search, and the
+    count search on the Moebius ring and the twisted ladder; the count
+    search scans the 2 x 2 cell block of circular and open ladders
+    (``lattice.kronecker_cell``) instead.  Where ``lattice.chiral_swap``
+    maps the even block onto the odd one (rings and open ladders of even
+    N), it builds the even block alone, since the odd block's determinant
+    is its own.  Where ``lattice.chiral_halves`` splits every block into
+    ``[[0, A], [B, 0]]`` (twisted ladders and open ladders of odd N), it
+    builds ``_squared_blocks``, each block's ``A B`` at half its size,
+    from the split of the blocks at gamma = 0 and of their slope.
+    Otherwise it builds every block.  A pair ``(h0, slope)`` is the one
+    block ``h0 + g * slope``, without a basis.  The block builder
+    pickles, so pool workers can build blocks themselves.
     """
     if not isinstance(family, LatticeSpec):
         blocks = partial(_affine_blocks, *_checked_pair(family))
@@ -431,7 +458,7 @@ def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, tuple | None, Ca
         scanned = partial(_affine_blocks, b0[:1], slope[:1])
     else:
         scanned = blocks
-    return blocks, sector_bases(family), scanned
+    return blocks, cache(partial(_sector_basis, family)), scanned
 
 
 def _checked_pair(pair) -> tuple[tuple[np.ndarray], tuple[np.ndarray]]:
@@ -458,20 +485,12 @@ def _squared_blocks(a0: tuple, a1: tuple, b0: tuple, b1: tuple, g) -> tuple[np.n
     return tuple(a @ b for a, b in zip(_affine_blocks(a0, a1, g), _affine_blocks(b0, b1, g)))
 
 
-def _eigenpairs(blocks: Callable, bases: tuple[np.ndarray, ...] | None, gamma: float) -> Spectrum:
-    """Sorted eigenvalues and site-basis right eigenvectors at gamma.
-
-    Each block is solved on its own, and ``_lifted`` joins them.
-    """
-    return _lifted([eigendecompose(b, want_vectors=True) for b in blocks(gamma)], bases, gamma)
-
-
 def _lifted(parts: list[Spectrum], bases: tuple[np.ndarray, ...] | None, gamma: float) -> Spectrum:
     """The spectrum of H, with vectors, from each block's own.
 
-    With ``bases`` (the sector blocks of ``_family_for``) each block's
-    unit eigenvectors are lifted to H with its basis; the one block of a
-    pair ``(h0, slope)`` needs no lift.
+    With ``bases`` (``sector_bases``) each block's unit eigenvectors are
+    lifted to H with its basis; the one block of a pair ``(h0, slope)``
+    needs no lift.
     """
     values = np.concatenate([p.eigenvalues for p in parts])
     vectors = [p.right_eigenvectors for p in parts]
@@ -518,8 +537,7 @@ def _weighted_sweep(
     ``rows[b, j]``, the row of branch b at ``gamma_grid[j]``.
     """
     grid = _checked_grid(gamma_grid)
-    blocks, bases, _ = _family_for(spec)
-    points = _grid_eigvals(blocks, grid, workers, weigh=weigh, bases=bases)
+    points = _grid_eigvals(_family_for(spec)[0], grid, workers, weigh=weigh, bases=sector_bases(spec))
     values = [v for v, _ in points]
     rows = [r for _, r in points]
     return _continue_branches(grid, values, rows)
@@ -771,7 +789,7 @@ def _scan_and_refine(
 
 
 def _search_family(family, gamma_range) -> tuple:
-    """The block builder, eigenvector bases and scanned builder
+    """The block builder, basis builder and scanned builder
     (``_family_for``) of an EP search, and the ends of its range.
 
     Both searches rest on PT symmetry, which a spec with delta != 0 does
@@ -798,17 +816,17 @@ def locate_exceptional_points(
     ``B(g) = build_bloch_hamiltonian(spec.with_gamma(g), k)``; it is
     searched as the one block ``h0 + g * slope``.  For a spec,
     eigenvalues and the EP eigenvectors come from its mirror-sector
-    blocks, the vectors
-    lifted to the site basis of H.  On a ring or open ladder of even N
-    (``lattice.chiral_swap``) the scan and the refine solve the even
-    block alone: the odd block's eigenvalues are minus its own, so its
-    broken count and its brackets are the even block's, and at the
-    bracket ends its values are taken as ``-values``.  On a twisted
-    ladder or an open ladder of odd N (``lattice.chiral_halves``) they
-    solve each block's ``A B``, at half its size, and count its
-    eigenvalues mu = E**2 (see the module docstring); the blocks
-    themselves are solved at the ends of each bracket of mu, for the
-    blocks that bracketed it, and at gamma* for the record.
+    blocks, the vectors lifted to the site basis of H.  On a circular or
+    open ladder every block is the Kronecker sum ``T_b (x) I + I (x) h``
+    of a chain block and the 2 x 2 cell block h (``lattice.kronecker_cell``),
+    so every block's broken count changes exactly where h's does: the
+    scan and the refine solve h alone, and every block is solved at the
+    ends of each bracket of h.  On a twisted ladder
+    (``lattice.chiral_halves``) they solve each block's ``A B``, at half
+    its size, and count its eigenvalues mu = E**2 (see the module
+    docstring); the blocks themselves are solved at the ends of each
+    bracket of mu, for the blocks that bracketed it.  The Moebius ring
+    solves both blocks throughout.
 
     Scans ``coarse_steps`` intervals for changes of each block's
     broken-eigenvalue count: an eigenvalue is broken where its imaginary
@@ -825,26 +843,29 @@ def locate_exceptional_points(
     it is broken and linear in gamma at the EP; the count at each probe
     decides which part stays.  That takes about 5 solves per bracket
     where bisection takes about 26.  Where the count changes by more
-    than one pair (two EPs in one interval, the ring's collective EP),
-    probes bisect until one pair flips, so multiple transitions of one
-    block inside one coarse interval are separated as long as they are
-    further than ``BRACKET_TOL`` apart.  Transitions whose broken window
-    lies strictly between two grid points are invisible at the chosen
+    than one pair (two EPs in one interval), probes bisect until one
+    pair flips, so multiple transitions of one block inside one coarse
+    interval are separated as long as they are further than
+    ``BRACKET_TOL`` apart.  Transitions whose broken window lies
+    strictly between two grid points are invisible at the chosen
     resolution, unless a probe happens to land in it.
 
     Brackets of any blocks that overlap or touch and change the count in
-    the same direction are joined: a transition shared by both blocks
-    (the ring's collective EP) is one bracket, and so is a transition
-    split into two brackets by a grid point or probe that lands exactly
-    on it (up to ``2 * BRACKET_TOL`` wide).  Each joined bracket
-    is resolved on the whole spectrum at its two ends (on the halves, on
-    the blocks whose brackets it joined, as the other blocks keep their
-    counts across it), so ``n_broken_change``, ``energy_star`` and
-    ``branch_pair`` refer to H.
+    the same direction are joined: a transition shared by both blocks is
+    one bracket, and so is a transition split into two brackets by a
+    grid point or probe that lands exactly on it (up to
+    ``2 * BRACKET_TOL`` wide).  Each joined bracket is resolved on the
+    whole spectrum at its two ends (on the halves, on the blocks whose
+    brackets it joined, as the other blocks keep their counts across
+    it), so ``n_broken_change``, ``energy_star`` and ``branch_pair``
+    refer to H.  Each record's pair is found at gamma* in the blocks
+    solved for their eigenvalues, and only a block that holds pairs is
+    solved with eigenvectors (``_pair_record``).
 
     Returns a list of :class:`ExceptionalPoint` sorted by gamma (several
     entries may share one gamma when a cluster of pairs coalesces
-    together).  Gap minima without a count change, such as avoided
+    together, as all pairs of a circular or open ladder do at
+    gamma = 2d).  Gap minima without a count change, such as avoided
     crossings, are not EPs and are not reported.  A detuned spec
     (delta != 0) is not PT-symmetric and raises ``ValueError``, and so
     does a pair that is not two square matrices of one shape; any other
@@ -852,26 +873,38 @@ def locate_exceptional_points(
     """
     if coarse_steps < 1:
         raise ValueError("coarse_steps must be at least 1")
-    blocks, bases, scanned, lo, hi = _search_family(spec, gamma_range)
+    blocks, basis, scanned, lo, hi = _search_family(spec, gamma_range)
+    cell = kronecker_cell(spec) if isinstance(spec, LatticeSpec) else None
+    if cell is not None:
+        scanned = partial(_affine_blocks, *zip(cell))
     squared = scanned.func is _squared_blocks
     solved, brackets = _scan_and_refine(scanned, np.linspace(lo, hi, coarse_steps + 1), blocks if squared else None)
 
-    def spectrum(g: float, own: set[int]) -> np.ndarray:
-        if squared:  # mu located the bracket; its own blocks are solved at its ends
-            at = blocks(g)
-            return _merged([_block_eigvals(at[k]) for k in sorted(own)])
-        # a bracket end is solved for its own block; the others are solved here
-        for k, at in enumerate(solved):
-            if g not in at:
-                at[g] = _block_eigvals(scanned(g)[k])
-        parts = [at[g] for at in solved]
-        if scanned is not blocks:
-            parts.append(-parts[0])  # the odd block, -S even S^dagger
-        return _merged(parts)
+    def spectrum(g: float, own) -> np.ndarray:
+        if scanned is blocks:
+            # a bracket end is solved for its own block; the others are solved here
+            for k, at in enumerate(solved):
+                if g not in at:
+                    at[g] = _block_eigvals(scanned(g)[k])
+            return _merged([at[g] for at in solved])
+        at = blocks(g)  # mu located the bracket on its own blocks, the cell on all of them
+        return _merged([_block_eigvals(at[k]) for k in own])
 
     points = []
     for a, b, own in _join_brackets(brackets):
-        points.extend(_resolve_transition(blocks, bases, a, spectrum(a, own), b, spectrum(b, own)))
+        # every pair of a Kronecker sum is a copy of the cell's, in every
+        # block, so H has N times the cell's count; an end where it does
+        # not is within rounding of the EP, where H is defective, and moves
+        # out by the bracket's width, which centres the bracket on the EP
+        own = sorted(own) if cell is None else range(len(blocks.args[0]))
+        ends = []
+        for g, out in ((a, a - b), (b, b - a)):
+            values = spectrum(g, own)
+            if cell is not None and _broken_count(values) != values.size // 2 * _broken_count(solved[0][g]):
+                g += out
+                values = spectrum(g, own)
+            ends += [g, values]
+        points.extend(_resolve_transition(blocks, basis, own, *ends))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
     return points
 
@@ -881,12 +914,12 @@ def _join_brackets(brackets: list[tuple[int, float, float, int]]) -> list[tuple[
     count in the same direction; each joined bracket comes with the set
     of blocks whose brackets it joined.
 
-    Both blocks bracket a transition they share, such as the ring's
-    collective EP.  And a grid point or probe that lands exactly on an
-    EP gets a count set by rounding: a real solve returns each
-    defective pair there as a real pair or as a conjugate pair, split by
-    about sqrt(eps).  One transition is then refined into two brackets
-    that meet at that point.
+    Brackets of two blocks that overlap are resolved as one transition
+    of H, on the spectra of both.  And a grid point or probe that lands
+    exactly on an EP gets a count set by rounding: a real solve returns
+    each defective pair there as a real pair or as a conjugate pair,
+    split by about sqrt(eps).  One transition is then refined into two
+    brackets that meet at that point.
     """
     joined: list[tuple[float, float, int, set[int]]] = []
     for k, a, b, change in sorted(brackets, key=lambda t: t[1]):
@@ -898,14 +931,15 @@ def _join_brackets(brackets: list[tuple[int, float, float, int]]) -> list[tuple[
     return [(a, b, own) for a, b, _, own in joined]
 
 
-def _resolve_transition(blocks, bases, a: float, vals_a: np.ndarray, b: float, vals_b: np.ndarray):
+def _resolve_transition(blocks, basis, own, a: float, vals_a: np.ndarray, b: float, vals_b: np.ndarray):
     """Turn one refined bracket into ExceptionalPoint records.
 
     The spectra at the two bracket ends are matched pairwise; indices
     whose real/complex character flips across the bracket identify the
     coalescing pairs.  The broken-side members are grouped into conjugate
-    pairs, one record per pair, with eigenvectors from
-    ``_eigenpairs(blocks, bases, gamma*)``.
+    pairs, one record per pair (``_pair_record``).  At gamma* the blocks
+    ``own``, which hold the flipping pairs, are solved with eigenvectors,
+    and every other block for its eigenvalues alone.
     """
     gamma_star = 0.5 * (a + b)
     ca, cb = _broken_count(vals_a), _broken_count(vals_b)
@@ -931,11 +965,16 @@ def _resolve_transition(blocks, bases, a: float, vals_a: np.ndarray, b: float, v
             j = min(partners, key=lambda j: abs(broken_side[j] - broken_side[i].conjugate()))
             pairs.append((i, j))
             used.update((i, j))
+    if not pairs:
+        return []
 
-    mid = _eigenpairs(blocks, bases, gamma_star)
+    at = blocks(gamma_star)
+    parts = [eigendecompose(m, want_vectors=k in own, gamma=gamma_star) for k, m in enumerate(at)]
     return [
         _pair_record(
-            mid,
+            at,
+            parts,
+            basis,
             0.5 * (broken_side[i] + broken_side[j]),
             gamma_star=gamma_star,
             kind=kind,
@@ -947,16 +986,33 @@ def _resolve_transition(blocks, bases, a: float, vals_a: np.ndarray, b: float, v
     ]
 
 
-def _pair_record(mid: Spectrum, target: complex, **fields) -> ExceptionalPoint:
-    """ExceptionalPoint for the two eigenvalues of ``mid`` nearest ``target``.
+def _pair_record(at: tuple, parts: list[Spectrum], basis: Callable | None, target: complex, **fields) -> ExceptionalPoint:
+    """ExceptionalPoint for the two eigenvalues of H nearest ``target``.
 
-    The pair gives ``branch_pair`` (ascending indices), ``energy_star``
-    (its midpoint), ``pair_gap`` and the ``self_orthogonality`` of the
-    lower index's eigenvector; ``fields`` supply the rest.
+    ``parts[k]`` is block k of ``at``, the blocks at gamma*, solved with
+    eigenvectors or for its eigenvalues alone; merged and sorted, their
+    eigenvalues are the spectrum of H.  The pair gives ``branch_pair``
+    (ascending indices into it), ``energy_star`` (its midpoint),
+    ``pair_gap`` and the ``self_orthogonality`` of the lower index's
+    eigenvector, lifted to H with its block's ``basis(k)`` alone (the one
+    block of a pair ``(h0, slope)`` needs no lift).  Where that block was
+    solved without eigenvectors, it is solved again with them, in place
+    in ``parts``, and the pair is taken afresh; geev returns the same
+    eigenvalues either way.  ``fields`` supply the rest.
     """
-    lo, hi = sorted(int(x) for x in np.argsort(np.abs(mid.eigenvalues - target))[:2])
-    e_lo, e_hi = mid.eigenvalues[lo], mid.eigenvalues[hi]
-    v = mid.right_eigenvectors[:, lo]
+    while True:
+        values = np.concatenate([p.eigenvalues for p in parts])
+        order = np.lexsort((values.imag, values.real))
+        lo, hi = sorted(int(x) for x in np.argsort(np.abs(values[order] - target))[:2])
+        sizes = [p.eigenvalues.size for p in parts]
+        k = int(np.searchsorted(np.cumsum(sizes), order[lo], side="right"))  # the block of lo
+        if parts[k].right_eigenvectors is not None:
+            break
+        parts[k] = eigendecompose(at[k], want_vectors=True, gamma=parts[k].gamma)
+    e_lo, e_hi = values[order[lo]], values[order[hi]]
+    v = parts[k].right_eigenvectors[:, order[lo] - sum(sizes[:k])]
+    if basis is not None:
+        v = basis(k) @ v
     return ExceptionalPoint(
         energy_star=complex(0.5 * (e_lo + e_hi)),
         branch_pair=(lo, hi),
@@ -1017,8 +1073,9 @@ def locate_zero_energy_eps(
     at gamma* must be within ``ZERO_ENERGY_TOL`` of 0, which discards a
     coalescence elsewhere that meets such a root.  That block is solved
     once at gamma*, with eigenvectors, and the record reuses the solve;
-    the other blocks' eigenvectors are solved only for a kept record.
-    The record's eigenvectors are lifted to the site basis of H.
+    the other blocks are solved for their eigenvalues alone, and only for
+    a kept record (``_pair_record``).  The record's eigenvector is lifted
+    to the site basis of H.
 
     No grid is scanned: the pencil sees every root, including pairs of
     sign changes closer than any grid step.  ``scan_steps`` is kept for
@@ -1029,7 +1086,7 @@ def locate_zero_energy_eps(
     non-finite matrix or a block whose determinant vanishes for every
     gamma raises ``EigensolverError``.
     """
-    blocks, bases, scanned, lo, hi = _search_family(spec, gamma_range)
+    blocks, basis, scanned, lo, hi = _search_family(spec, gamma_range)
     # halves count their spectra by mu, and on the blocks where a mu is about 0
     direct = blocks if scanned.func is _squared_blocks else None
     # the odd block of a chiral swap has the even block's roots
@@ -1047,18 +1104,19 @@ def locate_zero_energy_eps(
         found += [(g, k, before, after) for g, before, after in zip(roots, counts[::2], counts[1::2])]
 
     points = []
-    with_vectors = partial(eigendecompose, want_vectors=True)
     for gamma_star, k, before, after in sorted(found):
         if before == after:
             continue  # plain zero crossing, not a coalescence
-        at_star = blocks(gamma_star)
-        own = with_vectors(at_star[k])
+        at = blocks(gamma_star)
+        own = eigendecompose(at[k], want_vectors=True, gamma=gamma_star)
         values = own.eigenvalues
         if abs(values[np.argsort(np.abs(values))[:2]].mean()) > ZERO_ENERGY_TOL:
             continue  # a coalescence away from zero: no other block is solved for it
-        parts = [own if j == k else with_vectors(b) for j, b in enumerate(at_star)]
+        parts = [own if j == k else eigendecompose(m, gamma=gamma_star) for j, m in enumerate(at)]
         record = _pair_record(
-            _lifted(parts, bases, gamma_star),
+            at,
+            parts,
+            basis,
             0.0,
             gamma_star=gamma_star,
             kind=EpKind.MERGE if after > before else EpKind.SPLIT,

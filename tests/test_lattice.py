@@ -19,6 +19,7 @@ from ptladder import (
     build_real_space_hamiltonian,
     chiral_halves,
     chiral_swap,
+    kronecker_cell,
     sector_bases,
     sector_blocks,
     unit_cell_blocks,
@@ -581,3 +582,87 @@ def test_chiral_halves_are_none_off_the_self_mapped_ladders(topology, n):
     spec = LatticeSpec(n_cells=20, delta=0.3, topology=BoundaryTopology.TWISTED_OPEN)
     assert chiral_halves(spec, sector_blocks(spec)) is None
 
+
+def chain_blocks(n_cells: int, inter_hop: float, ring: bool) -> tuple[np.ndarray, ...]:
+    """Mirror blocks ``T_b`` of a chain's N x N hopping matrix: ``-t`` on
+    neighbouring cells, with the ring's closing bond (doubled at N = 2),
+    split like the cells of ``sector_blocks``: ``A_LL +- A_LR`` over the
+    left cells and their partners, and an odd N's centre cell in the even
+    block, joined by sqrt2 times its hopping."""
+    hop = np.zeros((n_cells, n_cells))
+    for c in range(n_cells - 1 + ring):
+        e = (c + 1) % n_cells
+        hop[c, e] -= inter_hop
+        hop[e, c] -= inter_hop
+    left = np.arange(n_cells // 2)
+    right = n_cells - 1 - left
+    even = hop[np.ix_(left, left)] + hop[np.ix_(left, right)]
+    odd = hop[np.ix_(left, left)] - hop[np.ix_(left, right)]
+    if n_cells % 2:
+        centre = [n_cells // 2]
+        even = np.block(
+            [
+                [even, SQRT2 * hop[np.ix_(left, centre)]],
+                [SQRT2 * hop[np.ix_(centre, left)], hop[np.ix_(centre, centre)]],
+            ]
+        )
+    return tuple(b for b in (even, odd) if b.size)
+
+
+def kronecker_sums(spec: LatticeSpec, ring: bool) -> list[np.ndarray]:
+    """``T_b (x) I + I (x) h(gamma)`` for each chain block, with the real
+    cell block ``h(gamma) = [[-d, -gamma/2], [gamma/2, d]]``."""
+    d, half = spec.intra_hop, 0.5 * spec.gamma
+    cell = np.array([[-d, -half], [half, d]])
+    return [
+        np.kron(chain, np.eye(2)) + np.kron(np.eye(len(chain)), cell)
+        for chain in chain_blocks(spec.n_cells, spec.inter_hop, ring)
+    ]
+
+
+KRONECKER_CASES = [(BoundaryTopology.CIRCULAR, n) for n in (2, 3, 20, 21, 100)] + [
+    (BoundaryTopology.OPEN, n) for n in (1, 2, 3, 20, 21, 100)
+]
+
+
+@pytest.mark.parametrize("topology, n", KRONECKER_CASES)
+@pytest.mark.parametrize("hops", [(1.0, 1.0), (0.7, 1.3)])
+def test_orientable_blocks_are_kronecker_sums_with_the_cell_block(topology, n, hops):
+    d, t = hops
+    spec = LatticeSpec(n_cells=n, intra_hop=d, inter_hop=t, topology=topology)
+    h0, slope = kronecker_cell(spec)
+    assert h0.dtype == slope.dtype == np.float64 and h0.shape == slope.shape == (2, 2)
+    for gamma in (0.0, 0.75, 1.3, 2.0 * d, 2.6):
+        at = spec.with_gamma(gamma)
+        np.testing.assert_array_equal(h0 + gamma * slope, [[-d, -0.5 * gamma], [0.5 * gamma, d]])
+        blocks = sector_blocks(at)
+        sums = kronecker_sums(at, topology is BoundaryTopology.CIRCULAR)
+        assert len(blocks) == len(sums)
+        for block, kron in zip(blocks, sums):
+            # bit for bit; only the sign of a zero may differ (adding 0.0 drops it)
+            assert (block + 0.0).tobytes() == (kron + 0.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "topology, n",
+    [(topo, n) for topo in (BoundaryTopology.MOEBIUS, BoundaryTopology.TWISTED_OPEN) for n in (2, 20, 100)],
+)
+def test_non_orientable_blocks_differ_from_the_kronecker_sum_in_one_entry(topology, n):
+    # the crossed bond pair is -t diag(1, -1) in the real basis where an
+    # orientable ladder has -t I: the Moebius ring differs from the
+    # circular one, and the twisted ladder from the open one, by 2t in
+    # one diagonal entry of each block, a rank-one term (t is a short
+    # binary fraction, so the difference is exact)
+    t = 1.25
+    for gamma in (0.0, 0.75, 2.6):
+        spec = LatticeSpec(n_cells=n, inter_hop=t, gamma=gamma, topology=topology)
+        assert kronecker_cell(spec) is None
+        sums = kronecker_sums(spec, topology is BoundaryTopology.MOEBIUS)
+        for block, kron in zip(sector_blocks(spec), sums):
+            [(i, j)] = np.argwhere(block != kron)
+            assert i == j and abs(block[i, j] - kron[i, j]) == 2 * t
+
+
+@pytest.mark.parametrize("topology", list(BoundaryTopology))
+def test_kronecker_cell_is_none_off_delta_zero(topology):
+    assert kronecker_cell(LatticeSpec(n_cells=20, delta=0.3, topology=topology)) is None

@@ -21,6 +21,7 @@ from ptladder import (
     ExceptionalPoint,
     LatticeSpec,
     Phase,
+    analytic_cll_spectrum,
     analytic_oll_spectrum,
     bloch_eigenvalues,
     broken_windows,
@@ -32,6 +33,7 @@ from ptladder import (
     eigendecompose,
     locate_exceptional_points,
     locate_zero_energy_eps,
+    sector_bases,
     sector_blocks,
     sweep_spectrum,
 )
@@ -255,8 +257,8 @@ def test_stacked_sweeps_match_per_point_solves(spec, workers, monkeypatch, fresh
     assert got.branches.tobytes() == want.branches.tobytes()
     assert (got.ambiguous_steps, got.continuation_residual) == (want.ambiguous_steps, want.continuation_residual)
 
-    bases = _family_for(spec)[1]
-    pairs = [spectral._eigenpairs(fresh, bases, g) for g in grid]
+    bases = sector_bases(spec)
+    pairs = [spectral._lifted([eigendecompose(b, want_vectors=True) for b in fresh(g)], bases, g) for g in grid]
     rows = [column_moduli(p.right_eigenvectors, g) for p, g in zip(pairs, grid)]
     want, want_rows = spectral._continue_branches(grid, [p.eigenvalues for p in pairs], rows)
     got, got_rows = spectral._weighted_sweep(spec, grid, column_moduli, workers=workers)
@@ -310,7 +312,11 @@ def test_searches_refuse_a_detuned_spec():
 @pytest.mark.parametrize(
     "n_cells, topology, gamma_range, steps",
     [
+        # circular and open ladders scan their 2 x 2 cell block
         (20, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400),
+        (21, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400),
+        (20, BoundaryTopology.OPEN, (0.0, 3.0), 400),
+        (21, BoundaryTopology.OPEN, (0.0, 3.0), 400),
         (20, BoundaryTopology.MOEBIUS, (0.02, 0.8), 250),
         (40, BoundaryTopology.MOEBIUS, (0.01, 0.45), 250),
         # the zero-mode pair breaks from gamma = 0, so its count flips in the first step
@@ -341,7 +347,8 @@ def test_sector_ep_search_matches_the_dense_pair(n_cells, topology, gamma_range,
 def self_orthogonality(pair, gamma, energy):
     """``|v^T v| / ||v||^2`` of the lower-index eigenvector of the pair's
     two eigenvalues nearest ``energy`` at ``gamma``, as a record takes it."""
-    mid = spectral._eigenpairs(_family_for(pair)[0], None, gamma)
+    h0, slope = pair
+    mid = eigendecompose(h0 + gamma * slope, want_vectors=True)
     v = mid.right_eigenvectors[:, min(np.argsort(np.abs(mid.eigenvalues - energy))[:2])]
     return abs(v @ v) / np.vdot(v, v).real
 
@@ -538,12 +545,18 @@ def test_spectrum_conjugate_closure_and_trace(gamma, n):
 
 
 def test_collective_ep_location_on_ring():
-    # all momentum pairs of the ring coalesce together at gamma = 2d
+    # All momentum pairs of the ring coalesce together at gamma = 2d.
+    # gamma = 2 is the 21st grid point, where the cell block is
+    # [[-1, -1], [1, 1]], exactly defective: its count reads 0, so the
+    # cell's bracket ends on the EP, where H is defective too and a solve
+    # scatters its pairs by about sqrt(eps).  That end moves out by the
+    # bracket's width, which centres the bracket on the EP.
     points = locate_exceptional_points(LatticeSpec(n_cells=6), (1.5, 2.5), coarse_steps=40)
     assert len(points) == 6
     for p in points:
         assert p.kind is EpKind.MERGE
-        assert abs(p.gamma_star - 2.0) < 1e-9
+        assert abs(p.gamma_star - 2.0) < 1e-15
+        assert p.bracket_lo < 2.0 < p.bracket_hi
         assert p.bracket_hi - p.bracket_lo <= 2e-10
         assert p.n_broken_change == 12
         assert p.self_orthogonality < 1e-3
@@ -556,34 +569,30 @@ def test_collective_ep_location_on_ring():
     assert abs(windows[0].gamma_lo - 2.0) < 1e-9
 
 
-@pytest.mark.parametrize("n_cells", [20, 21])
-def test_ring_ep_records_match_the_closed_form(n_cells):
-    # at gamma = 2d every momentum pair coalesces at E = -2t cos(2 pi m / N);
-    # the +-k partners sit in opposite mirror blocks, so this also checks
-    # that the blocks' brackets join into one transition of the whole H
-    spec = LatticeSpec(n_cells=n_cells)
+ORIENTABLE_CASES = [(BoundaryTopology.CIRCULAR, n) for n in (2, 3, 20, 21)] + [
+    (BoundaryTopology.OPEN, n) for n in (1, 2, 3, 20, 21)
+]
+
+
+@pytest.mark.parametrize("topology, n_cells", ORIENTABLE_CASES)
+def test_orientable_ep_records_match_the_closed_form(topology, n_cells):
+    # every level pair of a circular or open ladder is a copy of the cell
+    # block's, -2t cos k +- sqrt(d^2 - gamma^2 / 4) (analytic_cll_spectrum,
+    # analytic_oll_spectrum), so all N pairs coalesce together at gamma = 2d,
+    # at E = -2t cos k, and all 2N levels break there; the +-k partners of
+    # a ring sit in opposite mirror blocks, and every block is resolved
+    spec = LatticeSpec(n_cells=n_cells, topology=topology)
     points = locate_exceptional_points(spec, (0.0, 3.0))
     assert len(points) == n_cells
     for p in points:
-        assert abs(p.gamma_star - 2.0 * spec.intra_hop) < 1e-9
-        assert p.n_broken_change == 2 * n_cells
-    energies = np.sort_complex(np.array([p.energy_star for p in points]))
-    closed = np.sort_complex(-2.0 * spec.inter_hop * np.cos(2 * np.pi * np.arange(n_cells) / n_cells) + 0j)
-    np.testing.assert_allclose(energies, closed, rtol=0, atol=1e-12)
-
-
-def test_open_ladder_ep_records_match_the_closed_form():
-    # at gamma = 2d every standing wave coalesces at E = -2t cos(m pi / (N+1)),
-    # where analytic_oll_spectrum's two branches meet; the search solves the
-    # even block alone and mirrors the odd block's eigenvalues
-    spec = LatticeSpec(n_cells=20, topology=BoundaryTopology.OPEN)
-    points = locate_exceptional_points(spec, (0.0, 3.0))
-    assert len(points) == 20
-    for p in points:
         assert p.kind is EpKind.MERGE
-        assert abs(p.gamma_star - 2.0 * spec.intra_hop) < 1e-9
-        assert p.n_broken_change == 40
-    at_ep = analytic_oll_spectrum(spec.with_gamma(2.0 * spec.intra_hop))
+        assert abs(p.gamma_star - 2.0 * spec.intra_hop) <= spectral.BRACKET_TOL
+        assert p.n_broken_change == 2 * n_cells
+    closed_form = analytic_cll_spectrum if topology is BoundaryTopology.CIRCULAR else analytic_oll_spectrum
+    below, above = (closed_form(spec.with_gamma(2.0 * spec.intra_hop + off)) for off in (-1e-6, 1e-6))
+    assert not any(abs(e.imag) > spectral.IM_TOL for e, _ in below)
+    assert all(abs(e.imag) > spectral.IM_TOL for e, _ in above)
+    at_ep = closed_form(spec.with_gamma(2.0 * spec.intra_hop))
     closed = np.sort_complex(np.array([e for e, label in at_ep if label == "odd"]))
     energies = np.sort_complex(np.array([p.energy_star for p in points]))
     np.testing.assert_allclose(energies, closed, rtol=0, atol=1e-12)
@@ -679,15 +688,25 @@ def counted_pencils(monkeypatch) -> list:
     return calls
 
 
-def test_even_ring_search_solves_one_mirror_block(monkeypatch):
-    # The chiral swap mirrors the odd block, so the scan and the refine
-    # solve 20-row even blocks alone: 401 grid points, the probes of one
-    # bracket, and one vector solve of both blocks at gamma*.  Solving both
-    # blocks everywhere takes 858 eigensolves.
-    calls = counted_eigensolves(monkeypatch)
+def test_ring_count_search_scans_the_cell_block(monkeypatch):
+    # Every mirror block of the ring is T_b (x) I + I (x) h: the scan and
+    # the refine solve the 2 x 2 cell block h alone, 401 grid points and
+    # the probes of one bracket.  Of the two 20-row blocks, each is solved
+    # for its eigenvalues at the bracket's two ends and once with
+    # eigenvectors at gamma*, as both hold pairs of the records.
+    sizes = []
+    solve = spectral._solve_stack
+
+    def counted(stack, want_vectors=False):
+        sizes.extend([stack.shape[-1]] * len(stack))
+        return solve(stack, want_vectors)
+
+    monkeypatch.setattr(spectral, "_solve_stack", counted)
     points = locate_exceptional_points(LatticeSpec(n_cells=20), (0.0, 3.0), 400)
     assert len(points) == 20
-    assert len(calls) <= 430
+    n_cell = sizes.count(2)
+    assert 401 < n_cell <= 430 and sizes[:n_cell] == [2] * n_cell  # the scan and the refine come first
+    assert sizes[n_cell:] == [20] * len(sizes[n_cell:]) and len(sizes[n_cell:]) <= 6
 
 
 def test_even_ring_zero_energy_scan_solves_one_mirror_block(monkeypatch):
