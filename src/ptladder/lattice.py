@@ -22,9 +22,8 @@ the cell mirror ``n -> N+1-n``, which ``sector_blocks`` uses to split H
 into two diagonal blocks of about half the size, and at ``delta == 0``
 it writes them in a basis where they are real.  ``sector_bases`` gives
 the site-basis columns of that basis, to lift block eigenvectors to H.
-Rings and open ladders of even N are bipartite: their chiral operator
-anticommutes with H and swaps the two blocks, and ``chiral_swap`` gives
-the signed permutation that maps the even block onto minus the odd one.
+The twisted ladder is bipartite, and its chiral operator maps each block
+onto itself: ``chiral_halves`` writes each block as ``[[0, A], [B, 0]]``.
 
 Circular and open ladders are orientable: every bond is ``-t I``.  At
 ``delta == 0`` each of their sector blocks is then the Kronecker sum
@@ -32,8 +31,10 @@ Circular and open ladders are orientable: every bond is ``-t I``.  At
 hopping and the real cell block ``h(gamma) = [[-d, -gamma/2], [gamma/2,
 d]]``, bit for bit, so its eigenvalues are ``tau + e`` for every
 eigenvalue tau of ``T_b`` and e of h (Horn & Johnson, *Topics in Matrix
-Analysis*, 1991, sec. 4.4).  Every level pair of H is a copy of h's, and
-all of them coalesce at gamma = 2d; ``kronecker_cell`` gives h.  The
+Analysis*, 1991, sec. 4.4).  Every level pair of H is a copy of h's,
+and all of them coalesce at gamma = 2d, at E = tau; ``kronecker_cell``
+gives h.  So a zero-energy EP of these ladders is a zero tau at gamma =
+2d, which rings with N divisible by 4 and open ladders of odd N have.  The
 Moebius closure and the twist cross one bond pair, ``-t diag(1, -1)`` in
 the real basis, which differs from ``-t I`` in one entry: the blocks of
 these non-orientable ladders are that Kronecker sum plus a rank-one term,
@@ -59,7 +60,6 @@ __all__ = [
     "build_real_space_hamiltonian",
     "sector_blocks",
     "sector_bases",
-    "chiral_swap",
     "chiral_halves",
     "kronecker_cell",
     "analytic_cll_spectrum",
@@ -378,75 +378,41 @@ def _sector_basis(spec: LatticeSpec, block: int) -> np.ndarray:
     return w
 
 
-def chiral_swap(spec: LatticeSpec) -> np.ndarray | None:
-    """Signed permutation S with ``odd = -S @ even @ S^dagger``, or None.
-
-    A ring or open ladder of even N is bipartite.  Its chiral operator
-    ``Gamma = (+) s_n sigma_y`` over the cells, with ``s_n = (-1)**n`` for
-    the 0-based cell n, anticommutes with H at any gamma and delta:
-    sigma_y anticommutes with the rung ``-d sigma_x`` and the on-site
-    ``(delta + i*gamma)/2 sigma_z``, and ``s_n s_{n+1} = -1`` flips the
-    leg bonds ``-t I``, the ring's closing bond included.  For even N the
-    mirror partner of cell n has ``s_{N+1-n} = -s_n``, so Gamma maps each
-    mirror sector onto the other: ``Gamma W_even = W_odd S`` for the
-    bases of ``sector_bases``, with ``S = (+) s_n sigma`` over the left
-    cells.  sigma is sigma_y in the site basis (delta != 0) and
-    ``V^dagger sigma_y V = -sigma_x`` in the real basis at delta = 0.  So
-    the odd block of ``sector_blocks`` is ``-S even S^dagger`` bit for bit
-    (only the sign of a zero entry may differ), since each of its entries
-    is one entry of the even block up to sign, and its eigenvalues are
-    minus the even block's.
-
-    Returns None where Gamma does not swap the sectors: the Moebius
-    closure's crossed bond has no such Gamma, odd N gives
-    ``s_{N+1-n} = s_n``, and the twisted ladder's Gamma repeats its sign
-    across the twist, so in both Gamma maps each sector onto itself.
-    """
-    swaps = (BoundaryTopology.CIRCULAR, BoundaryTopology.OPEN)
-    if spec.topology not in swaps or spec.n_cells % 2:
-        return None
-    signs = np.diag((-1.0) ** np.arange(spec.n_cells // 2))
-    if spec.delta == 0:
-        return np.kron(signs, np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    return np.kron(signs, np.array([[0.0, -1j], [1j, 0.0]]))
-
-
 def chiral_halves(
     spec: LatticeSpec, blocks: tuple[np.ndarray, ...]
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
-    """Halves ``(A, B)`` of each block, where Gamma maps every block onto itself.
+    """Halves ``(A, B)`` of each block of a twisted ladder, or None.
 
     ``blocks`` are matrices in the basis of ``sector_blocks(spec)`` at
-    delta = 0: the blocks at some gamma, or their slope in gamma.  On the
-    twisted ladder and the open ladder of odd N the chiral operator
-    ``Gamma = (+) s_n sigma_y`` (``chiral_swap``; the twisted ladder's
-    ``s_n`` repeats its sign across the twist) commutes with the cell
-    mirror, so it maps each sector onto itself; in the real basis it acts
-    on block cell c
-    (the left cells, then an odd N's centre cell, which is ladder cell c)
-    as ``-s_c sigma_x`` with ``s_c = (-1)**c``.  Its +1 and -1
+    delta = 0: the blocks at some gamma, or their slope in gamma.  The
+    twisted ladder is bipartite: its chiral operator
+    ``Gamma = (+) s_n sigma_y`` over the cells, with ``s_n = +-1``
+    alternating from cell to cell except across the twist, where it
+    repeats, anticommutes with H at any gamma: sigma_y anticommutes with
+    the rung ``-d sigma_x``, the on-site ``i*gamma/2 sigma_z`` and the
+    crossed bond ``-t sigma_x``, and the signs flip every straight bond
+    ``-t I``.  It commutes with the cell mirror, so it maps
+    each sector onto itself; in the real basis it acts on left cell c as
+    ``-s_c sigma_x`` with ``s_c = (-1)**c``.  Its +1 and -1
     eigenvectors in cell c are ``(1, -s_c)`` and ``(1, s_c)``; as the
     columns of ``P = [P+, P-]`` they are orthogonal with squared norm 2,
     so ``P^-1 = P^T / 2``, and since Gamma anticommutes with H every block
     becomes ``P^-1 b P = [[0, A], [B, 0]]`` with ``A = P+^T b P- / 2`` and
     ``B = P-^T b P+ / 2``.  Each entry of A or B is half a signed sum of
     the four entries of one 2x2 cell block.  The blocks at gamma = 0 and
-    their slope hold only +-d, +-t, their sums, sqrt2 times them and
-    +-1/2, and in each cell block two of the four cancel or are zero, so
-    on the default ladders (d = t = 1) their split is exact:
+    their slope hold only +-d, +-t, their sums and +-1/2, and in each cell
+    block two of the four cancel or are zero, so on the default ladders
+    (d = t = 1) their split is exact:
     ``b = (P+ A P-^T + P- B P+^T) / 2`` bit for bit.
     The eigenvalues of ``[[0, A], [B, 0]]`` are ``+-sqrt(mu)`` for the
     eigenvalues mu of ``A B``.
 
-    Returns None where Gamma does not map each block onto itself: on the
-    Moebius ring (no Gamma), the circular ring of odd N (not bipartite),
-    wherever ``chiral_swap`` applies (Gamma swaps the blocks), and at
-    delta != 0, where the blocks are not written in the real basis.
+    Returns None on every other ladder and at delta != 0, where the
+    blocks are not written in the real basis.  Circular and open ladders
+    are searched in their Kronecker form (``kronecker_cell``) instead, and
+    the Moebius ring has no chiral operator.
     """
-    if spec.delta != 0 or not (
-        spec.topology is BoundaryTopology.TWISTED_OPEN
-        or spec.topology is BoundaryTopology.OPEN and spec.n_cells % 2
-    ):
+    if spec.delta != 0 or spec.topology is not BoundaryTopology.TWISTED_OPEN:
         return None
     halves = []
     for block in blocks:

@@ -52,39 +52,34 @@ sweep in the pool.
 Circular and open ladders are orientable, and at delta = 0 each of their
 blocks is the Kronecker sum ``T_b (x) I + I (x) h`` of a chain block and
 the 2 x 2 cell block h of ``lattice.kronecker_cell``.  Every level pair
-of H is a copy of h's, so the broken count of H is N times h's, and its
-only change is the collective EP at gamma = 2d.  The count search scans
-and refines h alone there, and solves the blocks only at the ends of
-its bracket and at gamma*.  The Moebius closure and the twist add a
-rank-one term to one block entry, which couples the levels: those
-ladders are searched on their blocks.
+of H is a copy of h's, ``tau_j +- sqrt(d**2 - gamma**2 / 4)``, so the
+broken count of H is N times h's, and its only change is the collective
+EP at gamma = 2d, where every pair coalesces at E = tau_j.  The count
+search scans and refines h alone there, and solves the blocks only at
+the ends of its bracket and at gamma*.  The zero-energy search solves no
+pencil there: a block has a zero-energy EP at gamma = +-2d exactly where
+its chain block ``T_b`` has an eigenvalue tau = 0, which rings with N
+divisible by 4 (in both blocks) and open ladders of odd N (in one) have.
+The Moebius closure and the twist add a rank-one term to one block
+entry, which couples the levels: those ladders are searched on their
+blocks.
 
-Rings and open ladders of even N are bipartite, and their chiral
-operator swaps the two blocks: the odd block is ``-S even S^dagger`` for
-the signed permutation S of ``lattice.chiral_swap``.  For N x N blocks
-with N even its determinant is the even block's, so the zero-energy
-search solves the pencil of the even block alone on such a spec; this
-chiral swap serves that search alone, as the count search scans the
-cell block there.
-
-On the twisted ladder and the open ladder of odd N the chiral operator
-maps each block onto itself, and ``lattice.chiral_halves`` writes each
-block as ``[[0, A], [B, 0]]``, exactly.  Its eigenvalues are
-``E = +-sqrt(mu)`` for the eigenvalues mu of ``A B``, which has half
-the block's rows.  The EP searches solve these halves (the count search
-on the twisted ladder alone, as an open ladder scans its cell block):
-the count search scans and refines mu, counting each broken mu as its
-two broken E (``_broken``), so that an E pair and its -E partner
-coalesce as one mu pair and false position works on it; the zero-energy
-search takes its roots from the pencils of A and B, since
-``det = +-det A det B``, and its broken counts from mu.  mu is good to
-about eps times its largest value, so ``+-sqrt(mu)`` cannot tell a real
-E from a broken one where a mu is within rounding of 0, as on the
-twisted ladder's zero mode at gamma = 0; such a point is counted on the
-block itself.  Bracket ends and records are solved on the blocks
-themselves.  The Moebius ring, which has no chiral operator and no
-Kronecker form, solves both blocks everywhere, as does a pair
-``(h0, slope)``.
+The twisted ladder is bipartite, and its chiral operator maps each block
+onto itself: ``lattice.chiral_halves`` writes each block as
+``[[0, A], [B, 0]]``, exactly.  Its eigenvalues are ``E = +-sqrt(mu)``
+for the eigenvalues mu of ``A B``, which has half the block's rows.
+Both EP searches solve these halves there: the count search scans and
+refines mu, counting each broken mu as its two broken E (``_broken``),
+so that an E pair and its -E partner coalesce as one mu pair and false
+position works on it; the zero-energy search takes its roots from the
+pencils of A and B, since ``det = +-det A det B``, and its broken counts
+from mu.  mu is good to about eps times its largest value, so
+``+-sqrt(mu)`` cannot tell a real E from a broken one where a mu is
+within rounding of 0, as on the twisted ladder's zero mode at gamma = 0;
+such a point is counted on the block itself.  Bracket ends and records
+are solved on the blocks themselves.  The Moebius ring, which has no
+chiral operator and no Kronecker form, solves both blocks everywhere, as
+does a pair ``(h0, slope)``.
 
 Every gamma grid is solved in stacks: the scan of the count search, the
 broken counts of the zero-energy search and the sweeps build each block
@@ -112,7 +107,6 @@ from .lattice import (
     LatticeSpec,
     _sector_basis,
     chiral_halves,
-    chiral_swap,
     kronecker_cell,
     sector_bases,
     sector_blocks,
@@ -430,15 +424,12 @@ def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, Callable | None,
     their records.  gamma enters every block linearly, so each call is
     ``b0 + g * s`` from the blocks at gamma = 0 and 1, bit-identical to a
     fresh build; at an array of gammas it gives each block's stack over
-    them.  The scanned builder serves the zero-energy search, and the
-    count search on the Moebius ring and the twisted ladder; the count
-    search scans the 2 x 2 cell block of circular and open ladders
-    (``lattice.kronecker_cell``) instead.  Where ``lattice.chiral_swap``
-    maps the even block onto the odd one (rings and open ladders of even
-    N), it builds the even block alone, since the odd block's determinant
-    is its own.  Where ``lattice.chiral_halves`` splits every block into
-    ``[[0, A], [B, 0]]`` (twisted ladders and open ladders of odd N), it
-    builds ``_squared_blocks``, each block's ``A B`` at half its size,
+    them.  The scanned builder is the one place that picks what both EP
+    searches solve.  On circular and open ladders it builds the 2 x 2
+    cell block h of ``lattice.kronecker_cell``, since every block is the
+    Kronecker sum ``T_b (x) I + I (x) h``.  On twisted ladders, where
+    ``lattice.chiral_halves`` splits every block into ``[[0, A], [B, 0]]``,
+    it builds ``_squared_blocks``, each block's ``A B`` at half its size,
     from the split of the blocks at gamma = 0 and of their slope.
     Otherwise it builds every block.  A pair ``(h0, slope)`` is the one
     block ``h0 + g * slope``, without a basis.  The block builder
@@ -450,12 +441,12 @@ def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, Callable | None,
     b0 = sector_blocks(family.with_gamma(0.0))
     slope = tuple(b1 - b for b1, b in zip(sector_blocks(family.with_gamma(1.0)), b0))
     blocks = partial(_affine_blocks, b0, slope)
-    halves = chiral_halves(family, b0)
-    if halves is not None:
+    cell, halves = kronecker_cell(family), chiral_halves(family, b0)
+    if cell is not None:
+        scanned = partial(_affine_blocks, *zip(cell))
+    elif halves is not None:
         (a0, c0), (a1, c1) = zip(*halves), zip(*chiral_halves(family, slope))
         scanned = partial(_squared_blocks, a0, a1, c0, c1)
-    elif chiral_swap(family) is not None:
-        scanned = partial(_affine_blocks, b0[:1], slope[:1])
     else:
         scanned = blocks
     return blocks, cache(partial(_sector_basis, family)), scanned
@@ -874,10 +865,8 @@ def locate_exceptional_points(
     if coarse_steps < 1:
         raise ValueError("coarse_steps must be at least 1")
     blocks, basis, scanned, lo, hi = _search_family(spec, gamma_range)
-    cell = kronecker_cell(spec) if isinstance(spec, LatticeSpec) else None
-    if cell is not None:
-        scanned = partial(_affine_blocks, *zip(cell))
     squared = scanned.func is _squared_blocks
+    cell = scanned is not blocks and not squared  # the Kronecker cell of an orientable ladder
     solved, brackets = _scan_and_refine(scanned, np.linspace(lo, hi, coarse_steps + 1), blocks if squared else None)
 
     def spectrum(g: float, own) -> np.ndarray:
@@ -896,11 +885,11 @@ def locate_exceptional_points(
         # block, so H has N times the cell's count; an end where it does
         # not is within rounding of the EP, where H is defective, and moves
         # out by the bracket's width, which centres the bracket on the EP
-        own = sorted(own) if cell is None else range(len(blocks.args[0]))
+        own = range(len(blocks.args[0])) if cell else sorted(own)
         ends = []
         for g, out in ((a, a - b), (b, b - a)):
             values = spectrum(g, own)
-            if cell is not None and _broken_count(values) != values.size // 2 * _broken_count(solved[0][g]):
+            if cell and _broken_count(values) != values.size // 2 * _broken_count(solved[0][g]):
                 g += out
                 values = spectrum(g, own)
             ends += [g, values]
@@ -937,9 +926,10 @@ def _resolve_transition(blocks, basis, own, a: float, vals_a: np.ndarray, b: flo
     The spectra at the two bracket ends are matched pairwise; indices
     whose real/complex character flips across the bracket identify the
     coalescing pairs.  The broken-side members are grouped into conjugate
-    pairs, one record per pair (``_pair_record``).  At gamma* the blocks
-    ``own``, which hold the flipping pairs, are solved with eigenvectors,
-    and every other block for its eigenvalues alone.
+    pairs (``_conjugate_pairs``), one record per pair (``_pair_record``).
+    At gamma* the blocks ``own``, which hold the flipping pairs, are
+    solved with eigenvectors, and every other block for its eigenvalues
+    alone.
     """
     gamma_star = 0.5 * (a + b)
     ca, cb = _broken_count(vals_a), _broken_count(vals_b)
@@ -947,24 +937,7 @@ def _resolve_transition(blocks, basis, own, a: float, vals_a: np.ndarray, b: flo
     kind = EpKind.MERGE if cb > ca else EpKind.SPLIT
     broken_side = vals_b_matched if kind is EpKind.MERGE else vals_a
 
-    # Group flipped indices into conjugate pairs on the broken side.
-    pairs: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for i in flipped:
-        if i in used or broken_side[i].imag <= 0:
-            continue
-        partners = [
-            j
-            for j in flipped
-            if j not in used
-            and j != i
-            and broken_side[j].imag < 0
-            and abs(broken_side[j] - broken_side[i].conjugate()) < 1e-6 + 1e-3 * abs(broken_side[i])
-        ]
-        if partners:
-            j = min(partners, key=lambda j: abs(broken_side[j] - broken_side[i].conjugate()))
-            pairs.append((i, j))
-            used.update((i, j))
+    pairs = _conjugate_pairs(broken_side, flipped)
     if not pairs:
         return []
 
@@ -984,6 +957,30 @@ def _resolve_transition(blocks, basis, own, a: float, vals_a: np.ndarray, b: flo
         )
         for i, j in pairs
     ]
+
+
+# A flipped eigenvalue E and a flipped partner form a conjugate pair when
+# the partner is within PAIR_MATCH_TOL[0] + PAIR_MATCH_TOL[1] * |E| of
+# conj(E).
+PAIR_MATCH_TOL = (1e-6, 1e-3)
+
+
+def _conjugate_pairs(values: np.ndarray, flipped: np.ndarray) -> list[tuple[int, int]]:
+    """The indices ``flipped`` of ``values`` grouped into conjugate pairs
+    ``(i, j)``, Im > 0 at i and < 0 at j.  Each i, in the order of
+    ``flipped``, takes the unused j nearest conj(values[i]), the first of
+    equals, where one is within ``PAIR_MATCH_TOL``."""
+    side = values[flipped]
+    distance = np.abs(side[None, :] - side[:, None].conj())
+    atol, rtol = PAIR_MATCH_TOL
+    match = (side.imag < 0)[None, :] & (distance < (atol + rtol * np.abs(side))[:, None])
+    pairs = []
+    for i in np.nonzero(side.imag > 0)[0]:
+        if match[i].any():
+            j = np.argmin(np.where(match[i], distance[i], np.inf))
+            pairs.append((flipped[i], flipped[j]))
+            match[:, j] = False
+    return pairs
 
 
 def _pair_record(at: tuple, parts: list[Spectrum], basis: Callable | None, target: complex, **fields) -> ExceptionalPoint:
@@ -1023,7 +1020,9 @@ def _pair_record(at: tuple, parts: list[Spectrum], basis: Callable | None, targe
 
 
 # A zero of a block's determinant is a zero-energy EP only if the midpoint
-# of its block's two eigenvalues nearest 0 is within this of 0.
+# of its block's two eigenvalues nearest 0 is within this of 0; a block of
+# an orientable ladder has one only if its chain block has an eigenvalue
+# within this of 0.
 ZERO_ENERGY_TOL = 1e-6
 # A root gamma of a block's pencil is real when its imaginary part is at
 # most this times the size of the range's ends.  A simple real root comes
@@ -1050,14 +1049,10 @@ def locate_zero_energy_eps(
     the eigenvalues of one pencil, all found by one eigensolve per block
     (``_pencil_roots``).  Near a zero-energy EP, ``E = +-c sqrt(gamma* -
     gamma)``, so det b is linear in ``gamma* - gamma`` and gamma* is a
-    simple, well-conditioned root.  On a ring or open ladder of even N
-    (``lattice.chiral_swap``) the odd block is ``-S even S^dagger`` with
-    N rows, so its determinant is the even block's: only the even block's
-    pencil is solved, and each of its records stands for both blocks, as
-    two equal records.  On a twisted ladder or an open ladder of odd N
-    each block is ``[[0, A], [B, 0]]`` (``lattice.chiral_halves``), whose
-    determinant is ``+-det A det B``: the pencils of A and B, at half the
-    block's size, give its roots.
+    simple, well-conditioned root.  On a twisted ladder each block is
+    ``[[0, A], [B, 0]]`` (``lattice.chiral_halves``), whose determinant is
+    ``+-det A det B``: the pencils of A and B, at half the block's size,
+    give its roots.
 
     Every real root strictly inside ``gamma_range`` then passes two
     filters.  The block's broken count, by the rule of
@@ -1077,6 +1072,25 @@ def locate_zero_energy_eps(
     a kept record (``_pair_record``).  The record's eigenvector is lifted
     to the site basis of H.
 
+    Circular and open ladders solve no pencil and count nothing.  Each of
+    their blocks is the Kronecker sum ``T_b (x) I + I (x) h`` of a chain
+    block and the cell block h (``lattice.kronecker_cell``), whose level
+    pairs ``tau_j +- sqrt(d**2 - gamma**2 / 4)`` coalesce only at
+    gamma = +-2d, at E = tau_j.  So a block has a zero-energy EP exactly
+    where ``T_b = (b[::2, ::2] + b[1::2, 1::2]) / 2`` of its gamma = 0
+    block b has an eigenvalue within ``ZERO_ENERGY_TOL`` of 0: at gamma*
+    = 2d a MergePoint and at -2d a SplitPoint, each where it lies inside
+    the range, whose ``n_broken_change`` is plus or minus the block's row
+    count, as all its pairs break together.  That holds on rings with N
+    divisible by 4, in both blocks (tau = 0 at the momenta N/4 and 3N/4),
+    and on open ladders of odd N, in one block (the middle standing
+    wave); no other circular or open ladder has a zero-energy EP.  Only
+    the blocks that hold records are solved, once at each gamma*, with
+    eigenvectors; every level pair of another block is its tau there,
+    twice.  A ring's two records stand for its two blocks' E = 0 pairs,
+    but each reads the two eigenvalues of H nearest 0 (``_pair_record``),
+    so both read the same pair of H.
+
     No grid is scanned: the pencil sees every root, including pairs of
     sign changes closer than any grid step.  ``scan_steps`` is kept for
     callers that pass it and changes no result.  No branch matching
@@ -1087,10 +1101,11 @@ def locate_zero_energy_eps(
     gamma raises ``EigensolverError``.
     """
     blocks, basis, scanned, lo, hi = _search_family(spec, gamma_range)
+    squared = scanned.func is _squared_blocks
+    if scanned is not blocks and not squared:  # the Kronecker cell of an orientable ladder
+        return _kronecker_zero_energy_eps(spec, blocks, basis, lo, hi)
     # halves count their spectra by mu, and on the blocks where a mu is about 0
-    direct = blocks if scanned.func is _squared_blocks else None
-    # the odd block of a chiral swap has the even block's roots
-    copies = len(blocks.args[0]) // len(scanned.args[0])
+    direct = blocks if squared else None
 
     found = []
     for k, pencils in enumerate(zip(*scanned.args)):
@@ -1113,19 +1128,41 @@ def locate_zero_energy_eps(
         if abs(values[np.argsort(np.abs(values))[:2]].mean()) > ZERO_ENERGY_TOL:
             continue  # a coalescence away from zero: no other block is solved for it
         parts = [own if j == k else eigendecompose(m, gamma=gamma_star) for j, m in enumerate(at)]
-        record = _pair_record(
-            at,
-            parts,
-            basis,
-            0.0,
-            gamma_star=gamma_star,
-            kind=EpKind.MERGE if after > before else EpKind.SPLIT,
-            bracket_lo=gamma_star - 1e-7,
-            bracket_hi=gamma_star + 1e-7,
-            n_broken_change=after - before,
-        )
-        points += [record] * copies
+        points.append(_zero_energy_record(at, parts, basis, gamma_star, after - before))
     return points
+
+
+def _kronecker_zero_energy_eps(spec: LatticeSpec, blocks, basis, lo: float, hi: float) -> list[ExceptionalPoint]:
+    """The zero-energy EPs of a circular or open ladder, from the
+    eigenvalues tau of its chain blocks (see ``locate_zero_energy_eps``).
+    At gamma = +-2d every level pair of a block is its tau, twice, so only
+    the blocks that hold records are solved."""
+    taus = [np.linalg.eigvalsh((b[::2, ::2] + b[1::2, 1::2]) / 2) for b in blocks.args[0]]
+    own = [k for k, tau in enumerate(taus) if np.abs(tau).min() <= ZERO_ENERGY_TOL]
+    d = abs(spec.intra_hop)
+    points = []
+    for gamma_star, sign in ((-2.0 * d, -1), (2.0 * d, 1)):
+        # at d = 0 the cell's pair is broken on both sides of gamma = 0
+        if own and d and lo < gamma_star < hi:
+            at = blocks(gamma_star)
+            parts = [
+                eigendecompose(at[k], want_vectors=True, gamma=gamma_star)
+                if k in own
+                else Spectrum(np.repeat(tau, 2).astype(complex), None, gamma_star)
+                for k, tau in enumerate(taus)
+            ]
+            points += [_zero_energy_record(at, parts, basis, gamma_star, sign * len(at[k])) for k in own]
+    return points
+
+
+def _zero_energy_record(at: tuple, parts: list[Spectrum], basis, gamma_star: float, change: int) -> ExceptionalPoint:
+    """The record (``_pair_record``) of a zero-energy EP at ``gamma_star``
+    whose block's broken count changes by ``change``."""
+    kind = EpKind.MERGE if change > 0 else EpKind.SPLIT
+    lo, hi = gamma_star - 1e-7, gamma_star + 1e-7
+    return _pair_record(
+        at, parts, basis, 0.0, gamma_star=gamma_star, kind=kind, bracket_lo=lo, bracket_hi=hi, n_broken_change=change
+    )
 
 
 def _pencil_roots(h0: np.ndarray, slope: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -18,7 +18,6 @@ from ptladder import (
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
     chiral_halves,
-    chiral_swap,
     kronecker_cell,
     sector_bases,
     sector_blocks,
@@ -471,44 +470,6 @@ def test_moebius_and_odd_rings_have_no_chiral_symmetry(topology, n):
     assert pairing_distance(values, -values) > 0.1
 
 
-SWAP_CASES = [(BoundaryTopology.CIRCULAR, n) for n in (2, 4, 20)] + [
-    (BoundaryTopology.OPEN, n) for n in (2, 4, 20)
-]
-
-
-@pytest.mark.parametrize("topology, n", SWAP_CASES)
-@pytest.mark.parametrize("delta", [0.0, 0.3])
-def test_chiral_swap_maps_the_even_block_onto_the_odd_one(topology, n, delta):
-    for gamma in (0.0, 0.7, 2.0, 2.6):
-        spec = LatticeSpec(n_cells=n, delta=delta, gamma=gamma, topology=topology)
-        even, odd = sector_blocks(spec)
-        swap = chiral_swap(spec)
-        assert swap.shape == even.shape
-        # a signed permutation: one entry of size 1 in every row and column
-        np.testing.assert_array_equal(np.abs(swap).sum(axis=0), np.ones(n))
-        np.testing.assert_array_equal(np.abs(swap).sum(axis=1), np.ones(n))
-        image = -swap @ even @ swap.conj().T
-        assert image.dtype == odd.dtype
-        # bit for bit; only the sign of a zero may differ (adding 0.0 drops
-        # it), as at gamma = 0, where the real blocks hold -0.0 and +0.0
-        assert (image + 0.0).tobytes() == (odd + 0.0).tobytes()
-
-    # Gamma W_even = W_odd S for the bases that lift block eigenvectors
-    w_even, w_odd = sector_bases(spec)
-    np.testing.assert_allclose(chiral_operator(spec) @ w_even, w_odd @ swap, rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "topology, n",
-    [(BoundaryTopology.CIRCULAR, n) for n in (3, 21)]
-    + [(BoundaryTopology.OPEN, n) for n in (1, 7)]
-    + [(topo, n) for topo in (BoundaryTopology.MOEBIUS, BoundaryTopology.TWISTED_OPEN) for n in (2, 20)],
-)
-def test_chiral_swap_is_none_where_gamma_keeps_each_sector(topology, n):
-    for delta in (0.0, 0.3):
-        assert chiral_swap(LatticeSpec(n_cells=n, delta=delta, topology=topology)) is None
-
-
 def chiral_split_bases(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns ``P+`` and ``P-``: the +1 and -1 eigenvectors ``(1, -s_c)``
     and ``(1, s_c)`` of Gamma in block cell c, with ``s_c = (-1)**c``."""
@@ -519,9 +480,7 @@ def chiral_split_bases(m: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-HALVES_CASES = [(BoundaryTopology.TWISTED_OPEN, n) for n in (2, 20, 100)] + [
-    (BoundaryTopology.OPEN, n) for n in (1, 3, 21, 101)
-]
+HALVES_CASES = [(BoundaryTopology.TWISTED_OPEN, n) for n in (2, 20, 100)]
 
 
 @pytest.mark.parametrize("topology, n", HALVES_CASES)
@@ -570,11 +529,11 @@ def test_chiral_halves_square_to_the_block_spectrum(topology, n):
     "topology, n",
     [(BoundaryTopology.CIRCULAR, n) for n in (2, 3, 20, 21)]
     + [(BoundaryTopology.MOEBIUS, n) for n in (2, 20)]
-    + [(BoundaryTopology.OPEN, n) for n in (2, 20)],
+    + [(BoundaryTopology.OPEN, n) for n in (1, 2, 3, 20, 21)],
 )
 def test_chiral_halves_are_none_off_the_self_mapped_ladders(topology, n):
-    # rings have a chiral swap (even N) or no Gamma (odd N), Moebius has
-    # none, and an even open ladder's Gamma swaps its blocks
+    # circular and open ladders are searched in their Kronecker form, odd
+    # rings have no Gamma and Moebius has none
     for delta in (0.0, 0.3):
         spec = LatticeSpec(n_cells=n, delta=delta, topology=topology)
         assert chiral_halves(spec, sector_blocks(spec)) is None

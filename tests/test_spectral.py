@@ -28,9 +28,9 @@ from ptladder import (
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
     chiral_halves,
-    chiral_swap,
     classify_pt_phase,
     eigendecompose,
+    kronecker_cell,
     locate_exceptional_points,
     locate_zero_energy_eps,
     sector_bases,
@@ -39,6 +39,7 @@ from ptladder import (
 )
 from ptladder import _pool, spectral
 from ptladder.spectral import _family_for
+from test_lattice import chain_blocks
 
 
 def char_poly_eigs(h):
@@ -164,10 +165,10 @@ def test_family_matches_fresh_builds(topology):
             continue
         for delta in (0.0, 0.3):
             spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
-            # the EP searches build the even block alone where it maps onto
-            # the odd one, and each block's A B where Gamma splits it
+            # the EP searches build the 2 x 2 cell block of an orientable
+            # ladder, and each block's A B where Gamma splits it
             blocks, _, scanned = _family_for(spec)
-            kept = 1 if chiral_swap(spec) is not None else 2
+            cell = kronecker_cell(spec)
             split = chiral_halves(spec, sector_blocks(spec)) is not None
             assert (scanned.func is spectral._squared_blocks) == split
             gammas = (-1.7, -0.25, 0.0, 0.4, 2.3)
@@ -180,8 +181,11 @@ def test_family_matches_fresh_builds(topology):
                 assert [b.tobytes() for b in got] == [b.tobytes() for b in fresh]
                 assert [s[i].tobytes() for s in stacks] == [b.tobytes() for b in fresh]
                 assert [s[i].tobytes() for s in scanned_stacks] == [b.tobytes() for b in scanned(g)]
+                if cell is not None:
+                    assert [b.tobytes() for b in scanned(g)] == [(cell[0] + g * cell[1]).tobytes()]
+                    continue
                 if not split:
-                    assert [b.tobytes() for b in scanned(g)] == [b.tobytes() for b in fresh[:kept]]
+                    assert [b.tobytes() for b in scanned(g)] == [b.tobytes() for b in fresh]
                     continue
                 # the split of b0 and slope is exact, but A(g) = a0 + g a1 rounds
                 # once where the split of a fresh block at g may round twice
@@ -220,7 +224,7 @@ def test_stacked_scans_match_per_point_solves(spec, extra, monkeypatch):
     monkeypatch.setattr(spectral, "IM_TOL", math.inf)  # nothing is broken
     direct = _family_for(spec)[0] if scanned.func is spectral._squared_blocks else None
     values, brackets = spectral._scan_and_refine(scanned, grid, direct)
-    kept = 1 if chiral_swap(spec) is not None else 2
+    kept = 1 if kronecker_cell(spec) is not None else 2  # the cell block, or both blocks
     assert len(values) == kept and brackets == []
     for g in grid:
         # the family's blocks are its fresh sector blocks (test_family_matches_fresh_builds)
@@ -709,18 +713,35 @@ def test_ring_count_search_scans_the_cell_block(monkeypatch):
     assert sizes[n_cell:] == [20] * len(sizes[n_cell:]) and len(sizes[n_cell:]) <= 6
 
 
-def test_even_ring_zero_energy_scan_solves_one_mirror_block(monkeypatch):
-    # det(odd) = det(even) for the N x N blocks of an even N, so the search
-    # solves the pencil of the even block alone; a twisted ladder has no
-    # chiral swap, and solves the pencils of both blocks' halves A and B,
-    # since det [[0, A], [B, 0]] = +-det A det B
-    calls = counted_pencils(monkeypatch)
-    points = locate_zero_energy_eps(LatticeSpec(n_cells=20), (0.0, 3.0), 601)
-    assert points and all(abs(p.gamma_star - 2.0) < 1e-9 for p in points)
-    assert calls == [20]
-    calls.clear()
+def test_orientable_zero_energy_search_solves_only_its_records_blocks(monkeypatch):
+    # every block of a circular or open ladder is T_b (x) I + I (x) h, so
+    # the search solves no pencil and counts nothing: at gamma* = 2d it
+    # solves the blocks that hold its records, once each, with vectors.
+    # Both 20-row blocks of the ring N = 20 hold one; the open N = 21
+    # ladder's middle standing wave is mirror-even, in its 22-row block.
+    # A twisted ladder solves the pencils of both blocks' halves A and B,
+    # since det [[0, A], [B, 0]] = +-det A det B.
+    pencils = counted_pencils(monkeypatch)
+    solves = []
+    solve = spectral._solve_stack
+
+    def counted(stack, want_vectors=False):
+        solves.extend([(stack.shape[-1], want_vectors)] * len(stack))
+        return solve(stack, want_vectors)
+
+    monkeypatch.setattr(spectral, "_solve_stack", counted)
+    ring = locate_zero_energy_eps(LatticeSpec(n_cells=20), (0.0, 3.0), 601)
+    assert [(p.gamma_star, p.n_broken_change) for p in ring] == [(2.0, 20), (2.0, 20)]
+    assert solves == [(20, True), (20, True)]
+    solves.clear()
+    ladder = locate_zero_energy_eps(LatticeSpec(n_cells=21, topology=BoundaryTopology.OPEN), (0.0, 3.0))
+    assert [(p.gamma_star, p.n_broken_change) for p in ladder] == [(2.0, 22)]
+    assert solves == [(22, True)]
+    solves.clear()
+    assert locate_zero_energy_eps(LatticeSpec(n_cells=22), (0.0, 3.0)) == [] and solves == []
+    assert pencils == []
     assert locate_zero_energy_eps(LatticeSpec(n_cells=20, topology=BoundaryTopology.TWISTED_OPEN), (0.0, 2.0))
-    assert calls == [10, 10, 10, 10]
+    assert pencils == [10, 10, 10, 10]
 
 
 def test_refine_cost_on_a_closed_form_family(monkeypatch):
@@ -803,6 +824,55 @@ def test_refine_bisects_where_false_position_stalls(monkeypatch):
     assert spectral._broken_count(solved[k][b]) - spectral._broken_count(solved[k][a]) == change == 2  # a merge
     assert abs(0.5 * (a + b) - (1.0 + 1e-18 ** (1 / 7))) < 1e-9
     assert len(calls) <= 8 + 3 * 31
+
+
+def loop_conjugate_pairs(values, flipped):
+    """The pairing loop that ``spectral._conjugate_pairs`` replaced, kept
+    as its reference: each flipped i with Im > 0, in order, takes the
+    first nearest unused flipped j with Im < 0 within 1e-6 + 1e-3 |E| of
+    its conjugate."""
+    pairs, used = [], set()
+    for i in flipped:
+        if i in used or values[i].imag <= 0:
+            continue
+        target = values[i].conjugate()
+        partners = [
+            j
+            for j in flipped
+            if j not in used and j != i and values[j].imag < 0 and abs(values[j] - target) < 1e-6 + 1e-3 * abs(values[i])
+        ]
+        if partners:
+            j = min(partners, key=lambda j: abs(values[j] - target))
+            pairs.append((i, j))
+            used.update((i, j))
+    return pairs
+
+
+def test_conjugate_pairs_match_the_pairing_loop(monkeypatch):
+    # values on a coarse grid make exact ties, and offsets near the
+    # tolerance put partners on both sides of it
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        n = int(rng.integers(1, 25))
+        values = (rng.integers(-3, 4, n) + 1j * rng.integers(-2, 3, n)) * rng.choice([1.0, 1e-4])
+        values += rng.choice([0.0, 1.0], n) * rng.choice([1e-7, 1e-6, 1e-3], n) * np.exp(2j * np.pi * rng.random(n))
+        flipped = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        for order in (flipped, np.sort(flipped)):
+            assert spectral._conjugate_pairs(values, order) == loop_conjugate_pairs(values, order)
+    # and on the broken sides of real searches, many pairs at once on the ring
+    calls = []
+    pairs = spectral._conjugate_pairs
+
+    def checked(values, flipped):
+        got = pairs(values, flipped)
+        assert got == loop_conjugate_pairs(values, flipped)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(spectral, "_conjugate_pairs", checked)
+    assert len(locate_exceptional_points(LatticeSpec(n_cells=100), (0.0, 3.0), 400)) == 100
+    assert locate_exceptional_points(LatticeSpec(n_cells=20, topology=BoundaryTopology.MOEBIUS), (0.0, 3.0), 400)
+    assert calls[0] == 100 and len(calls) > 10
 
 
 def test_avoided_crossing_is_not_an_ep():
@@ -1100,14 +1170,17 @@ def test_zero_energy_records_do_not_depend_on_scan_steps():
 
 @pytest.mark.parametrize(
     "n_cells, topology",
-    [(n, BoundaryTopology.CIRCULAR) for n in (20, 100)] + [(n, BoundaryTopology.OPEN) for n in (21, 100)],
+    [(20, BoundaryTopology.TWISTED_OPEN)] + [(n, BoundaryTopology.MOEBIUS) for n in (20, 100)],
 )
 def test_pencil_roots_without_a_record_fail_a_filter(n_cells, topology):
     # band crossings of E = 0 are real roots of det H that are no EP: the
     # broken count of their block, or the midpoint of its two eigenvalues
-    # nearest zero, rules each of them out
-    # (odd N splits its blocks into halves, whose pencils hold the roots;
-    # both filters are checked here on the blocks themselves)
+    # nearest zero, rules each of them out, as it rules out the root that
+    # rounding puts just above gamma = 0 for the twisted N = 20 ladder's
+    # zero mode, which breaks on both sides (every pencil root of the
+    # twisted N = 100 ladder is a record)
+    # (a twisted ladder splits its blocks into halves, whose pencils hold
+    # the roots; both filters are checked here on the blocks themselves)
     spec = LatticeSpec(n_cells=n_cells, topology=topology)
     stars = {p.gamma_star for p in locate_zero_energy_eps(spec, (0.0, 3.0))}
     blocks, _, scanned = _family_for(spec)
@@ -1129,7 +1202,7 @@ def test_pencil_roots_without_a_record_fail_a_filter(n_cells, topology):
 
 @pytest.mark.parametrize(
     "n_cells, topology",
-    [(n, BoundaryTopology.TWISTED_OPEN) for n in (20, 40, 100)] + [(n, BoundaryTopology.OPEN) for n in (21, 101)],
+    [(n, BoundaryTopology.TWISTED_OPEN) for n in (20, 40, 100)],
 )
 def test_half_pencil_candidates_are_the_full_pencils(n_cells, topology):
     # det [[0, A], [B, 0]] = +-det A det B: the roots of A's and B's pencils,
@@ -1151,6 +1224,55 @@ def test_half_pencil_candidates_are_the_full_pencils(n_cells, topology):
         got = kept(half, scanned, blocks)
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=0, atol=5e-14)
+
+
+def pencil_zero_energy_rule(spec, lo, hi):
+    """``(gamma*, n_broken_change)`` of the zero-energy EPs that the rule of
+    the non-orientable ladders finds on every block of ``spec``: each real
+    root of the block's pencil whose block changes its broken count across
+    it and has the midpoint of its two eigenvalues nearest 0 at 0."""
+    found = []
+    for k, (h0, slope) in enumerate(zip(*_family_for(spec)[0].args)):
+        for gamma in spectral._pencil_roots(h0, slope, lo, hi):
+            before, after = (
+                spectral._broken_count(eigendecompose(h0 + g * slope).eigenvalues) for g in (gamma - 1e-7, gamma + 1e-7)
+            )
+            values = eigendecompose(h0 + gamma * slope).eigenvalues
+            if before != after and abs(values[np.argsort(np.abs(values))[:2]].mean()) <= spectral.ZERO_ENERGY_TOL:
+                found.append((gamma, k, after - before))
+    return [(gamma, change) for gamma, _, change in sorted(found)]
+
+
+KRONECKER_ZERO_CASES = [(BoundaryTopology.CIRCULAR, n) for n in [*range(2, 41), 100]] + [
+    (BoundaryTopology.OPEN, n) for n in [*range(1, 42), 101]
+]
+
+
+@pytest.mark.parametrize("topology, n_cells", KRONECKER_ZERO_CASES)
+def test_orientable_zero_energy_eps_sit_on_the_zero_chain_levels(topology, n_cells):
+    # a block T_b (x) I + I (x) h has a zero-energy EP at gamma = +-2d
+    # exactly where its chain block T_b has a zero eigenvalue (chain_blocks,
+    # built without the package: in both blocks of a ring whose N is
+    # divisible by 4, in one block of an odd open ladder), and all its
+    # levels break there; the pencils of the whole blocks, with both
+    # filters, find the same EPs, within rounding of 2d
+    ring = topology is BoundaryTopology.CIRCULAR
+    for d, t in ((1.0, 1.0), (0.7, 1.3)):
+        spec = LatticeSpec(n_cells=n_cells, intra_hop=d, inter_hop=t, topology=topology)
+        chains = chain_blocks(n_cells, t, ring)
+        for block, chain in zip(sector_blocks(spec), chains):
+            np.testing.assert_array_equal((block[::2, ::2] + block[1::2, 1::2]) / 2, chain)
+        rows = [2 * len(chain) for k, chain in enumerate(chains) if np.abs(np.linalg.eigvalsh(chain)).min() < 1e-9]
+        assert len(rows) == (n_cells % 4 == 0 and 2 if ring else n_cells % 2)
+        for lo, hi in ((0.0, 3.0), (-3.0, 3.0)):
+            points = locate_zero_energy_eps(spec, (lo, hi))
+            want = [(g, int(np.sign(g)) * r) for g in (-2.0 * d, 2.0 * d) if lo < g < hi for r in rows]
+            assert [(p.gamma_star, p.n_broken_change) for p in points] == want
+            assert all(p.kind is (EpKind.MERGE if p.gamma_star > 0 else EpKind.SPLIT) for p in points)
+            assert all(p.bracket_lo < p.gamma_star < p.bracket_hi and abs(p.energy_star) < 1e-6 for p in points)
+            reference = pencil_zero_energy_rule(spec, lo, hi)
+            assert [change for _, change in reference] == [p.n_broken_change for p in points]
+            np.testing.assert_allclose([g for g, _ in reference], [p.gamma_star for p in points], rtol=0, atol=1e-12)
 
 
 def test_a_pencil_singular_at_every_gamma_is_refused():
