@@ -32,9 +32,10 @@ hopping and the real cell block ``h(gamma) = [[-d, -gamma/2], [gamma/2,
 d]]``, bit for bit, so its eigenvalues are ``tau + e`` for every
 eigenvalue tau of ``T_b`` and e of h (Horn & Johnson, *Topics in Matrix
 Analysis*, 1991, sec. 4.4).  Every level pair of H is a copy of h's,
-and all of them coalesce at gamma = 2d, at E = tau; ``kronecker_cell``
-gives h.  So a zero-energy EP of these ladders is a zero tau at gamma =
-2d, which rings with N divisible by 4 and open ladders of odd N have.  The
+and all of them coalesce at gamma = +-2d, at E = tau: the eigenvalues
+of each block's ``T_b`` (``_kronecker_chains``) are the energies of every
+EP of these ladders.  A zero-energy EP is a zero tau, which rings with N
+divisible by 4 and open ladders of odd N have.  The
 Moebius closure and the twist cross one bond pair, ``-t diag(1, -1)`` in
 the real basis, which differs from ``-t I`` in one entry: the blocks of
 these non-orientable ladders are that Kronecker sum plus a rank-one term,
@@ -61,7 +62,6 @@ __all__ = [
     "sector_blocks",
     "sector_bases",
     "chiral_halves",
-    "kronecker_cell",
     "analytic_cll_spectrum",
     "analytic_oll_spectrum",
     "analytic_mll_spectrum",
@@ -409,7 +409,7 @@ def chiral_halves(
 
     Returns None on every other ladder and at delta != 0, where the
     blocks are not written in the real basis.  Circular and open ladders
-    are searched in their Kronecker form (``kronecker_cell``) instead, and
+    are searched in their Kronecker form (``_kronecker_chains``) instead, and
     the Moebius ring has no chiral operator.
     """
     if spec.delta != 0 or spec.topology is not BoundaryTopology.TWISTED_OPEN:
@@ -428,32 +428,32 @@ def chiral_halves(
     return tuple(halves)
 
 
-def kronecker_cell(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """The real cell pair ``(h(0), h(1) - h(0))`` of an orientable ladder, or None.
+def _kronecker_chains(spec: LatticeSpec, blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...] | None:
+    """The chain block ``T_b`` of each mirror block of an orientable ladder, or None.
 
     On circular and open ladders every bond block is ``-t I``, so the
     mirror blocks of ``sector_blocks`` at delta = 0 are the Kronecker sum
-    ``T_b (x) I + I (x) h(gamma)`` with ``h(gamma) = h(0) + gamma (h(1) -
-    h(0)) = [[-d, -gamma/2], [gamma/2, d]]``, the cell block in the real
-    basis, and ``T_b`` the mirror block of the chain's N x N hopping
-    matrix (the N = 2 ring's doubled bond and an odd N's sqrt2 join
-    included), bit for bit.  The eigenvalues of each block are ``tau + e``
-    for the eigenvalues tau of ``T_b`` (real, since ``T_b`` is symmetric)
-    and e of ``h(gamma)``, ``+-sqrt(d**2 - gamma**2 / 4)``.  So a block's
-    broken count is its cell count times that of ``h(gamma)``: levels of
-    two pairs only cross, and every pair coalesces at gamma = 2d, all
-    together.
+    ``T_b (x) I + I (x) h(gamma)`` with ``h(gamma) = [[-d, -gamma/2],
+    [gamma/2, d]]``, the cell block in the real basis, and ``T_b`` the
+    mirror block of the chain's N x N hopping matrix (the N = 2 ring's
+    doubled bond and an odd N's sqrt2 join included), bit for bit.  The
+    two diagonals of h are -d and d at any gamma, so ``T_b`` is the mean
+    of a block's two leg sublattices, ``(b[::2, ::2] + b[1::2, 1::2]) /
+    2``, exactly.  The eigenvalues of each block are ``tau + e`` for the
+    eigenvalues tau of ``T_b`` (real, since ``T_b`` is symmetric) and e of
+    ``h(gamma)``, ``+-sqrt(d**2 - gamma**2 / 4)``: levels of two pairs only
+    cross, and every pair coalesces at gamma = +-2d, all together, at E =
+    tau.
 
-    Returns None where that form breaks: the Moebius closure and the
-    twist cross one bond pair, ``-t diag(1, -1)`` in the real basis, which
-    adds a rank-one term to one block entry, and at delta != 0 the blocks
-    are not written in the real basis.
+    ``blocks`` are the blocks of ``sector_blocks`` at any gamma.  Returns
+    None where that form breaks: the Moebius closure and the twist cross
+    one bond pair, ``-t diag(1, -1)`` in the real basis, which adds a
+    rank-one term to one block entry, and at delta != 0 the blocks are
+    not written in the real basis.
     """
-    orientable = (BoundaryTopology.CIRCULAR, BoundaryTopology.OPEN)
-    if spec.delta != 0 or spec.topology not in orientable:
+    if spec.delta != 0 or spec.topology not in (BoundaryTopology.CIRCULAR, BoundaryTopology.OPEN):
         return None
-    h0 = _sector_cells(spec.with_gamma(0.0)).h0
-    return h0, _sector_cells(spec.with_gamma(1.0)).h0 - h0
+    return tuple((b[::2, ::2] + b[1::2, 1::2]) / 2 for b in blocks)
 
 
 def analytic_cll_spectrum(spec: LatticeSpec) -> list[tuple[complex, str]]:

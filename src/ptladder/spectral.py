@@ -50,19 +50,17 @@ H of a spec is ``(H(0), H(1) - H(0))``.  Both kinds pickle, so both
 sweep in the pool.
 
 Circular and open ladders are orientable, and at delta = 0 each of their
-blocks is the Kronecker sum ``T_b (x) I + I (x) h`` of a chain block and
-the 2 x 2 cell block h of ``lattice.kronecker_cell``.  Every level pair
-of H is a copy of h's, ``tau_j +- sqrt(d**2 - gamma**2 / 4)``, so the
-broken count of H is N times h's, and its only change is the collective
-EP at gamma = 2d, where every pair coalesces at E = tau_j.  The count
-search scans and refines h alone there, and solves the blocks only at
-the ends of its bracket and at gamma*.  The zero-energy search solves no
-pencil there: a block has a zero-energy EP at gamma = +-2d exactly where
-its chain block ``T_b`` has an eigenvalue tau = 0, which rings with N
-divisible by 4 (in both blocks) and open ladders of odd N (in one) have.
-The Moebius closure and the twist add a rank-one term to one block
-entry, which couples the levels: those ladders are searched on their
-blocks.
+blocks is the Kronecker sum ``T_b (x) I + I (x) h`` of its chain block
+``T_b`` (``lattice._kronecker_chains``) and the 2 x 2 cell block
+``h = [[-d, -gamma/2], [gamma/2, d]]``.  Every level pair of H is a copy
+of h's, ``tau_j +- sqrt(d**2 - gamma**2 / 4)`` for the eigenvalues tau_j
+of the ``T_b``, so the broken count of H is N times h's, and its only
+changes are the collective EPs at gamma = +-2d, where every pair
+coalesces at E = tau_j.  Both EP searches take these EPs in closed form
+(``_kronecker_eps``): they scan, refine and count nothing there, and
+solve only the blocks that hold records, once at each gamma*.  The
+Moebius closure and the twist add a rank-one term to one block entry,
+which couples the levels: those ladders are searched on their blocks.
 
 The twisted ladder is bipartite, and its chiral operator maps each block
 onto itself: ``lattice.chiral_halves`` writes each block as
@@ -105,9 +103,9 @@ import numpy as np
 from ._pool import pool_map
 from .lattice import (
     LatticeSpec,
+    _kronecker_chains,
     _sector_basis,
     chiral_halves,
-    kronecker_cell,
     sector_bases,
     sector_blocks,
 )
@@ -242,15 +240,6 @@ class SweepResult:
     @property
     def n_branches(self) -> int:
         return self.branches.shape[0]
-
-
-def _block_eigvals(block: np.ndarray) -> np.ndarray:
-    return eigendecompose(block).eigenvalues
-
-
-def _stack_eigvals(stack: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of every matrix of a stack, one row each."""
-    return _solve_stack(stack)[0]
 
 
 def _merged(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -402,7 +391,7 @@ def _solve_points(build: Callable, bases, weigh: Callable | None, gammas: np.nda
     points = []
     for chunk, stacks in _stacked(build, gammas):
         if weigh is None:
-            rows = [_stack_eigvals(s) for s in stacks]
+            rows = [_solve_stack(s)[0] for s in stacks]
             points += [_merged(parts) for parts in zip(*rows)]
             continue
         solved = [_solve_stack(s, want_vectors=True) for s in stacks]
@@ -425,9 +414,8 @@ def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, Callable | None,
     ``b0 + g * s`` from the blocks at gamma = 0 and 1, bit-identical to a
     fresh build; at an array of gammas it gives each block's stack over
     them.  The scanned builder is the one place that picks what both EP
-    searches solve.  On circular and open ladders it builds the 2 x 2
-    cell block h of ``lattice.kronecker_cell``, since every block is the
-    Kronecker sum ``T_b (x) I + I (x) h``.  On twisted ladders, where
+    searches solve where they scan or solve pencils (circular and open
+    ladders need neither, ``_kronecker_eps``).  On twisted ladders, where
     ``lattice.chiral_halves`` splits every block into ``[[0, A], [B, 0]]``,
     it builds ``_squared_blocks``, each block's ``A B`` at half its size,
     from the split of the blocks at gamma = 0 and of their slope.
@@ -441,14 +429,11 @@ def _family_for(family: LatticeSpec | tuple) -> tuple[Callable, Callable | None,
     b0 = sector_blocks(family.with_gamma(0.0))
     slope = tuple(b1 - b for b1, b in zip(sector_blocks(family.with_gamma(1.0)), b0))
     blocks = partial(_affine_blocks, b0, slope)
-    cell, halves = kronecker_cell(family), chiral_halves(family, b0)
-    if cell is not None:
-        scanned = partial(_affine_blocks, *zip(cell))
-    elif halves is not None:
+    halves = chiral_halves(family, b0)
+    scanned = blocks
+    if halves is not None:
         (a0, c0), (a1, c1) = zip(*halves), zip(*chiral_halves(family, slope))
         scanned = partial(_squared_blocks, a0, a1, c0, c1)
-    else:
-        scanned = blocks
     return blocks, cache(partial(_sector_basis, family)), scanned
 
 
@@ -673,7 +658,7 @@ def _counts(values: np.ndarray, gammas, k: int, direct: Callable | None) -> list
     size = np.abs(values)
     near = size.min(axis=-1) <= MU_ROUNDING * size.max(axis=-1)
     if near.any():
-        counts[near] = _broken_count(_stack_eigvals(direct(np.asarray(gammas)[near])[k]))
+        counts[near] = _broken_count(_solve_stack(direct(np.asarray(gammas)[near])[k])[0])
     return counts.tolist()
 
 
@@ -725,7 +710,7 @@ def _scan_and_refine(
         solved = solved or [{} for _ in stacks]
         counted = counted or [{} for _ in stacks]
         for k, stack in enumerate(stacks):
-            values = _stack_eigvals(stack)
+            values = _solve_stack(stack)[0]
             solved[k].update(zip(chunk, values))
             counted[k].update(zip(chunk, _counts(values, chunk, k, direct)))
     work = [(k, a, b) for k, count in enumerate(counted) for a, b in zip(grid, grid[1:]) if count[a] != count[b]]
@@ -755,7 +740,7 @@ def _scan_and_refine(
                     x += 0.25 * BRACKET_TOL if x - a < b - x else -0.25 * BRACKET_TOL
                     if a < x < b:
                         m = x
-            at[m] = _block_eigvals(family(m)[k])
+            at[m] = eigendecompose(family(m)[k]).eigenvalues
             [count[m]] = _counts(at[m][None], [m], k, direct)
             below, above = count[m] != count[a], count[m] != count[b]
             if below and above:
@@ -781,7 +766,9 @@ def _scan_and_refine(
 
 def _search_family(family, gamma_range) -> tuple:
     """The block builder, basis builder and scanned builder
-    (``_family_for``) of an EP search, and the ends of its range.
+    (``_family_for``) of an EP search, the chain blocks of a circular or
+    open ladder (``lattice._kronecker_chains``, else None), and the ends
+    of its range.
 
     Both searches rest on PT symmetry, which a spec with delta != 0 does
     not have.
@@ -791,7 +778,9 @@ def _search_family(family, gamma_range) -> tuple:
     lo, hi = float(gamma_range[0]), float(gamma_range[1])
     if not lo < hi:
         raise ValueError(f"empty gamma range ({lo}, {hi})")
-    return (*_family_for(family), lo, hi)
+    blocks, basis, scanned = _family_for(family)
+    chains = _kronecker_chains(family, blocks.args[0]) if isinstance(family, LatticeSpec) else None
+    return blocks, basis, scanned, chains, lo, hi
 
 
 def locate_exceptional_points(
@@ -809,15 +798,17 @@ def locate_exceptional_points(
     eigenvalues and the EP eigenvectors come from its mirror-sector
     blocks, the vectors lifted to the site basis of H.  On a circular or
     open ladder every block is the Kronecker sum ``T_b (x) I + I (x) h``
-    of a chain block and the 2 x 2 cell block h (``lattice.kronecker_cell``),
-    so every block's broken count changes exactly where h's does: the
-    scan and the refine solve h alone, and every block is solved at the
-    ends of each bracket of h.  On a twisted ladder
-    (``lattice.chiral_halves``) they solve each block's ``A B``, at half
-    its size, and count its eigenvalues mu = E**2 (see the module
-    docstring); the blocks themselves are solved at the ends of each
-    bracket of mu, for the blocks that bracketed it.  The Moebius ring
-    solves both blocks throughout.
+    of its chain block ``T_b`` and the 2 x 2 cell block h, so nothing is
+    scanned: every level pair coalesces at gamma* = +-2|d| exactly, at
+    E = tau for each eigenvalue tau of a ``T_b``, and each tau gives one
+    record there, with ``n_broken_change`` +-2N (``_kronecker_eps``).  A
+    MergePoint at 2|d| is kept where ``lo <= 2|d| < hi`` and a SplitPoint
+    at -2|d| where ``lo < -2|d| <= hi``; at d = 0 nothing coalesces and
+    there is no record.  ``coarse_steps`` is still checked there.  On a
+    twisted ladder (``lattice.chiral_halves``) the scan and the refine
+    solve each block's ``A B``, at half its size, and count its
+    eigenvalues mu = E**2 (see the module docstring).  The Moebius ring
+    and a pair solve their blocks throughout.
 
     Scans ``coarse_steps`` intervals for changes of each block's
     broken-eigenvalue count: an eigenvalue is broken where its imaginary
@@ -845,18 +836,20 @@ def locate_exceptional_points(
     the same direction are joined: a transition shared by both blocks is
     one bracket, and so is a transition split into two brackets by a
     grid point or probe that lands exactly on it (up to
-    ``2 * BRACKET_TOL`` wide).  Each joined bracket is resolved on the
-    whole spectrum at its two ends (on the halves, on the blocks whose
-    brackets it joined, as the other blocks keep their counts across
-    it), so ``n_broken_change``, ``energy_star`` and ``branch_pair``
-    refer to H.  Each record's pair is found at gamma* in the blocks
-    solved for their eigenvalues, and only a block that holds pairs is
-    solved with eigenvectors (``_pair_record``).
+    ``2 * BRACKET_TOL`` wide).  Each joined bracket is resolved at its
+    two ends on the blocks whose brackets it joined, as the other blocks
+    keep their counts across it: from the scan's solves where it solved
+    the blocks themselves, with a fresh solve of an end it did not reach,
+    and from fresh solves of the blocks on the halves.  So
+    ``n_broken_change`` is the change of H's broken count, and
+    ``energy_star`` and ``branch_pair`` refer to H.  Each record's pair is
+    found at gamma* in the blocks solved for their eigenvalues, and only
+    a block that holds pairs is solved with eigenvectors (``_pair_record``).
 
     Returns a list of :class:`ExceptionalPoint` sorted by gamma (several
     entries may share one gamma when a cluster of pairs coalesces
     together, as all pairs of a circular or open ladder do at
-    gamma = 2d).  Gap minima without a count change, such as avoided
+    gamma = +-2d).  Gap minima without a count change, such as avoided
     crossings, are not EPs and are not reported.  A detuned spec
     (delta != 0) is not PT-symmetric and raises ``ValueError``, and so
     does a pair that is not two square matrices of one shape; any other
@@ -864,36 +857,25 @@ def locate_exceptional_points(
     """
     if coarse_steps < 1:
         raise ValueError("coarse_steps must be at least 1")
-    blocks, basis, scanned, lo, hi = _search_family(spec, gamma_range)
+    blocks, basis, scanned, chains, lo, hi = _search_family(spec, gamma_range)
+    if chains is not None:
+        return _kronecker_eps(spec, blocks, basis, chains, lo, hi)
     squared = scanned.func is _squared_blocks
-    cell = scanned is not blocks and not squared  # the Kronecker cell of an orientable ladder
     solved, brackets = _scan_and_refine(scanned, np.linspace(lo, hi, coarse_steps + 1), blocks if squared else None)
+    # the scan's cache holds each block's eigenvalues where it solved the
+    # blocks themselves; the halves' holds mu, so their ends are solved afresh
+    cached = [{} for _ in solved] if squared else solved
 
-    def spectrum(g: float, own) -> np.ndarray:
-        if scanned is blocks:
-            # a bracket end is solved for its own block; the others are solved here
-            for k, at in enumerate(solved):
-                if g not in at:
-                    at[g] = _block_eigvals(scanned(g)[k])
-            return _merged([at[g] for at in solved])
-        at = blocks(g)  # mu located the bracket on its own blocks, the cell on all of them
-        return _merged([_block_eigvals(at[k]) for k in own])
+    def spectrum(g: float, own: list[int]) -> np.ndarray:
+        for k in own:
+            if g not in cached[k]:
+                cached[k][g] = eigendecompose(blocks(g)[k]).eigenvalues
+        return _merged([cached[k][g] for k in own])
 
     points = []
     for a, b, own in _join_brackets(brackets):
-        # every pair of a Kronecker sum is a copy of the cell's, in every
-        # block, so H has N times the cell's count; an end where it does
-        # not is within rounding of the EP, where H is defective, and moves
-        # out by the bracket's width, which centres the bracket on the EP
-        own = range(len(blocks.args[0])) if cell else sorted(own)
-        ends = []
-        for g, out in ((a, a - b), (b, b - a)):
-            values = spectrum(g, own)
-            if cell and _broken_count(values) != values.size // 2 * _broken_count(solved[0][g]):
-                g += out
-                values = spectrum(g, own)
-            ends += [g, values]
-        points.extend(_resolve_transition(blocks, basis, own, *ends))
+        own = sorted(own)
+        points.extend(_resolve_transition(blocks, basis, own, a, spectrum(a, own), b, spectrum(b, own)))
     points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
     return points
 
@@ -1072,24 +1054,25 @@ def locate_zero_energy_eps(
     a kept record (``_pair_record``).  The record's eigenvector is lifted
     to the site basis of H.
 
-    Circular and open ladders solve no pencil and count nothing.  Each of
-    their blocks is the Kronecker sum ``T_b (x) I + I (x) h`` of a chain
-    block and the cell block h (``lattice.kronecker_cell``), whose level
+    Circular and open ladders solve no pencil and count nothing: their
+    records are the count search's records at E = 0, field for field
+    (``_kronecker_eps``).  Each of their blocks is the Kronecker sum
+    ``T_b (x) I + I (x) h`` of its chain block ``T_b``
+    (``lattice._kronecker_chains``) and the cell block h, whose level
     pairs ``tau_j +- sqrt(d**2 - gamma**2 / 4)`` coalesce only at
-    gamma = +-2d, at E = tau_j.  So a block has a zero-energy EP exactly
-    where ``T_b = (b[::2, ::2] + b[1::2, 1::2]) / 2`` of its gamma = 0
-    block b has an eigenvalue within ``ZERO_ENERGY_TOL`` of 0: at gamma*
-    = 2d a MergePoint and at -2d a SplitPoint, each where it lies inside
-    the range, whose ``n_broken_change`` is plus or minus the block's row
-    count, as all its pairs break together.  That holds on rings with N
-    divisible by 4, in both blocks (tau = 0 at the momenta N/4 and 3N/4),
-    and on open ladders of odd N, in one block (the middle standing
-    wave); no other circular or open ladder has a zero-energy EP.  Only
-    the blocks that hold records are solved, once at each gamma*, with
-    eigenvectors; every level pair of another block is its tau there,
-    twice.  A ring's two records stand for its two blocks' E = 0 pairs,
-    but each reads the two eigenvalues of H nearest 0 (``_pair_record``),
-    so both read the same pair of H.
+    gamma = +-2|d|, at E = tau_j.  So each eigenvalue tau of a ``T_b``
+    within ``ZERO_ENERGY_TOL`` of 0 gives a MergePoint at 2|d| where
+    ``lo <= 2|d| < hi`` and a SplitPoint at -2|d| where
+    ``lo < -2|d| <= hi``, whose ``n_broken_change`` is +-2N, the change of
+    H's broken count, as all its levels break together; at d = 0 there is
+    none.  Such a tau exists on rings with N divisible by 4, in both
+    blocks (tau = 0 at the momenta N/4 and 3N/4), and on open ladders of
+    odd N, in one block (the middle standing wave); no other circular or
+    open ladder has a zero-energy EP.  Only the blocks that hold records
+    are solved, once at each gamma*, with eigenvectors.  A ring's two
+    records stand for its two blocks' E = 0 pairs, but each reads the two
+    eigenvalues of H nearest its tau (``_pair_record``), so both read the
+    same pair of H.
 
     No grid is scanned: the pencil sees every root, including pairs of
     sign changes closer than any grid step.  ``scan_steps`` is kept for
@@ -1100,10 +1083,10 @@ def locate_zero_energy_eps(
     non-finite matrix or a block whose determinant vanishes for every
     gamma raises ``EigensolverError``.
     """
-    blocks, basis, scanned, lo, hi = _search_family(spec, gamma_range)
+    blocks, basis, scanned, chains, lo, hi = _search_family(spec, gamma_range)
+    if chains is not None:
+        return _kronecker_eps(spec, blocks, basis, chains, lo, hi, near_zero=True)
     squared = scanned.func is _squared_blocks
-    if scanned is not blocks and not squared:  # the Kronecker cell of an orientable ladder
-        return _kronecker_zero_energy_eps(spec, blocks, basis, lo, hi)
     # halves count their spectra by mu, and on the blocks where a mu is about 0
     direct = blocks if squared else None
 
@@ -1115,7 +1098,7 @@ def locate_zero_energy_eps(
         block = partial(scanned.func, *((m,) for m in pencils))
         # the broken counts at gamma* -+ 1e-7, from one stack per chunk
         probes = np.column_stack((roots - 1e-7, roots + 1e-7)).ravel()
-        counts = [c for chunk, (stack,) in _stacked(block, probes) for c in _counts(_stack_eigvals(stack), chunk, k, direct)]
+        counts = [c for chunk, (stack,) in _stacked(block, probes) for c in _counts(_solve_stack(stack)[0], chunk, k, direct)]
         found += [(g, k, before, after) for g, before, after in zip(roots, counts[::2], counts[1::2])]
 
     points = []
@@ -1128,41 +1111,59 @@ def locate_zero_energy_eps(
         if abs(values[np.argsort(np.abs(values))[:2]].mean()) > ZERO_ENERGY_TOL:
             continue  # a coalescence away from zero: no other block is solved for it
         parts = [own if j == k else eigendecompose(m, gamma=gamma_star) for j, m in enumerate(at)]
-        points.append(_zero_energy_record(at, parts, basis, gamma_star, after - before))
+        kind = EpKind.MERGE if after > before else EpKind.SPLIT
+        fields = dict(gamma_star=gamma_star, kind=kind, bracket_lo=gamma_star - 1e-7, bracket_hi=gamma_star + 1e-7)
+        points.append(_pair_record(at, parts, basis, 0.0, n_broken_change=after - before, **fields))
     return points
 
 
-def _kronecker_zero_energy_eps(spec: LatticeSpec, blocks, basis, lo: float, hi: float) -> list[ExceptionalPoint]:
-    """The zero-energy EPs of a circular or open ladder, from the
-    eigenvalues tau of its chain blocks (see ``locate_zero_energy_eps``).
-    At gamma = +-2d every level pair of a block is its tau, twice, so only
-    the blocks that hold records are solved."""
-    taus = [np.linalg.eigvalsh((b[::2, ::2] + b[1::2, 1::2]) / 2) for b in blocks.args[0]]
-    own = [k for k, tau in enumerate(taus) if np.abs(tau).min() <= ZERO_ENERGY_TOL]
+def _kronecker_eps(
+    spec: LatticeSpec, blocks, basis, chains, lo: float, hi: float, near_zero: bool = False
+) -> list[ExceptionalPoint]:
+    """The EPs of a circular or open ladder in closed form, from the
+    eigenvalues tau of its chain blocks ``chains`` (``_kronecker_chains``).
+
+    Every level pair ``tau +- sqrt(d**2 - gamma**2 / 4)`` coalesces at
+    gamma* = +-2|d| exactly, at E = tau, and all 2N levels of H break
+    there together.  So each tau of every chain block (with
+    ``near_zero``, each within ``ZERO_ENERGY_TOL`` of 0) gives one record
+    at each gamma*: a MergePoint at +2|d| where ``lo <= 2|d| < hi`` and a
+    SplitPoint at -2|d| where ``lo < -2|d| <= hi``, with
+    ``n_broken_change`` +-2N, the change of H's broken count, and the
+    bracket ``gamma* -+ BRACKET_TOL / 4``.  At d = 0 the pairs
+    ``tau +- i gamma / 2`` are broken at every gamma != 0, so nothing
+    coalesces and there is no record.  Only the blocks that hold records
+    are solved, once at each gamma*, with eigenvectors; every level pair of
+    another block is its tau there, twice.  Each record reads the two
+    eigenvalues of H nearest its tau (``_pair_record``), so the records of
+    a ring's degenerate +-k levels, which sit in both blocks, may read the
+    same pair of H.  Records are sorted as the count search sorts them.
+    """
+    taus = [np.linalg.eigvalsh(chain) for chain in chains]
+    kept = [values[np.abs(values) <= ZERO_ENERGY_TOL] if near_zero else values for values in taus]
+    targets = [(k, tau) for k, values in enumerate(kept) for tau in values]
+    own = {k for k, _ in targets}
     d = abs(spec.intra_hop)
     points = []
-    for gamma_star, sign in ((-2.0 * d, -1), (2.0 * d, 1)):
-        # at d = 0 the cell's pair is broken on both sides of gamma = 0
-        if own and d and lo < gamma_star < hi:
-            at = blocks(gamma_star)
-            parts = [
-                eigendecompose(at[k], want_vectors=True, gamma=gamma_star)
-                if k in own
-                else Spectrum(np.repeat(tau, 2).astype(complex), None, gamma_star)
-                for k, tau in enumerate(taus)
-            ]
-            points += [_zero_energy_record(at, parts, basis, gamma_star, sign * len(at[k])) for k in own]
+    for sign, kind in ((-1, EpKind.SPLIT), (1, EpKind.MERGE)):
+        gamma_star = sign * 2.0 * d
+        # gamma* at an end of the range is kept where the range reaches into its broken side
+        inside = lo < gamma_star <= hi if sign < 0 else lo <= gamma_star < hi
+        if not (targets and d and inside):
+            continue
+        at = blocks(gamma_star)
+        parts = [
+            eigendecompose(m, want_vectors=True, gamma=gamma_star)
+            if k in own
+            else Spectrum(np.repeat(values, 2).astype(complex), None, gamma_star)
+            for k, (m, values) in enumerate(zip(at, taus))
+        ]
+        edge = 0.25 * BRACKET_TOL
+        fields = dict(gamma_star=gamma_star, kind=kind, bracket_lo=gamma_star - edge, bracket_hi=gamma_star + edge)
+        fields.update(n_broken_change=sign * spec.n_sites)
+        points += [_pair_record(at, parts, basis, tau, **fields) for _, tau in targets]
+    points.sort(key=lambda p: (p.gamma_star, p.energy_star.real))
     return points
-
-
-def _zero_energy_record(at: tuple, parts: list[Spectrum], basis, gamma_star: float, change: int) -> ExceptionalPoint:
-    """The record (``_pair_record``) of a zero-energy EP at ``gamma_star``
-    whose block's broken count changes by ``change``."""
-    kind = EpKind.MERGE if change > 0 else EpKind.SPLIT
-    lo, hi = gamma_star - 1e-7, gamma_star + 1e-7
-    return _pair_record(
-        at, parts, basis, 0.0, gamma_star=gamma_star, kind=kind, bracket_lo=lo, bracket_hi=hi, n_broken_change=change
-    )
 
 
 def _pencil_roots(h0: np.ndarray, slope: np.ndarray, lo: float, hi: float) -> np.ndarray:

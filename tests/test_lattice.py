@@ -18,12 +18,11 @@ from ptladder import (
     build_bloch_hamiltonian,
     build_real_space_hamiltonian,
     chiral_halves,
-    kronecker_cell,
     sector_bases,
     sector_blocks,
     unit_cell_blocks,
 )
-from ptladder.lattice import _half_bond_blocks
+from ptladder.lattice import _half_bond_blocks, _kronecker_chains
 
 TOL = 1e-10
 
@@ -589,17 +588,20 @@ KRONECKER_CASES = [(BoundaryTopology.CIRCULAR, n) for n in (2, 3, 20, 21, 100)] 
 def test_orientable_blocks_are_kronecker_sums_with_the_cell_block(topology, n, hops):
     d, t = hops
     spec = LatticeSpec(n_cells=n, intra_hop=d, inter_hop=t, topology=topology)
-    h0, slope = kronecker_cell(spec)
-    assert h0.dtype == slope.dtype == np.float64 and h0.shape == slope.shape == (2, 2)
+    ring = topology is BoundaryTopology.CIRCULAR
     for gamma in (0.0, 0.75, 1.3, 2.0 * d, 2.6):
         at = spec.with_gamma(gamma)
-        np.testing.assert_array_equal(h0 + gamma * slope, [[-d, -0.5 * gamma], [0.5 * gamma, d]])
         blocks = sector_blocks(at)
-        sums = kronecker_sums(at, topology is BoundaryTopology.CIRCULAR)
+        sums = kronecker_sums(at, ring)
         assert len(blocks) == len(sums)
         for block, kron in zip(blocks, sums):
             # bit for bit; only the sign of a zero may differ (adding 0.0 drops it)
             assert (block + 0.0).tobytes() == (kron + 0.0).tobytes()
+        # the chain blocks the EP searches read off the blocks at any gamma
+        chains = _kronecker_chains(at, blocks)
+        want = chain_blocks(n, t, ring)
+        assert [c.dtype for c in chains] == [np.float64] * len(want)
+        assert [(c + 0.0).tobytes() for c in chains] == [(w + 0.0).tobytes() for w in want]
 
 
 @pytest.mark.parametrize(
@@ -615,7 +617,7 @@ def test_non_orientable_blocks_differ_from_the_kronecker_sum_in_one_entry(topolo
     t = 1.25
     for gamma in (0.0, 0.75, 2.6):
         spec = LatticeSpec(n_cells=n, inter_hop=t, gamma=gamma, topology=topology)
-        assert kronecker_cell(spec) is None
+        assert _kronecker_chains(spec, sector_blocks(spec)) is None
         sums = kronecker_sums(spec, topology is BoundaryTopology.MOEBIUS)
         for block, kron in zip(sector_blocks(spec), sums):
             [(i, j)] = np.argwhere(block != kron)
@@ -623,5 +625,6 @@ def test_non_orientable_blocks_differ_from_the_kronecker_sum_in_one_entry(topolo
 
 
 @pytest.mark.parametrize("topology", list(BoundaryTopology))
-def test_kronecker_cell_is_none_off_delta_zero(topology):
-    assert kronecker_cell(LatticeSpec(n_cells=20, delta=0.3, topology=topology)) is None
+def test_kronecker_chains_are_none_off_delta_zero(topology):
+    spec = LatticeSpec(n_cells=20, delta=0.3, topology=topology)
+    assert _kronecker_chains(spec, sector_blocks(spec)) is None

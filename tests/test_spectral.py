@@ -30,7 +30,6 @@ from ptladder import (
     chiral_halves,
     classify_pt_phase,
     eigendecompose,
-    kronecker_cell,
     locate_exceptional_points,
     locate_zero_energy_eps,
     sector_bases,
@@ -165,10 +164,8 @@ def test_family_matches_fresh_builds(topology):
             continue
         for delta in (0.0, 0.3):
             spec = LatticeSpec(n_cells=n_cells, delta=delta, gamma=0.8, topology=topology)
-            # the EP searches build the 2 x 2 cell block of an orientable
-            # ladder, and each block's A B where Gamma splits it
+            # the EP searches build each block's A B where Gamma splits it
             blocks, _, scanned = _family_for(spec)
-            cell = kronecker_cell(spec)
             split = chiral_halves(spec, sector_blocks(spec)) is not None
             assert (scanned.func is spectral._squared_blocks) == split
             gammas = (-1.7, -0.25, 0.0, 0.4, 2.3)
@@ -181,9 +178,6 @@ def test_family_matches_fresh_builds(topology):
                 assert [b.tobytes() for b in got] == [b.tobytes() for b in fresh]
                 assert [s[i].tobytes() for s in stacks] == [b.tobytes() for b in fresh]
                 assert [s[i].tobytes() for s in scanned_stacks] == [b.tobytes() for b in scanned(g)]
-                if cell is not None:
-                    assert [b.tobytes() for b in scanned(g)] == [(cell[0] + g * cell[1]).tobytes()]
-                    continue
                 if not split:
                     assert [b.tobytes() for b in scanned(g)] == [b.tobytes() for b in fresh]
                     continue
@@ -224,8 +218,7 @@ def test_stacked_scans_match_per_point_solves(spec, extra, monkeypatch):
     monkeypatch.setattr(spectral, "IM_TOL", math.inf)  # nothing is broken
     direct = _family_for(spec)[0] if scanned.func is spectral._squared_blocks else None
     values, brackets = spectral._scan_and_refine(scanned, grid, direct)
-    kept = 1 if kronecker_cell(spec) is not None else 2  # the cell block, or both blocks
-    assert len(values) == kept and brackets == []
+    assert len(values) == 2 and brackets == []  # both blocks, or both blocks' A B
     for g in grid:
         # the family's blocks are its fresh sector blocks (test_family_matches_fresh_builds)
         for k, block in enumerate(scanned(g)):
@@ -314,21 +307,25 @@ def test_searches_refuse_a_detuned_spec():
 
 
 @pytest.mark.parametrize(
-    "n_cells, topology, gamma_range, steps",
+    "n_cells, topology, gamma_range, steps, hops",
     [
-        # circular and open ladders scan their 2 x 2 cell block
-        (20, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400),
-        (21, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400),
-        (20, BoundaryTopology.OPEN, (0.0, 3.0), 400),
-        (21, BoundaryTopology.OPEN, (0.0, 3.0), 400),
-        (20, BoundaryTopology.MOEBIUS, (0.02, 0.8), 250),
-        (40, BoundaryTopology.MOEBIUS, (0.01, 0.45), 250),
+        # circular and open ladders take their EPs in closed form, at +-2d
+        (20, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400, (1.0, 1.0)),
+        (21, BoundaryTopology.CIRCULAR, (0.0, 3.0), 400, (1.0, 1.0)),
+        (20, BoundaryTopology.OPEN, (0.0, 3.0), 400, (1.0, 1.0)),
+        (21, BoundaryTopology.OPEN, (0.0, 3.0), 400, (1.0, 1.0)),
+        # SplitPoints at -2d too, with d != t
+        (20, BoundaryTopology.CIRCULAR, (-2.1, 2.1), 400, (0.7, 1.3)),
+        (21, BoundaryTopology.OPEN, (-2.1, 2.1), 400, (0.7, 1.3)),
+        (20, BoundaryTopology.MOEBIUS, (0.02, 0.8), 250, (1.0, 1.0)),
+        (40, BoundaryTopology.MOEBIUS, (0.01, 0.45), 250, (1.0, 1.0)),
         # the zero-mode pair breaks from gamma = 0, so its count flips in the first step
-        (20, BoundaryTopology.TWISTED_OPEN, (0.0, 3.0), 400),
+        (20, BoundaryTopology.TWISTED_OPEN, (0.0, 3.0), 400, (1.0, 1.0)),
     ],
 )
-def test_sector_ep_search_matches_the_dense_pair(n_cells, topology, gamma_range, steps):
-    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+def test_sector_ep_search_matches_the_dense_pair(n_cells, topology, gamma_range, steps, hops):
+    d, t = hops
+    spec = LatticeSpec(n_cells=n_cells, intra_hop=d, inter_hop=t, topology=topology)
     dense = dense_pair(spec)
     bracket_tol = spectral.BRACKET_TOL
     sectors = locate_exceptional_points(spec, gamma_range, steps)
@@ -549,17 +546,15 @@ def test_spectrum_conjugate_closure_and_trace(gamma, n):
 
 
 def test_collective_ep_location_on_ring():
-    # All momentum pairs of the ring coalesce together at gamma = 2d.
-    # gamma = 2 is the 21st grid point, where the cell block is
-    # [[-1, -1], [1, 1]], exactly defective: its count reads 0, so the
-    # cell's bracket ends on the EP, where H is defective too and a solve
-    # scatters its pairs by about sqrt(eps).  That end moves out by the
-    # bracket's width, which centres the bracket on the EP.
+    # All momentum pairs of the ring coalesce together at gamma = 2d, where
+    # H is defective and a solve scatters its pairs by about sqrt(eps);
+    # the closed form puts gamma* there exactly, although the grid's 21st
+    # point lands on it
     points = locate_exceptional_points(LatticeSpec(n_cells=6), (1.5, 2.5), coarse_steps=40)
     assert len(points) == 6
     for p in points:
         assert p.kind is EpKind.MERGE
-        assert abs(p.gamma_star - 2.0) < 1e-15
+        assert p.gamma_star == 2.0
         assert p.bracket_lo < 2.0 < p.bracket_hi
         assert p.bracket_hi - p.bracket_lo <= 2e-10
         assert p.n_broken_change == 12
@@ -590,7 +585,7 @@ def test_orientable_ep_records_match_the_closed_form(topology, n_cells):
     assert len(points) == n_cells
     for p in points:
         assert p.kind is EpKind.MERGE
-        assert abs(p.gamma_star - 2.0 * spec.intra_hop) <= spectral.BRACKET_TOL
+        assert p.gamma_star == 2.0 * spec.intra_hop
         assert p.n_broken_change == 2 * n_cells
     closed_form = analytic_cll_spectrum if topology is BoundaryTopology.CIRCULAR else analytic_oll_spectrum
     below, above = (closed_form(spec.with_gamma(2.0 * spec.intra_hop + off)) for off in (-1e-6, 1e-6))
@@ -692,25 +687,29 @@ def counted_pencils(monkeypatch) -> list:
     return calls
 
 
-def test_ring_count_search_scans_the_cell_block(monkeypatch):
-    # Every mirror block of the ring is T_b (x) I + I (x) h: the scan and
-    # the refine solve the 2 x 2 cell block h alone, 401 grid points and
-    # the probes of one bracket.  Of the two 20-row blocks, each is solved
-    # for its eigenvalues at the bracket's two ends and once with
-    # eigenvectors at gamma*, as both hold pairs of the records.
-    sizes = []
+def counted_sized_solves(monkeypatch) -> list:
+    """One ``(rows, want_vectors)`` entry per matrix that ``spectral``
+    solves, each matrix of a stack included."""
+    solves = []
     solve = spectral._solve_stack
 
     def counted(stack, want_vectors=False):
-        sizes.extend([stack.shape[-1]] * len(stack))
+        solves.extend([(stack.shape[-1], want_vectors)] * len(stack))
         return solve(stack, want_vectors)
 
     monkeypatch.setattr(spectral, "_solve_stack", counted)
+    return solves
+
+
+def test_ring_count_search_solves_each_block_once(monkeypatch):
+    # Every mirror block of the ring is T_b (x) I + I (x) h, so its EPs
+    # are the eigenvalues of the chain blocks T_b, at gamma = 2d: the
+    # search scans nothing, solves no 2 x 2 cell, and solves its two
+    # 20-row blocks once each, with vectors, as both hold records
+    solves = counted_sized_solves(monkeypatch)
     points = locate_exceptional_points(LatticeSpec(n_cells=20), (0.0, 3.0), 400)
     assert len(points) == 20
-    n_cell = sizes.count(2)
-    assert 401 < n_cell <= 430 and sizes[:n_cell] == [2] * n_cell  # the scan and the refine come first
-    assert sizes[n_cell:] == [20] * len(sizes[n_cell:]) and len(sizes[n_cell:]) <= 6
+    assert solves == [(20, True), (20, True)]
 
 
 def test_orientable_zero_energy_search_solves_only_its_records_blocks(monkeypatch):
@@ -722,20 +721,14 @@ def test_orientable_zero_energy_search_solves_only_its_records_blocks(monkeypatc
     # A twisted ladder solves the pencils of both blocks' halves A and B,
     # since det [[0, A], [B, 0]] = +-det A det B.
     pencils = counted_pencils(monkeypatch)
-    solves = []
-    solve = spectral._solve_stack
-
-    def counted(stack, want_vectors=False):
-        solves.extend([(stack.shape[-1], want_vectors)] * len(stack))
-        return solve(stack, want_vectors)
-
-    monkeypatch.setattr(spectral, "_solve_stack", counted)
+    solves = counted_sized_solves(monkeypatch)
     ring = locate_zero_energy_eps(LatticeSpec(n_cells=20), (0.0, 3.0), 601)
-    assert [(p.gamma_star, p.n_broken_change) for p in ring] == [(2.0, 20), (2.0, 20)]
+    # n_broken_change is H's: all 2N levels break at gamma = 2d
+    assert [(p.gamma_star, p.n_broken_change) for p in ring] == [(2.0, 40), (2.0, 40)]
     assert solves == [(20, True), (20, True)]
     solves.clear()
     ladder = locate_zero_energy_eps(LatticeSpec(n_cells=21, topology=BoundaryTopology.OPEN), (0.0, 3.0))
-    assert [(p.gamma_star, p.n_broken_change) for p in ladder] == [(2.0, 22)]
+    assert [(p.gamma_star, p.n_broken_change) for p in ladder] == [(2.0, 42)]
     assert solves == [(22, True)]
     solves.clear()
     assert locate_zero_energy_eps(LatticeSpec(n_cells=22), (0.0, 3.0)) == [] and solves == []
@@ -859,7 +852,8 @@ def test_conjugate_pairs_match_the_pairing_loop(monkeypatch):
         flipped = rng.permutation(n)[: int(rng.integers(0, n + 1))]
         for order in (flipped, np.sort(flipped)):
             assert spectral._conjugate_pairs(values, order) == loop_conjugate_pairs(values, order)
-    # and on the broken sides of real searches, many pairs at once on the ring
+    # and on the broken sides of real searches, many pairs at once on the
+    # ring's dense pair (its sector blocks take their EPs in closed form)
     calls = []
     pairs = spectral._conjugate_pairs
 
@@ -870,7 +864,7 @@ def test_conjugate_pairs_match_the_pairing_loop(monkeypatch):
         return got
 
     monkeypatch.setattr(spectral, "_conjugate_pairs", checked)
-    assert len(locate_exceptional_points(LatticeSpec(n_cells=100), (0.0, 3.0), 400)) == 100
+    assert len(locate_exceptional_points(dense_pair(LatticeSpec(n_cells=100)), (0.0, 3.0), 4)) == 100
     assert locate_exceptional_points(LatticeSpec(n_cells=20, topology=BoundaryTopology.MOEBIUS), (0.0, 3.0), 400)
     assert calls[0] == 100 and len(calls) > 10
 
@@ -1217,7 +1211,7 @@ def test_half_pencil_candidates_are_the_full_pencils(n_cells, topology):
 
         def kept(roots, family, direct):
             probes = np.column_stack((roots - 1e-7, roots + 1e-7)).ravel()
-            counts = spectral._counts(spectral._stack_eigvals(family(probes)[k]), probes, k, direct)
+            counts = spectral._counts(spectral._solve_stack(family(probes)[k])[0], probes, k, direct)
             return roots[np.array(counts[::2]) != np.array(counts[1::2])]
 
         want = kept(full, blocks, None)
@@ -1248,31 +1242,84 @@ KRONECKER_ZERO_CASES = [(BoundaryTopology.CIRCULAR, n) for n in [*range(2, 41), 
 ]
 
 
+def closed_form_broken_change(spec, gamma):
+    """The change of H's broken count across ``gamma`` -+ 1e-6, from the
+    closed-form spectrum of a circular or open ladder."""
+    closed_form = analytic_cll_spectrum if spec.topology is BoundaryTopology.CIRCULAR else analytic_oll_spectrum
+    below, above = (closed_form(spec.with_gamma(gamma + off)) for off in (-1e-6, 1e-6))
+    return sum(abs(e.imag) > spectral.IM_TOL for e, _ in above) - sum(abs(e.imag) > spectral.IM_TOL for e, _ in below)
+
+
 @pytest.mark.parametrize("topology, n_cells", KRONECKER_ZERO_CASES)
 def test_orientable_zero_energy_eps_sit_on_the_zero_chain_levels(topology, n_cells):
     # a block T_b (x) I + I (x) h has a zero-energy EP at gamma = +-2d
     # exactly where its chain block T_b has a zero eigenvalue (chain_blocks,
     # built without the package: in both blocks of a ring whose N is
-    # divisible by 4, in one block of an odd open ladder), and all its
-    # levels break there; the pencils of the whole blocks, with both
-    # filters, find the same EPs, within rounding of 2d
+    # divisible by 4, in one block of an odd open ladder), and all 2N
+    # levels of H break there; the pencils of the whole blocks, with both
+    # filters, find the same EPs of the same kinds, within rounding of 2d
     ring = topology is BoundaryTopology.CIRCULAR
     for d, t in ((1.0, 1.0), (0.7, 1.3)):
         spec = LatticeSpec(n_cells=n_cells, intra_hop=d, inter_hop=t, topology=topology)
         chains = chain_blocks(n_cells, t, ring)
         for block, chain in zip(sector_blocks(spec), chains):
             np.testing.assert_array_equal((block[::2, ::2] + block[1::2, 1::2]) / 2, chain)
-        rows = [2 * len(chain) for k, chain in enumerate(chains) if np.abs(np.linalg.eigvalsh(chain)).min() < 1e-9]
-        assert len(rows) == (n_cells % 4 == 0 and 2 if ring else n_cells % 2)
+        zero_blocks = sum(np.abs(np.linalg.eigvalsh(chain)).min() < 1e-9 for chain in chains)
+        assert zero_blocks == (n_cells % 4 == 0 and 2 if ring else n_cells % 2)
         for lo, hi in ((0.0, 3.0), (-3.0, 3.0)):
             points = locate_zero_energy_eps(spec, (lo, hi))
-            want = [(g, int(np.sign(g)) * r) for g in (-2.0 * d, 2.0 * d) if lo < g < hi for r in rows]
-            assert [(p.gamma_star, p.n_broken_change) for p in points] == want
+            stars = [g for g in (-2.0 * d, 2.0 * d) if lo < g < hi for _ in range(zero_blocks)]
+            assert [p.gamma_star for p in points] == stars
+            assert [p.n_broken_change for p in points] == [closed_form_broken_change(spec, g) for g in stars]
+            assert all(abs(p.n_broken_change) == 2 * n_cells for p in points)
             assert all(p.kind is (EpKind.MERGE if p.gamma_star > 0 else EpKind.SPLIT) for p in points)
             assert all(p.bracket_lo < p.gamma_star < p.bracket_hi and abs(p.energy_star) < 1e-6 for p in points)
             reference = pencil_zero_energy_rule(spec, lo, hi)
-            assert [change for _, change in reference] == [p.n_broken_change for p in points]
+            assert [np.sign(change) for _, change in reference] == [np.sign(p.n_broken_change) for p in points]
             np.testing.assert_allclose([g for g, _ in reference], [p.gamma_star for p in points], rtol=0, atol=1e-12)
+
+
+CROSS_SEARCH_CASES = [(BoundaryTopology.CIRCULAR, n) for n in [*range(2, 41), 100]] + [
+    (BoundaryTopology.OPEN, n) for n in [*range(1, 42), 101]
+]
+
+
+@pytest.mark.parametrize("topology, n_cells", CROSS_SEARCH_CASES)
+def test_orientable_zero_energy_eps_are_the_count_search_records_at_zero(topology, n_cells):
+    # both searches take a circular or open ladder's EPs in closed form,
+    # so the zero-energy records are the count search's records at E = 0,
+    # field for field and in the same order
+    for d, t in ((1.0, 1.0), (0.7, 1.3)):
+        spec = LatticeSpec(n_cells=n_cells, intra_hop=d, inter_hop=t, topology=topology)
+        for gamma_range in ((0.0, 3.0 * d), (-3.0 * d, 3.0 * d)):
+            counted = locate_exceptional_points(spec, gamma_range)
+            at_zero = [p for p in counted if abs(p.energy_star) <= spectral.ZERO_ENERGY_TOL]
+            assert repr(locate_zero_energy_eps(spec, gamma_range)) == repr(at_zero)
+
+
+@pytest.mark.parametrize("topology, n_cells", [(BoundaryTopology.CIRCULAR, 20), (BoundaryTopology.OPEN, 21)])
+def test_orientable_eps_at_the_ends_of_the_range(topology, n_cells):
+    # gamma* = +-2d is kept at the end where the broken side of its pair
+    # lies inside the range: a MergePoint at 2d where lo <= 2d < hi, a
+    # SplitPoint at -2d where lo < -2d <= hi
+    spec = LatticeSpec(n_cells=n_cells, topology=topology)
+    ends = (((2.0, 3.0), EpKind.MERGE), ((-3.0, -2.0), EpKind.SPLIT), ((0.0, 2.0), None), ((-2.0, 2.0), None))
+    for gamma_range, want in ends:
+        counted = locate_exceptional_points(spec, gamma_range)
+        assert [p.kind for p in counted] == ([want] * n_cells if want else [])
+        at_zero = [p for p in counted if abs(p.energy_star) <= spectral.ZERO_ENERGY_TOL]
+        assert repr(locate_zero_energy_eps(spec, gamma_range)) == repr(at_zero)
+        assert len(at_zero) == (2 if topology is BoundaryTopology.CIRCULAR else 1) * (want is not None)
+
+
+@pytest.mark.parametrize("topology, n_cells", [(BoundaryTopology.CIRCULAR, 20), (BoundaryTopology.OPEN, 21)])
+def test_orientable_ladders_without_rungs_have_no_eps(topology, n_cells):
+    # at d = 0 every level pair is tau +- i gamma / 2: broken at every
+    # gamma != 0, so no pair coalesces
+    spec = LatticeSpec(n_cells=n_cells, intra_hop=0.0, topology=topology)
+    for gamma_range in ((0.0, 3.0), (-3.0, 3.0)):
+        assert locate_exceptional_points(spec, gamma_range) == []
+        assert locate_zero_energy_eps(spec, gamma_range) == []
 
 
 def test_a_pencil_singular_at_every_gamma_is_refused():
